@@ -1,10 +1,16 @@
 """Stable merge kernels.
 
 All kernels merge adjacent sorted regions of a list in place through an
-external buffer, tally costs into a SortStats, and route every element
-comparison through ``order.le``.  Ties always go to the run with the lower
-start index -- ``le`` at every decision point, with the lower-indexed run on
-the left -- which is what makes each kernel stable.
+external buffer and tally costs into a SortStats.  Element comparisons go
+through the uncounted predicate ``order.compare``; each kernel adds the
+number it executed to ``order.comparisons`` once per call, derived from its
+loop structure where that gives it.  Ties always go to the run with the
+lower start index -- "at or before" at every decision point, with the
+lower-indexed run on the left -- which is what makes each kernel stable.
+
+The sentinel kernels test a head for ``SENTINEL`` with ``is`` before they
+compare.  A sentinel sorts after every element and loses each comparison
+without a call to ``compare``, and such a comparison is not counted.
 
 Five buffer strategies:
 
@@ -83,19 +89,27 @@ def merge_2way_sentinel(lst, l, m, r, buf, order, stats):
     B[n1] = SENTINEL
     B[n1 + 1 : n + 1] = lst[m:r]
     B[n + 1] = SENTINEL
-    le = order.le
+    compare = order.compare
+    sentinel = SENTINEL
+    met = 0  # rounds decided by a sentinel, without compare
     c1, c2 = 0, n1 + 1
     # Once a run is exhausted its sentinel loses every comparison, so the
     # cursors can never leave their regions within n outputs.
     for o in range(l, r):
         a = B[c1]
         b = B[c2]
-        if le(a, b):
+        if a is sentinel or b is sentinel:
+            met += 1
+            take_left = b is sentinel
+        else:
+            take_left = compare(a, b)
+        if take_left:
             lst[o] = a
             c1 += 1
         else:
             lst[o] = b
             c2 += 1
+    order.comparisons += n - met
     stats.merge_cost += n
     stats.buffer_cost += n
     stats.moves += 2 * n
@@ -112,20 +126,21 @@ def merge_2way_no_sentinel(lst, l, m, r, buf, order, stats):
     n1 = m - l
     B = buf.data
     B[0:n] = lst[l:r]
-    le = order.le
+    compare = order.compare
     c1, e1 = 0, n1
     c2, e2 = n1, n
     o = l
     while c1 < e1 and c2 < e2:
         a = B[c1]
         b = B[c2]
-        if le(a, b):
+        if compare(a, b):
             lst[o] = a
             c1 += 1
         else:
             lst[o] = b
             c2 += 1
         o += 1
+    order.comparisons += o - l  # one per output before the tail copy
     while c1 < e1:
         lst[o] = B[c1]
         o += 1
@@ -145,16 +160,16 @@ def merge_2way_no_sentinel(lst, l, m, r, buf, order, stats):
 def merge_2way_copy_smaller(lst, l, m, r, buf, order, stats):
     """Copy only the smaller run to the buffer and merge into the gap.
 
-    Left run smaller: forward merge, left wins ties via ``le``.  Right run
-    smaller: backward merge taking the larger element, right wins ties --
-    the mirror image of ``le`` -- so the global tie order is unchanged.
+    Left run smaller: forward merge, left wins ties.  Right run smaller:
+    backward merge taking the larger element, right wins ties -- the mirror
+    image of the forward rule -- so the global tie order is unchanged.
     """
     n1 = m - l
     n2 = r - m
     _check_regions(lst, (l, m, r), buf, min(n1, n2))
     n = r - l
     B = buf.data
-    le = order.le
+    compare = order.compare
     written = 0
     if n1 <= n2:
         B[0:n1] = lst[l:m]
@@ -162,13 +177,14 @@ def merge_2way_copy_smaller(lst, l, m, r, buf, order, stats):
         while c1 < n1 and c2 < r:
             a = B[c1]
             b = lst[c2]
-            if le(a, b):
+            if compare(a, b):
                 lst[o] = a
                 c1 += 1
             else:
                 lst[o] = b
                 c2 += 1
             o += 1
+        order.comparisons += o - l  # one per output before the tail copy
         while c1 < n1:
             lst[o] = B[c1]
             o += 1
@@ -180,13 +196,14 @@ def merge_2way_copy_smaller(lst, l, m, r, buf, order, stats):
         while c1 >= l and c2 >= 0:
             a = lst[c1]
             b = B[c2]
-            if le(a, b):
+            if compare(a, b):
                 lst[o] = b
                 c2 -= 1
             else:
                 lst[o] = a
                 c1 -= 1
             o -= 1
+        order.comparisons += r - 1 - o  # one per output before the tail copy
         while c2 >= 0:
             lst[o] = B[c2]
             o -= 1
@@ -221,52 +238,67 @@ def merge_4way_sentinel(lst, l, g1, g2, g3, r, buf, order, stats):
     s3 = s2 + n3 + 1
     B[s3 : s3 + (r - g3)] = lst[g3:r]
     B[s3 + (r - g3)] = SENTINEL
-    le = order.le
+    compare = order.compare
+    sentinel = SENTINEL
+    met = 0  # comparisons decided by a sentinel, without compare
     c0, c1, c2, c3 = 0, s1, s2, s3
     # Build the tree: x = winning head of runs 0/1, y = of runs 2/3, the
     # root is the smaller of the two and remembers which side it came from.
-    # Winners are consumed from their run as they enter the tree.
-    if le(B[c0], B[c1]):
+    # Winners are consumed from their run as they enter the tree.  Every
+    # run is nonempty, so no sentinel takes part yet.
+    if compare(B[c0], B[c1]):
         x = c0
         c0 += 1
     else:
         x = c1
         c1 += 1
-    if le(B[c2], B[c3]):
+    if compare(B[c2], B[c3]):
         y = c2
         c2 += 1
     else:
         y = c3
         c3 += 1
-    if le(B[x], B[y]):
-        z = x
-        z_left = True
-    else:
-        z = y
-        z_left = False
-    lst[l] = B[z]
+    z_left = compare(B[x], B[y])
+    lst[l] = B[x] if z_left else B[y]
     for o in range(l + 1, r):
         if z_left:
-            if le(B[c0], B[c1]):
+            a = B[c0]
+            b = B[c1]
+            if a is sentinel or b is sentinel:
+                met += 1
+                take_first = b is sentinel
+            else:
+                take_first = compare(a, b)
+            if take_first:
                 x = c0
                 c0 += 1
             else:
                 x = c1
                 c1 += 1
         else:
-            if le(B[c2], B[c3]):
+            a = B[c2]
+            b = B[c3]
+            if a is sentinel or b is sentinel:
+                met += 1
+                take_first = b is sentinel
+            else:
+                take_first = compare(a, b)
+            if take_first:
                 y = c2
                 c2 += 1
             else:
                 y = c3
                 c3 += 1
-        if le(B[x], B[y]):
-            z = x
-            z_left = True
+        a = B[x]
+        b = B[y]
+        if a is sentinel or b is sentinel:
+            met += 1
+            z_left = b is sentinel
         else:
-            z = y
-            z_left = False
-        lst[o] = B[z]
+            z_left = compare(a, b)
+        lst[o] = a if z_left else b
+    # Three comparisons build the tree and every later output takes two.
+    order.comparisons += 2 * n + 1 - met
     stats.merge_cost += n
     stats.buffer_cost += n
     stats.moves += 2 * n
@@ -291,9 +323,11 @@ def merge_3way(lst, l, g1, g2, r, buf, order, stats):
     s2 = s1 + n2 + 1
     B[s2 : s2 + (r - g2)] = lst[g2:r]
     B[s2 + (r - g2)] = SENTINEL
-    le = order.le
+    compare = order.compare
+    sentinel = SENTINEL
+    met = 0  # comparisons decided by a sentinel, without compare
     c0, c1, c2 = 0, s1, s2
-    if le(B[c0], B[c1]):
+    if compare(B[c0], B[c1]):
         x = c0
         c0 += 1
     else:
@@ -301,16 +335,18 @@ def merge_3way(lst, l, g1, g2, r, buf, order, stats):
         c1 += 1
     y = c2
     c2 += 1
-    if le(B[x], B[y]):
-        z = x
-        z_left = True
-    else:
-        z = y
-        z_left = False
-    lst[l] = B[z]
+    z_left = compare(B[x], B[y])
+    lst[l] = B[x] if z_left else B[y]
     for o in range(l + 1, r):
         if z_left:
-            if le(B[c0], B[c1]):
+            a = B[c0]
+            b = B[c1]
+            if a is sentinel or b is sentinel:
+                met += 1
+                take_first = b is sentinel
+            else:
+                take_first = compare(a, b)
+            if take_first:
                 x = c0
                 c0 += 1
             else:
@@ -319,13 +355,18 @@ def merge_3way(lst, l, g1, g2, r, buf, order, stats):
         else:
             y = c2
             c2 += 1
-        if le(B[x], B[y]):
-            z = x
-            z_left = True
+        a = B[x]
+        b = B[y]
+        if a is sentinel or b is sentinel:
+            met += 1
+            z_left = b is sentinel
         else:
-            z = y
-            z_left = False
-        lst[o] = B[z]
+            z_left = compare(a, b)
+        lst[o] = a if z_left else b
+    # Two comparisons build the tree and every later output takes one at
+    # the root, plus one to refill the left side after each left win but
+    # the last.  Every element of runs 0 and 1 wins on the left once.
+    order.comparisons += (n + 1) + (g2 - l) - z_left - met
     stats.merge_cost += n
     stats.buffer_cost += n
     stats.moves += 2 * n
@@ -388,9 +429,9 @@ def _merge_stages(lst, bounds, buf, order, stats):
             out += e - c
             break
         if width == 2:
-            out = _stage_2way(lst, out, B, cs, es, order.le)
+            out = _stage_2way(lst, out, B, cs, es, order)
             break
-        out = _stage_tournament(lst, out, B, cs, es, order.le)
+        out = _stage_tournament(lst, out, B, cs, es, order)
     assert out == r
     stats.merge_cost += n
     stats.buffer_cost += n
@@ -399,19 +440,22 @@ def _merge_stages(lst, bounds, buf, order, stats):
     stats.scan_writes += 2 * n + 1
 
 
-def _stage_2way(lst, out, B, cs, es, le):
+def _stage_2way(lst, out, B, cs, es, order):
+    compare = order.compare
+    start = out
     c0, e0 = cs[0], es[0]
     c1, e1 = cs[1], es[1]
     while c0 < e0 and c1 < e1:
         a = B[c0]
         b = B[c1]
-        if le(a, b):
+        if compare(a, b):
             lst[out] = a
             c0 += 1
         else:
             lst[out] = b
             c1 += 1
         out += 1
+    order.comparisons += out - start  # one per output before the tail copy
     while c0 < e0:
         lst[out] = B[c0]
         out += 1
@@ -423,7 +467,7 @@ def _stage_2way(lst, out, B, cs, es, le):
     return out
 
 
-def _stage_tournament(lst, out, B, cs, es, le):
+def _stage_tournament(lst, out, B, cs, es, order):
     """Tournament stages over the 3 or 4 runs in cs/es.
 
     Returns the new output position as soon as some run is truly exhausted
@@ -431,13 +475,20 @@ def _stage_tournament(lst, out, B, cs, es, le):
     which point the caller drops empty runs and dispatches a narrower merge.
     Cursors in cs are consumed as elements enter the tree; a rolled-back
     element is returned by decrementing its run's cursor.
+
+    The comparisons are counted from the rounds: a tree build takes one per
+    compared pair and one at the root, and every round takes one at the
+    root plus one in the refill, except a 3-way refill from the right.
     """
     global nasty_rebuilds
+    compare = order.compare
     four = len(cs) == 4
+    per_build = 3 if four else 2
+    comparisons = per_build
 
     def fetch_left():
         a, b = cs[0], cs[1]
-        if le(B[a], B[b]):
+        if compare(B[a], B[b]):
             cs[0] = a + 1
             return a, 0
         cs[1] = b + 1
@@ -447,7 +498,7 @@ def _stage_tournament(lst, out, B, cs, es, le):
 
         def fetch_right():
             a, b = cs[2], cs[3]
-            if le(B[a], B[b]):
+            if compare(B[a], B[b]):
                 cs[2] = a + 1
                 return a, 2
             cs[3] = b + 1
@@ -462,10 +513,11 @@ def _stage_tournament(lst, out, B, cs, es, le):
 
     x_pos, x_run = fetch_left()
     y_pos, y_run = fetch_right()
-    z_left = le(B[x_pos], B[y_pos])
+    z_left = compare(B[x_pos], B[y_pos])
     while True:
         safe = min(es[i] - cs[i] for i in range(len(cs)))
         if safe > 0:
+            left_fetched = cs[0] + cs[1]
             # No cursor can leave its run within `safe` unchecked rounds.
             for _ in range(safe):
                 if z_left:
@@ -476,7 +528,11 @@ def _stage_tournament(lst, out, B, cs, es, le):
                     lst[out] = B[y_pos]
                     out += 1
                     y_pos, y_run = fetch_right()
-                z_left = le(B[x_pos], B[y_pos])
+                z_left = compare(B[x_pos], B[y_pos])
+            # Each left refill moved exactly one of cs[0], cs[1] on.
+            comparisons += (
+                2 * safe if four else safe + cs[0] + cs[1] - left_fetched
+            )
             continue
         # Some run's tail is consumed.  The root is still the global
         # minimum, so emit it, then put the losing element back into its
@@ -491,10 +547,12 @@ def _stage_tournament(lst, out, B, cs, es, le):
             out += 1
             cs[x_run] -= 1
         if any(cs[i] == es[i] for i in range(len(cs))):
+            order.comparisons += comparisons
             return out
         # The rollback landed in the run that had just run dry: every run
         # is nonempty again, so rebuild the tree and replay at this width.
         nasty_rebuilds += 1
         x_pos, x_run = fetch_left()
         y_pos, y_run = fetch_right()
-        z_left = le(B[x_pos], B[y_pos])
+        z_left = compare(B[x_pos], B[y_pos])
+        comparisons += per_build

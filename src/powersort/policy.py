@@ -14,7 +14,9 @@ k = 4 the collapse first normalizes the number of remaining runs to
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Optional
 
 from .merges import (
@@ -194,10 +196,6 @@ def _validated(config):
     return kernels
 
 
-def _contains_sentinel(lst):
-    return any(x is SENTINEL for x in lst)
-
-
 def stable_sort_with(lst, config=None):
     """Sort ``lst`` in place, stably, and return the populated SortStats."""
     if config is None:
@@ -208,10 +206,13 @@ def stable_sort_with(lst, config=None):
     if n == 0:
         return stats
     order = CountingOrder(config.key)
-    if kernels.needs_sentinel and _contains_sentinel(lst):
-        # The reserved value appears in the input; sentinel slots would be
-        # ambiguous, so use the bounds-checked siblings instead.
-        kernels = VARIANTS[kernels.fallback]
+    if any(map(operator.is_, lst, repeat(SENTINEL))):
+        # The reserved value appears in the input.  The plain compare cannot
+        # order it, and sentinel slots would be ambiguous, so compare it
+        # structurally and use the bounds-checked siblings instead.
+        order.admit_sentinel()
+        if kernels.needs_sentinel:
+            kernels = VARIANTS[kernels.fallback]
     k = config.k
     buf = MergeBuffer(n + k)
     stats.scan_reads += n    # one detection scan over the input

@@ -6,6 +6,10 @@ the decreasing case is what makes the reversal safe for stability: a
 strictly decreasing region cannot contain two equal elements, so reversing
 it cannot reorder equals.  A weakly decreasing pair (x, x) therefore
 terminates a decreasing run.
+
+Run detection and insertion sort compare through the uncounted
+``order.compare`` and add the number of comparisons they executed to
+``order.comparisons`` once per call.
 """
 
 from __future__ import annotations
@@ -32,40 +36,48 @@ def find_first_run(lst, begin, end, order, stats):
     i = begin + 1
     if i == end:
         return Run(begin, i)
-    le = order.le
-    if le(lst[begin], lst[i]):
+    compare = order.compare
+    if compare(lst[begin], lst[i]):
         i += 1
-        while i < end and le(lst[i - 1], lst[i]):
+        while i < end and compare(lst[i - 1], lst[i]):
             i += 1
-        return Run(begin, i)
-    # le() failed, i.e. lst[begin] > lst[begin + 1]: strictly decreasing.
-    i += 1
-    while i < end and not le(lst[i - 1], lst[i]):
+    else:
+        # lst[begin] > lst[begin + 1]: strictly decreasing.
         i += 1
-    lst[begin:i] = lst[begin:i][::-1]
-    stats.moves += i - begin
+        while i < end and not compare(lst[i - 1], lst[i]):
+            i += 1
+        lst[begin:i] = lst[begin:i][::-1]
+        stats.moves += i - begin
+    # One comparison per pair inside the run, plus the one that ended it
+    # when the run stops short of the view's end.
+    order.comparisons += i - begin - 1 + (i < end)
     return Run(begin, i)
 
 
 def insertion_sort(lst, begin, end, sorted_prefix_len, order, stats):
     """Stable insertion sort of [begin, end); the first ``sorted_prefix_len``
     elements are known to be weakly increasing and are skipped."""
-    le = order.le
+    compare = order.compare
     start = begin + sorted_prefix_len
     if sorted_prefix_len == 0:
         start = begin + 1
+    comparisons = 0
     for i in range(start, end):
         x = lst[i]
         j = i - 1
         # Shift the strictly-greater tail right.  Stopping at the first
         # element <= x inserts x after its equals, which keeps the sort
         # stable.
-        while j >= begin and not le(lst[j], x):
+        while j >= begin and not compare(lst[j], x):
             lst[j + 1] = lst[j]
             j -= 1
+        # One comparison per shifted element, plus the one that stopped
+        # the shift unless x went all the way to the front.
+        comparisons += i - 1 - j + (j >= begin)
         if j + 1 != i:
             lst[j + 1] = x
             stats.moves += i - j
+    order.comparisons += comparisons
 
 
 def extend_run(lst, run, min_run_len, view_end, order, stats):

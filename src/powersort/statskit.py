@@ -1,9 +1,13 @@
 """Instrumentation shared by the sorting kernels and the benchmark harness.
 
-Nothing in here is global state.  A ``CountingOrder`` wraps the element
-comparison and is the single place where comparisons are tallied, so the
-kernels themselves carry no comparison bookkeeping.  A ``SortStats`` record
-accumulates every other counter and belongs to exactly one sort call.
+Nothing in here is global state.  A ``CountingOrder`` holds the element
+order of one sort: ``compare``, a plain predicate that counts nothing, and
+the ``comparisons`` tally.  Run detection, insertion sort and the merge
+kernels call ``compare`` and add the number of comparisons they executed to
+``comparisons`` once per call, derived from their loop structure.  The
+counted method ``le`` is the same order one comparison at a time, for
+callers outside the sort.  A ``SortStats`` record accumulates every other
+counter and belongs to exactly one sort call.
 
 Counter semantics:
 
@@ -27,6 +31,7 @@ Counter semantics:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 
@@ -47,18 +52,30 @@ SENTINEL = _PlusInfinity()
 
 
 class CountingOrder:
-    """The comparison primitive: ``le(a, b)`` means "a sorts at or before b".
+    """The element order of one sort: "a sorts at or before b".
 
     An optional ``key`` extracts the sort key from an element (records are
-    compared by key only).  Every element comparison bumps ``comparisons``;
-    comparisons against ``SENTINEL`` short-circuit uncounted.
+    compared by key only).  ``compare(a, b)`` is the uncounted predicate:
+    ``operator.le`` without a key, ``key(a) <= key(b)`` with one.  Callers
+    of ``compare`` add the comparisons they executed to ``comparisons``
+    themselves.  ``le(a, b)`` is the counted form: every element comparison
+    bumps ``comparisons``, and comparisons against ``SENTINEL`` short-circuit
+    uncounted.
     """
 
-    __slots__ = ("key", "comparisons")
+    __slots__ = ("key", "comparisons", "compare")
 
     def __init__(self, key=None):
         self.key = key
         self.comparisons = 0
+        if key is None:
+            self.compare = operator.le
+        else:
+
+            def compare(a, b):
+                return key(a) <= key(b)
+
+            self.compare = compare
 
     def le(self, a, b):
         if b is SENTINEL:
@@ -70,6 +87,27 @@ class CountingOrder:
         if key is None:
             return a <= b
         return key(a) <= key(b)
+
+    def admit_sentinel(self):
+        """Let ``compare`` take ``SENTINEL`` as an input element.
+
+        ``SENTINEL`` sorts after every other element and compares without a
+        call to the key.  Such a comparison is not an element comparison,
+        so it takes itself back out of ``comparisons``: the caller's count
+        includes it, and this uncounts it.
+        """
+        plain = self.compare
+
+        def compare(a, b):
+            if b is SENTINEL:
+                self.comparisons -= 1
+                return True
+            if a is SENTINEL:
+                self.comparisons -= 1
+                return False
+            return plain(a, b)
+
+        self.compare = compare
 
 
 @dataclass(slots=True)

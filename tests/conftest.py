@@ -14,6 +14,18 @@ def fresh_instruments(key=None):
     return CountingOrder(key), SortStats()
 
 
+class SpyKey:
+    """``KEY`` that counts its calls.  A counted comparison calls the key
+    twice, so ``2 * order.comparisons`` must equal ``calls``."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, record):
+        self.calls += 1
+        return record[0]
+
+
 def make_records(keys):
     """(key, unique id) records; the id doubles as the stability witness."""
     return [(k, i) for i, k in enumerate(keys)]

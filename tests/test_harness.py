@@ -3,13 +3,16 @@ import statistics
 
 import pytest
 
+from powersort import harness
 from powersort.harness import (
     CSV_HEADER,
     GeneratorSpec,
+    TrialSpec,
     derive_seed,
     generate,
     main,
     run_benchmark,
+    run_trial,
     write_csv,
 )
 from powersort.runs import find_first_run
@@ -181,3 +184,28 @@ def test_parallel_trials_match_serial(monkeypatch):
     parallel, _ = run_benchmark(["4way"], spec, trials=4, workers=2)
     strip = lambda row: {k: v for k, v in row.items() if k != "time_ns"}
     assert list(map(strip, serial)) == list(map(strip, parallel))
+
+
+def one_trial(monkeypatch, values, sort=None):
+    """Run one 4way trial whose generated input is ``values``."""
+    monkeypatch.setattr(harness, "generate", lambda spec: list(values))
+    if sort is not None:
+        monkeypatch.setattr(harness, "stable_sort_with", sort)
+    return run_trial(
+        TrialSpec("4way", GeneratorSpec("sorted", len(values)), 0, 24))
+
+
+def test_verification_catches_a_wrong_output_with_equal_hashes(monkeypatch):
+    # hash(-1) == hash(-2), so a sum of hashes cannot tell these apart.
+    def wrong_sort(lst, config):
+        lst[:] = [-2, 0]
+        return SortStats()
+
+    result = one_trial(monkeypatch, [-1, 0], wrong_sort)
+    assert result.error is not None
+
+
+def test_verification_accepts_unhashable_elements(monkeypatch):
+    result = one_trial(monkeypatch, [[2], [0], [1], [0]])
+    assert result.error is None
+

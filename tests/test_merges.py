@@ -16,7 +16,7 @@ from powersort.merges import (
 )
 from powersort.statskit import SENTINEL
 
-from conftest import KEY, compositions, fresh_instruments, make_records
+from conftest import KEY, SpyKey, compositions, fresh_instruments, make_records
 
 KERNELS_BY_ARITY = {
     2: [merge_2way_sentinel, merge_2way_no_sentinel, merge_2way_copy_smaller],
@@ -181,6 +181,22 @@ def test_exhaustive_small_merges_match_reference(kernel, arity):
         assert SENTINEL not in out
         count += 1
     assert count > 1000
+
+
+@pytest.mark.parametrize("kernel,arity", ALL_KERNELS)
+def test_exhaustive_derived_comparisons_match_key_calls(kernel, arity):
+    # The kernels count their comparisons from loop structure instead of
+    # per call; a key that counts its calls sees the comparisons that ran.
+    max_total = {2: 10, 3: 9, 4: 8}[arity]
+    for key_regions in exhaustive_cases(arity, max_total):
+        uid = itertools.count()
+        regions = [
+            sorted(make_records_with(uid, keys), key=KEY)
+            for keys in key_regions
+        ]
+        spy = SpyKey()
+        _, order, _ = run_kernel(kernel, regions, key=spy, pad=1)
+        assert 2 * order.comparisons == spy.calls, (kernel.__name__, key_regions)
 
 
 def test_exhaustive_sweep_exercises_nasty_rollback():

@@ -1,10 +1,17 @@
+import itertools
 import random
 
 import pytest
 
 from powersort.runs import Run, extend_run, find_first_run, insertion_sort
 
-from conftest import KEY, fresh_instruments, is_weakly_increasing, make_records
+from conftest import (
+    KEY,
+    SpyKey,
+    fresh_instruments,
+    is_weakly_increasing,
+    make_records,
+)
 
 
 def test_single_element_is_a_run():
@@ -174,3 +181,40 @@ def test_extend_run_skips_sorted_prefix():
     assert run == Run(0, 4)
     assert lst[:4] == [1, 2, 4, 5]
     assert lst[4] == 3
+
+
+# --- derived comparison counts ---------------------------------------------
+
+
+def key_strings(max_len, alphabet=(0, 1, 2)):
+    for n in range(1, max_len + 1):
+        yield from itertools.product(alphabet, repeat=n)
+
+
+def test_exhaustive_detection_comparisons_match_key_calls():
+    for keys in key_strings(6):
+        n = len(keys)
+        for begin in range(n):
+            for end in range(begin + 1, n + 1):
+                spy = SpyKey()
+                order, stats = fresh_instruments(spy)
+                find_first_run(make_records(keys), begin, end, order, stats)
+                assert 2 * order.comparisons == spy.calls, (keys, begin, end)
+
+
+def test_exhaustive_insertion_comparisons_match_key_calls():
+    for keys in key_strings(7):
+        records = make_records(keys)
+        n = len(records)
+        for begin in range(min(n, 2)):
+            # A prefix of 0, and the detected run (reversed in place if it
+            # was decreasing) as extend_run passes it.
+            detected = list(records)
+            run = find_first_run(detected, begin, n, *fresh_instruments(KEY))
+            for lst, prefix in ((list(records), 0),
+                                (detected, run.end - run.begin)):
+                spy = SpyKey()
+                order, stats = fresh_instruments(spy)
+                insertion_sort(lst, begin, n, prefix, order, stats)
+                assert lst[begin:] == sorted(records[begin:], key=KEY)
+                assert 2 * order.comparisons == spy.calls, (keys, begin, prefix)

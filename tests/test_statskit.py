@@ -71,6 +71,28 @@ def test_counting_order_key_extraction():
     assert order.comparisons == 1
 
 
+def test_compare_is_the_uncounted_order():
+    order = CountingOrder()
+    assert order.compare(1, 2) and order.compare(2, 2) and not order.compare(3, 2)
+    keyed = CountingOrder(key=lambda rec: rec["k"])
+    assert keyed.compare({"k": 1, "x": 9}, {"k": 1, "x": 0})
+    assert not keyed.compare({"k": 2}, {"k": 1})
+    assert order.comparisons == keyed.comparisons == 0
+
+
+def test_admitted_sentinel_takes_its_comparisons_back():
+    # The caller counts every compare call; the three sentinel comparisons
+    # subtract themselves, so the caller's +3 nets to zero.
+    order = CountingOrder(key=lambda rec: rec["k"])
+    order.admit_sentinel()
+    assert order.compare({"k": 5}, SENTINEL)
+    assert not order.compare(SENTINEL, {"k": 5})
+    assert order.compare(SENTINEL, SENTINEL)
+    assert order.comparisons == -3
+    assert order.compare({"k": 1}, {"k": 2})
+    assert order.comparisons == -3
+
+
 def test_counters_monotone_during_sort(monkeypatch):
     rng = random.Random(12)
     lst = [rng.randint(0, 999) for _ in range(5000)]
