@@ -8,31 +8,42 @@ loop structure where that gives it.  Ties always go to the run with the
 lower start index -- "at or before" at every decision point, with the
 lower-indexed run on the left -- which is what makes each kernel stable.
 
-The sentinel kernels test a head for ``SENTINEL`` with ``is`` before they
-compare.  A sentinel sorts after every element and loses each comparison
-without a call to ``compare``, and such a comparison is not counted.
-
 Five buffer strategies:
 
-* ``merge_2way_sentinel``      -- copy both runs out, sentinel after each,
-                                  branch-free bounds handling in the loop.
-* ``merge_2way_no_sentinel``   -- copy both runs out, explicit bounds checks.
+* ``merge_2way_sentinel``      -- copy both runs out, sentinel after each;
+                                  a step learns that its run is exhausted
+                                  from the head it reads next.
+* ``merge_2way_no_sentinel``   -- copy both runs out; a step checks the
+                                  cursor it moved against its run's end.
 * ``merge_2way_copy_smaller``  -- copy only the smaller run out and merge
                                   into the gap; backward when the right run
                                   is the smaller one.
 * ``merge_3way`` / ``merge_4way_sentinel``
-                               -- winner tournament tree over 3 or 4 runs,
-                                  sentinel after each buffered run.
+                               -- one winner tournament tree over four
+                                  runs, sentinel after each buffered run.
 * ``merge_4way_stages``        -- sentinel-free multiway merge that runs
                                   min-remaining-length unchecked iterations
                                   per stage and narrows as runs exhaust.
 
-The tournament tree is a winner tree with three internal nodes: x holds the
-head of the winning left run (runs 0/1), y the head of the winning right run
-(runs 2/3; for 3-way merges y is simply run 2's head), and the root records
-which side the overall minimum came from.  Each output element after the
-first recomputes exactly two nodes: the side the minimum came from, and the
-root.
+The 2-way kernels hold both run heads in locals and test only the run a
+step took from.  Once one run is exhausted, the rest of the other is
+copied with one slice assignment.
+
+The tournament tree holds values.  The heads h0..h3 of the four runs are
+locals; x, the winner of runs 0 and 1, and y, of runs 2 and 3, are already
+taken from their runs.  The root outputs the smaller of x and y and
+refills that side from its two heads.  A 3-way merge is the same tree with
+an empty fourth run, whose head is run 2's sentinel slot.  A sentinel sorts
+after every element and loses each decision without a call to ``compare``;
+such a decision is not counted.  While runs 0-2 are nonempty, only run 3's
+head can be a sentinel, so the fast phase tests only that head and the
+head it just refilled.  After that, every decision tests both its sides
+for ``SENTINEL`` with ``is`` before it compares.
+
+If ``compare`` raises, the 2-way and tournament kernels write every element
+they have taken out and not yet output back into the merge region before
+the exception propagates, so the list stays a permutation of its input.
+The staged merger's tournament does not.
 """
 
 from __future__ import annotations
@@ -78,9 +89,60 @@ def _check_regions(lst, bounds, buf, need):
         )
 
 
+def _count_copy_all(stats, n, reserved):
+    """Tally a merge of n elements that buffered all of them and wrote
+    ``reserved`` slots next to the buffered runs."""
+    stats.merge_cost += n
+    stats.buffer_cost += n
+    stats.moves += 2 * n
+    stats.scan_reads += 2 * n
+    stats.scan_writes += 2 * n + reserved
+
+
+def _put_back(lst, r, pieces):
+    """Write the pieces, in order, to the end of the merge region [.., r).
+
+    After a failure, the pieces are every element taken out and not yet
+    output, and the output so far fills the region up to them.
+    """
+    for piece in reversed(pieces):
+        lst[r - len(piece) : r] = piece
+        r -= len(piece)
+
+
+def _merge_runs(lst, o, B, c1, e1, c2, e2, order):
+    """Merge the nonempty sorted runs B[c1:e1] and B[c2:e2] into lst from
+    position o on, and return the position after the output."""
+    r = o + (e1 - c1) + (e2 - c2)
+    start = o
+    compare = order.compare
+    a = B[c1]
+    b = B[c2]
+    try:
+        for o in range(o, r):
+            if compare(a, b):
+                lst[o] = a
+                c1 += 1
+                if c1 == e1:
+                    break
+                a = B[c1]
+            else:
+                lst[o] = b
+                c2 += 1
+                if c2 == e2:
+                    break
+                b = B[c2]
+    finally:
+        # The surviving run's rest, or after a failure both rests.
+        _put_back(lst, r, (B[c1:e1], B[c2:e2]))
+    order.comparisons += o + 1 - start  # one per output before the tail copy
+    return r
+
+
 def merge_2way_sentinel(lst, l, m, r, buf, order, stats):
     """Merge sorted [l, m) and [m, r) in place; both runs buffered with a
-    sentinel appended, so the loop needs no exhaustion checks."""
+    sentinel appended, so a step needs no bounds check: it learns that its
+    run is exhausted from the next head it reads."""
     _check_regions(lst, (l, m, r), buf, (r - l) + 2)
     n = r - l
     n1 = m - l
@@ -91,30 +153,29 @@ def merge_2way_sentinel(lst, l, m, r, buf, order, stats):
     B[n + 1] = SENTINEL
     compare = order.compare
     sentinel = SENTINEL
-    met = 0  # rounds decided by a sentinel, without compare
     c1, c2 = 0, n1 + 1
-    # Once a run is exhausted its sentinel loses every comparison, so the
-    # cursors can never leave their regions within n outputs.
-    for o in range(l, r):
-        a = B[c1]
-        b = B[c2]
-        if a is sentinel or b is sentinel:
-            met += 1
-            take_left = b is sentinel
-        else:
-            take_left = compare(a, b)
-        if take_left:
-            lst[o] = a
-            c1 += 1
-        else:
-            lst[o] = b
-            c2 += 1
-    order.comparisons += n - met
-    stats.merge_cost += n
-    stats.buffer_cost += n
-    stats.moves += 2 * n
-    stats.scan_reads += 2 * n
-    stats.scan_writes += 2 * n + 2
+    a = B[c1]
+    b = B[c2]
+    try:
+        for o in range(l, r):
+            if compare(a, b):
+                lst[o] = a
+                c1 += 1
+                a = B[c1]
+                if a is sentinel:
+                    break
+            else:
+                lst[o] = b
+                c2 += 1
+                b = B[c2]
+                if b is sentinel:
+                    break
+    finally:
+        # The surviving run's rest, or after a failure both rests.
+        _put_back(lst, r, (B[c1:n1], B[c2 : n + 1]))
+    # The rounds after the break would each have met a sentinel.
+    order.comparisons += o + 1 - l
+    _count_copy_all(stats, n, 2)
     stats.merges2 += 1
 
 
@@ -126,34 +187,8 @@ def merge_2way_no_sentinel(lst, l, m, r, buf, order, stats):
     n1 = m - l
     B = buf.data
     B[0:n] = lst[l:r]
-    compare = order.compare
-    c1, e1 = 0, n1
-    c2, e2 = n1, n
-    o = l
-    while c1 < e1 and c2 < e2:
-        a = B[c1]
-        b = B[c2]
-        if compare(a, b):
-            lst[o] = a
-            c1 += 1
-        else:
-            lst[o] = b
-            c2 += 1
-        o += 1
-    order.comparisons += o - l  # one per output before the tail copy
-    while c1 < e1:
-        lst[o] = B[c1]
-        o += 1
-        c1 += 1
-    while c2 < e2:
-        lst[o] = B[c2]
-        o += 1
-        c2 += 1
-    stats.merge_cost += n
-    stats.buffer_cost += n
-    stats.moves += 2 * n
-    stats.scan_reads += 2 * n
-    stats.scan_writes += 2 * n
+    _merge_runs(lst, l, B, 0, n1, n1, n, order)
+    _count_copy_all(stats, n, 0)
     stats.merges2 += 1
 
 
@@ -170,45 +205,57 @@ def merge_2way_copy_smaller(lst, l, m, r, buf, order, stats):
     n = r - l
     B = buf.data
     compare = order.compare
-    written = 0
     if n1 <= n2:
         B[0:n1] = lst[l:m]
-        c1, c2, o = 0, m, l
-        while c1 < n1 and c2 < r:
-            a = B[c1]
-            b = lst[c2]
-            if compare(a, b):
-                lst[o] = a
-                c1 += 1
-            else:
-                lst[o] = b
-                c2 += 1
-            o += 1
-        order.comparisons += o - l  # one per output before the tail copy
-        while c1 < n1:
-            lst[o] = B[c1]
-            o += 1
-            c1 += 1
-        written = o - l  # the right run's tail is already in place
+        c1, c2 = 0, m
+        a = B[0]
+        b = lst[m]
+        try:
+            for o in range(l, r):
+                if compare(a, b):
+                    lst[o] = a
+                    c1 += 1
+                    if c1 == n1:
+                        break
+                    a = B[c1]
+                else:
+                    lst[o] = b
+                    c2 += 1
+                    if c2 == r:
+                        break
+                    b = lst[c2]
+        finally:
+            # The left run's rest fills the gap before the right run's
+            # rest, which is already in place.
+            lst[c2 - (n1 - c1) : c2] = B[c1:n1]
+        outputs = o + 1 - l
+        written = outputs + (n1 - c1)
     else:
         B[0:n2] = lst[m:r]
-        c1, c2, o = m - 1, n2 - 1, r - 1
-        while c1 >= l and c2 >= 0:
-            a = lst[c1]
-            b = B[c2]
-            if compare(a, b):
-                lst[o] = b
-                c2 -= 1
-            else:
-                lst[o] = a
-                c1 -= 1
-            o -= 1
-        order.comparisons += r - 1 - o  # one per output before the tail copy
-        while c2 >= 0:
-            lst[o] = B[c2]
-            o -= 1
-            c2 -= 1
-        written = r - 1 - o  # the left run's head is already in place
+        c1, c2 = m - 1, n2 - 1
+        a = lst[c1]
+        b = B[c2]
+        try:
+            for o in range(r - 1, l - 1, -1):
+                if compare(a, b):
+                    lst[o] = b
+                    c2 -= 1
+                    if c2 < 0:
+                        break
+                    b = B[c2]
+                else:
+                    lst[o] = a
+                    c1 -= 1
+                    if c1 < l:
+                        break
+                    a = lst[c1]
+        finally:
+            # The right run's rest fills the gap after the left run's rest,
+            # which is already in place.
+            lst[c1 + 1 : c1 + 2 + c2] = B[0 : c2 + 1]
+        outputs = r - o
+        written = outputs + (c2 + 1)
+    order.comparisons += outputs  # one per output before the tail copy
     copied = min(n1, n2)
     stats.merge_cost += n
     stats.buffer_cost += copied
@@ -222,157 +269,136 @@ def merge_4way_sentinel(lst, l, g1, g2, g3, r, buf, order, stats):
     """Merge sorted [l,g1), [g1,g2), [g2,g3), [g3,r) in place via a winner
     tournament tree, with a sentinel after each buffered run."""
     _check_regions(lst, (l, g1, g2, g3, r), buf, (r - l) + 4)
-    n = r - l
-    B = buf.data
-    n1 = g1 - l
-    n2 = g2 - g1
-    n3 = g3 - g2
-    B[0:n1] = lst[l:g1]
-    B[n1] = SENTINEL
-    s1 = n1 + 1
-    B[s1 : s1 + n2] = lst[g1:g2]
-    B[s1 + n2] = SENTINEL
-    s2 = s1 + n2 + 1
-    B[s2 : s2 + n3] = lst[g2:g3]
-    B[s2 + n3] = SENTINEL
-    s3 = s2 + n3 + 1
-    B[s3 : s3 + (r - g3)] = lst[g3:r]
-    B[s3 + (r - g3)] = SENTINEL
-    compare = order.compare
-    sentinel = SENTINEL
-    met = 0  # comparisons decided by a sentinel, without compare
-    c0, c1, c2, c3 = 0, s1, s2, s3
-    # Build the tree: x = winning head of runs 0/1, y = of runs 2/3, the
-    # root is the smaller of the two and remembers which side it came from.
-    # Winners are consumed from their run as they enter the tree.  Every
-    # run is nonempty, so no sentinel takes part yet.
-    if compare(B[c0], B[c1]):
-        x = c0
-        c0 += 1
-    else:
-        x = c1
-        c1 += 1
-    if compare(B[c2], B[c3]):
-        y = c2
-        c2 += 1
-    else:
-        y = c3
-        c3 += 1
-    z_left = compare(B[x], B[y])
-    lst[l] = B[x] if z_left else B[y]
-    for o in range(l + 1, r):
-        if z_left:
-            a = B[c0]
-            b = B[c1]
-            if a is sentinel or b is sentinel:
-                met += 1
-                take_first = b is sentinel
-            else:
-                take_first = compare(a, b)
-            if take_first:
-                x = c0
-                c0 += 1
-            else:
-                x = c1
-                c1 += 1
-        else:
-            a = B[c2]
-            b = B[c3]
-            if a is sentinel or b is sentinel:
-                met += 1
-                take_first = b is sentinel
-            else:
-                take_first = compare(a, b)
-            if take_first:
-                y = c2
-                c2 += 1
-            else:
-                y = c3
-                c3 += 1
-        a = B[x]
-        b = B[y]
-        if a is sentinel or b is sentinel:
-            met += 1
-            z_left = b is sentinel
-        else:
-            z_left = compare(a, b)
-        lst[o] = a if z_left else b
-    # Three comparisons build the tree and every later output takes two.
-    order.comparisons += 2 * n + 1 - met
-    stats.merge_cost += n
-    stats.buffer_cost += n
-    stats.moves += 2 * n
-    stats.scan_reads += 2 * n
-    stats.scan_writes += 2 * n + 4
+    _tournament(lst, (l, g1, g2, g3, r), buf.data, order, stats)
     stats.merges4 += 1
 
 
 def merge_3way(lst, l, g1, g2, r, buf, order, stats):
-    """Merge sorted [l,g1), [g1,g2), [g2,r) in place.  Same tournament as
-    the 4-way kernel but the right subtree is just run 2's head."""
+    """Merge sorted [l,g1), [g1,g2), [g2,r) in place: the tournament of
+    merge_4way_sentinel with an empty fourth run."""
     _check_regions(lst, (l, g1, g2, r), buf, (r - l) + 3)
+    _tournament(lst, (l, g1, g2, r), buf.data, order, stats)
+    stats.merges3 += 1
+
+
+def _tournament(lst, bounds, B, order, stats):
+    """Merge the 3 or 4 sorted regions between ``bounds`` in place through
+    the tournament tree described in the module docstring."""
+    l = bounds[0]
+    r = bounds[-1]
     n = r - l
-    B = buf.data
-    n1 = g1 - l
-    n2 = g2 - g1
-    B[0:n1] = lst[l:g1]
-    B[n1] = SENTINEL
-    s1 = n1 + 1
-    B[s1 : s1 + n2] = lst[g1:g2]
-    B[s1 + n2] = SENTINEL
-    s2 = s1 + n2 + 1
-    B[s2 : s2 + (r - g2)] = lst[g2:r]
-    B[s2 + (r - g2)] = SENTINEL
+    # Run i goes to B[starts[i]:ends[i]], its sentinel to B[ends[i]].
+    starts = [b - l + i for i, b in enumerate(bounds[:-1])]
+    ends = [b - l + i for i, b in enumerate(bounds[1:])]
+    for i, end in enumerate(ends):
+        B[starts[i] : end] = lst[bounds[i] : bounds[i + 1]]
+        B[end] = SENTINEL
+    if len(ends) == 3:
+        # The empty fourth run starts and ends at run 2's sentinel slot.
+        starts.append(ends[2])
+        ends.append(ends[2])
+    c0, c1, c2, c3 = starts
+    e0, e1, e2, e3 = ends
+    h0, h1, h2, h3 = B[c0], B[c1], B[c2], B[c3]
     compare = order.compare
     sentinel = SENTINEL
-    met = 0  # comparisons decided by a sentinel, without compare
-    c0, c1, c2 = 0, s1, s2
-    if compare(B[c0], B[c1]):
-        x = c0
-        c0 += 1
-    else:
-        x = c1
-        c1 += 1
-    y = c2
-    c2 += 1
-    z_left = compare(B[x], B[y])
-    lst[l] = B[x] if z_left else B[y]
-    for o in range(l + 1, r):
-        if z_left:
-            a = B[c0]
-            b = B[c1]
-            if a is sentinel or b is sentinel:
+    # A sentinel winner is an exhausted side, or one not drawn yet.
+    x = y = sentinel
+    met = 0  # decisions met by a sentinel, without compare
+    z = None  # the side of the last output: True left; None draws both
+    o = l
+    try:
+        while True:
+            if z is not False:
+                # Draw the left winner; run 0 wins ties.
+                if h0 is sentinel or h1 is sentinel:
+                    met += 1
+                    first = h1 is sentinel
+                else:
+                    first = compare(h0, h1)
+                if not first:
+                    x = h1
+                    c1 += 1
+                    h1 = B[c1]
+                elif h0 is not sentinel:
+                    x = h0
+                    c0 += 1
+                    h0 = B[c0]
+            if z is not True:
+                # Draw the right winner; run 2 wins ties.
+                if h2 is sentinel or h3 is sentinel:
+                    met += 1
+                    first = h3 is sentinel
+                else:
+                    first = compare(h2, h3)
+                if not first:
+                    y = h3
+                    c3 += 1
+                    h3 = B[c3]
+                elif h2 is not sentinel:
+                    y = h2
+                    c2 += 1
+                    h2 = B[c2]
+            if z is None and not (
+                h0 is sentinel or h1 is sentinel or h2 is sentinel
+            ):
+                # Fast phase, while runs 0-2 are nonempty.  A winner is
+                # output only once its side is refilled, so a raising
+                # compare finds both x and y pending.
+                for o in range(l, r):
+                    if compare(x, y):
+                        if compare(h0, h1):
+                            lst[o] = x
+                            x = h0
+                            c0 += 1
+                            h0 = B[c0]
+                            if h0 is sentinel:
+                                break
+                        else:
+                            lst[o] = x
+                            x = h1
+                            c1 += 1
+                            h1 = B[c1]
+                            if h1 is sentinel:
+                                break
+                    elif h3 is not sentinel and not compare(h2, h3):
+                        lst[o] = y
+                        y = h3
+                        c3 += 1
+                        h3 = B[c3]
+                    else:
+                        if h3 is sentinel:
+                            met += 1
+                        lst[o] = y
+                        y = h2
+                        c2 += 1
+                        h2 = B[c2]
+                        if h2 is sentinel:
+                            break
+                o += 1
+            # The root; both sides are exhausted only after the last output.
+            if x is sentinel or y is sentinel:
                 met += 1
-                take_first = b is sentinel
+                z = y is sentinel
             else:
-                take_first = compare(a, b)
-            if take_first:
-                x = c0
-                c0 += 1
+                z = compare(x, y)
+            if z:
+                lst[o] = x
+                x = sentinel
             else:
-                x = c1
-                c1 += 1
-        else:
-            y = c2
-            c2 += 1
-        a = B[x]
-        b = B[y]
-        if a is sentinel or b is sentinel:
-            met += 1
-            z_left = b is sentinel
-        else:
-            z_left = compare(a, b)
-        lst[o] = a if z_left else b
-    # Two comparisons build the tree and every later output takes one at
-    # the root, plus one to refill the left side after each left win but
-    # the last.  Every element of runs 0 and 1 wins on the left once.
-    order.comparisons += (n + 1) + (g2 - l) - z_left - met
-    stats.merge_cost += n
-    stats.buffer_cost += n
-    stats.moves += 2 * n
-    stats.scan_reads += 2 * n
-    stats.scan_writes += 2 * n + 3
-    stats.merges3 += 1
+                lst[o] = y
+                y = sentinel
+            o += 1
+            if o == r:
+                break
+    except BaseException:
+        pending = [v for v in (x, y) if v is not sentinel]
+        _put_back(lst, r, (pending, B[c0:e0], B[c1:e1], B[c2:e2], B[c3:e3]))
+        raise
+    # Two decisions draw the first winners, and every output takes one at
+    # the root and, but for the last, one to refill its side.
+    order.comparisons += 2 * n + 1 - met
+    _count_copy_all(stats, n, len(bounds) - 1)
 
 
 def merge_4way_stages(lst, l, g1, g2, g3, r, buf, order, stats):
@@ -429,42 +455,12 @@ def _merge_stages(lst, bounds, buf, order, stats):
             out += e - c
             break
         if width == 2:
-            out = _stage_2way(lst, out, B, cs, es, order)
+            out = _merge_runs(lst, out, B, cs[0], es[0], cs[1], es[1], order)
             break
         out = _stage_tournament(lst, out, B, cs, es, order)
     assert out == r
-    stats.merge_cost += n
-    stats.buffer_cost += n
-    stats.moves += 2 * n + 1
-    stats.scan_reads += 2 * n
-    stats.scan_writes += 2 * n + 1
-
-
-def _stage_2way(lst, out, B, cs, es, order):
-    compare = order.compare
-    start = out
-    c0, e0 = cs[0], es[0]
-    c1, e1 = cs[1], es[1]
-    while c0 < e0 and c1 < e1:
-        a = B[c0]
-        b = B[c1]
-        if compare(a, b):
-            lst[out] = a
-            c0 += 1
-        else:
-            lst[out] = b
-            c1 += 1
-        out += 1
-    order.comparisons += out - start  # one per output before the tail copy
-    while c0 < e0:
-        lst[out] = B[c0]
-        out += 1
-        c0 += 1
-    while c1 < e1:
-        lst[out] = B[c1]
-        out += 1
-        c1 += 1
-    return out
+    _count_copy_all(stats, n, 1)
+    stats.moves += 1  # the guard slot
 
 
 def _stage_tournament(lst, out, B, cs, es, order):

@@ -9,7 +9,9 @@ terminates a decreasing run.
 
 Run detection and insertion sort compare through the uncounted
 ``order.compare`` and add the number of comparisons they executed to
-``order.comparisons`` once per call.
+``order.comparisons`` once per call.  If ``compare`` raises, the list is
+still a permutation of its input: detection reverses a run only after its
+scan, and insertion sort puts the element it holds back.
 """
 
 from __future__ import annotations
@@ -62,21 +64,26 @@ def insertion_sort(lst, begin, end, sorted_prefix_len, order, stats):
     if sorted_prefix_len == 0:
         start = begin + 1
     comparisons = 0
-    for i in range(start, end):
-        x = lst[i]
-        j = i - 1
-        # Shift the strictly-greater tail right.  Stopping at the first
-        # element <= x inserts x after its equals, which keeps the sort
-        # stable.
-        while j >= begin and not compare(lst[j], x):
-            lst[j + 1] = lst[j]
-            j -= 1
-        # One comparison per shifted element, plus the one that stopped
-        # the shift unless x went all the way to the front.
-        comparisons += i - 1 - j + (j >= begin)
-        if j + 1 != i:
-            lst[j + 1] = x
-            stats.moves += i - j
+    try:
+        for i in range(start, end):
+            x = lst[i]
+            j = i - 1
+            # Shift the strictly-greater tail right.  Stopping at the first
+            # element <= x inserts x after its equals, which keeps the sort
+            # stable.
+            while j >= begin and not compare(lst[j], x):
+                lst[j + 1] = lst[j]
+                j -= 1
+            # One comparison per shifted element, plus the one that stopped
+            # the shift unless x went all the way to the front.
+            comparisons += i - 1 - j + (j >= begin)
+            if j + 1 != i:
+                lst[j + 1] = x
+                stats.moves += i - j
+    except BaseException:
+        # lst[j + 1] is the hole the shifts left; x goes back into it.
+        lst[j + 1] = x
+        raise
     order.comparisons += comparisons
 
 

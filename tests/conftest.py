@@ -26,6 +26,24 @@ class SpyKey:
         return record[0]
 
 
+class KeyFailure(Exception):
+    """Raised by ``FailingKey``."""
+
+
+class FailingKey:
+    """``KEY`` that raises ``KeyFailure`` on its ``fail_at``-th call."""
+
+    def __init__(self, fail_at):
+        self.calls = 0
+        self.fail_at = fail_at
+
+    def __call__(self, record):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            raise KeyFailure(self.fail_at)
+        return record[0]
+
+
 def make_records(keys):
     """(key, unique id) records; the id doubles as the stability witness."""
     return [(k, i) for i, k in enumerate(keys)]

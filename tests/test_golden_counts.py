@@ -1,11 +1,16 @@
-"""Golden counters for sorts of inputs that hold the reserved ``SENTINEL``.
+"""Golden counters for sorts of fixed inputs, with and without the
+reserved ``SENTINEL``.
 
-Such inputs take the sentinel-aware path: sentinel variants fall back to
-their bounds-checked siblings, and comparisons against ``SENTINEL`` stay
-uncounted.  ``golden_sentinel_counts.json`` holds the full ``SortStats``
-and a digest of the merge trace of every case, recorded when each
-comparison was still a counted ``CountingOrder.le`` call.  The derived
-comparison counts must reproduce them exactly.
+Inputs that hold ``SENTINEL`` take the sentinel-aware path: sentinel
+variants fall back to their bounds-checked siblings, and comparisons
+against ``SENTINEL`` stay uncounted.  ``golden_sentinel_counts.json`` holds
+the full ``SortStats`` and a digest of the merge trace of every such case,
+recorded when each comparison was still a counted ``CountingOrder.le``
+call.  ``golden_sentinel_free_counts.json`` holds the same for the same
+inputs with their ``SENTINEL`` slots dropped; those sorts run the sentinel
+kernels themselves, and their golden was recorded before the kernels were
+rewritten to hold their heads in locals.  Every count must reproduce
+exactly.
 
 To re-baseline on purpose (a change that alters the counts and says so)::
 
@@ -26,8 +31,12 @@ import pytest
 from powersort.policy import VARIANTS, SortConfig, stable_sort_with
 from powersort.statskit import SENTINEL
 
-GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                      "golden_sentinel_counts.json")
+HERE = os.path.dirname(os.path.abspath(__file__))
+#: Golden file per input set: with ``SENTINEL`` (True) and without (False).
+GOLDEN = {
+    True: os.path.join(HERE, "golden_sentinel_counts.json"),
+    False: os.path.join(HERE, "golden_sentinel_free_counts.json"),
+}
 
 
 def _base_inputs():
@@ -49,8 +58,10 @@ def _base_inputs():
     return {"chunks": (values, 8), "ties": (ties, 1)}
 
 
-def cases():
+def cases(with_sentinel):
     for name, (values, min_run_len) in _base_inputs().items():
+        if not with_sentinel:
+            values = [v for v in values if v is not None]
         for keyed in (False, True):
             for variant in sorted(VARIANTS):
                 for strict in (False, True):
@@ -88,9 +99,10 @@ def expected_output(values, keyed):
     return ordered + [SENTINEL] * values.count(None)
 
 
-def record():
+def record(with_sentinel):
     golden = {}
-    for name, values, min_run_len, keyed, variant, strict in cases():
+    for name, values, min_run_len, keyed, variant, strict in cases(
+            with_sentinel):
         _, stats, digest = measure(values, min_run_len, keyed, variant, strict)
         golden[case_id(name, keyed, variant, strict)] = dict(
             stats, merge_trace=digest)
@@ -99,31 +111,51 @@ def record():
 
 @pytest.fixture(scope="module")
 def golden():
-    with open(GOLDEN) as fh:
-        return json.load(fh)
+    golden = {}
+    for with_sentinel, path in GOLDEN.items():
+        with open(path) as fh:
+            golden[with_sentinel] = json.load(fh)
+    return golden
 
 
-CASES = list(cases())
-CASE_IDS = [case_id(c[0], c[3], c[4], c[5]) for c in CASES]
+CASES = {with_sentinel: list(cases(with_sentinel))
+         for with_sentinel in (True, False)}
+CASE_IDS = {with_sentinel: [case_id(c[0], c[3], c[4], c[5]) for c in found]
+            for with_sentinel, found in CASES.items()}
 
 
-@pytest.mark.parametrize(
-    "name,values,min_run_len,keyed,variant,strict", CASES, ids=CASE_IDS)
-def test_sentinel_input_counts_match_golden(
-        golden, name, values, min_run_len, keyed, variant, strict):
+def check_case(golden, name, values, min_run_len, keyed, variant, strict):
     out, stats, digest = measure(values, min_run_len, keyed, variant, strict)
     assert out == expected_output(values, keyed)
     assert dict(stats, merge_trace=digest) == golden[
         case_id(name, keyed, variant, strict)]
 
 
+@pytest.mark.parametrize("name,values,min_run_len,keyed,variant,strict",
+                         CASES[True], ids=CASE_IDS[True])
+def test_sentinel_input_counts_match_golden(
+        golden, name, values, min_run_len, keyed, variant, strict):
+    check_case(golden[True], name, values, min_run_len, keyed, variant,
+               strict)
+
+
+@pytest.mark.parametrize("name,values,min_run_len,keyed,variant,strict",
+                         CASES[False], ids=CASE_IDS[False])
+def test_sentinel_free_input_counts_match_golden(
+        golden, name, values, min_run_len, keyed, variant, strict):
+    check_case(golden[False], name, values, min_run_len, keyed, variant,
+               strict)
+
+
 def test_golden_file_covers_every_case(golden):
-    assert set(golden) == set(CASE_IDS)
+    for with_sentinel, ids in CASE_IDS.items():
+        assert set(golden[with_sentinel]) == set(ids)
 
 
 if __name__ == "__main__":
-    entries = sorted(record().items())
-    with open(GOLDEN, "w") as fh:
-        fh.write("{\n%s\n}\n" % ",\n".join(
-            "%s: %s" % (json.dumps(k), json.dumps(v, sort_keys=True))
-            for k, v in entries))
+    for with_sentinel, path in GOLDEN.items():
+        entries = sorted(record(with_sentinel).items())
+        with open(path, "w") as fh:
+            fh.write("{\n%s\n}\n" % ",\n".join(
+                "%s: %s" % (json.dumps(k), json.dumps(v, sort_keys=True))
+                for k, v in entries))

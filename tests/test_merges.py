@@ -16,7 +16,15 @@ from powersort.merges import (
 )
 from powersort.statskit import SENTINEL
 
-from conftest import KEY, SpyKey, compositions, fresh_instruments, make_records
+from conftest import (
+    KEY,
+    FailingKey,
+    KeyFailure,
+    SpyKey,
+    compositions,
+    fresh_instruments,
+    make_records,
+)
 
 KERNELS_BY_ARITY = {
     2: [merge_2way_sentinel, merge_2way_no_sentinel, merge_2way_copy_smaller],
@@ -26,15 +34,22 @@ KERNELS_BY_ARITY = {
 ALL_KERNELS = [(k, a) for a, ks in KERNELS_BY_ARITY.items() for k in ks]
 
 
-def run_kernel(kernel, regions, key=None, pad=3):
-    """Concatenate the given sorted regions (with noise padding around them),
-    merge in place, and return (merged slice, order, stats)."""
+def padded(regions, pad):
+    """Concatenate the given sorted regions with noise padding around them;
+    return (list, region bounds)."""
     lst = ["pad"] * pad
     bounds = [pad]
     for region in regions:
         lst.extend(region)
         bounds.append(len(lst))
     lst.extend(["pad"] * pad)
+    return lst, bounds
+
+
+def run_kernel(kernel, regions, key=None, pad=3):
+    """Merge the given sorted regions in place inside noise padding, and
+    return (merged slice, order, stats)."""
+    lst, bounds = padded(regions, pad)
     order, stats = fresh_instruments(key)
     buf = MergeBuffer((bounds[-1] - bounds[0]) + 4)
     kernel(lst, *bounds, buf, order, stats)
@@ -103,9 +118,11 @@ def test_no_sentinel_matches_sentinel_kernel():
         n1, n2 = rng.randint(1, 12), rng.randint(1, 12)
         left = sorted(rng.randint(0, 4) for _ in range(n1))
         right = sorted(rng.randint(0, 4) for _ in range(n2))
-        out_a, _, st_a = run_kernel(merge_2way_sentinel, [left, right])
-        out_b, _, st_b = run_kernel(merge_2way_no_sentinel, [left, right])
+        out_a, order_a, st_a = run_kernel(merge_2way_sentinel, [left, right])
+        out_b, order_b, st_b = run_kernel(merge_2way_no_sentinel, [left, right])
         assert out_a == out_b
+        # Both compare once per output until a run runs dry.
+        assert order_a.comparisons == order_b.comparisons
         assert st_a.moves == st_b.moves
         assert st_a.merge_cost == st_b.merge_cost
 
@@ -197,6 +214,29 @@ def test_exhaustive_derived_comparisons_match_key_calls(kernel, arity):
         spy = SpyKey()
         _, order, _ = run_kernel(kernel, regions, key=spy, pad=1)
         assert 2 * order.comparisons == spy.calls, (kernel.__name__, key_regions)
+
+
+@pytest.mark.parametrize(
+    "kernel,arity",
+    [(k, a) for k, a in ALL_KERNELS
+     if k not in (merge_3way_stages, merge_4way_stages)])
+def test_raising_key_leaves_a_permutation(kernel, arity):
+    # A key that raises on its j-th call, for every j the merge reaches:
+    # the error propagates and the merged region still holds its input.
+    max_total = {2: 8, 3: 7, 4: 7}[arity]
+    for key_regions in exhaustive_cases(arity, max_total):
+        regions = split_records(key_regions)
+        region_input = sorted(rec for region in regions for rec in region)
+        spy = SpyKey()
+        run_kernel(kernel, regions, key=spy, pad=1)
+        for fail_at in range(1, spy.calls + 1):
+            lst, bounds = padded(regions, 1)
+            order, stats = fresh_instruments(FailingKey(fail_at))
+            buf = MergeBuffer((bounds[-1] - bounds[0]) + 4)
+            with pytest.raises(KeyFailure):
+                kernel(lst, *bounds, buf, order, stats)
+            assert lst[0] == lst[-1] == "pad"
+            assert sorted(lst[1:-1]) == region_input, (key_regions, fail_at)
 
 
 def test_exhaustive_sweep_exercises_nasty_rollback():

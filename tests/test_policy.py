@@ -14,7 +14,14 @@ from powersort.policy import (
 from powersort.power import run_stack_capacity
 from powersort.statskit import SENTINEL
 
-from conftest import KEY, assert_stable_sorted, make_records
+from conftest import (
+    KEY,
+    FailingKey,
+    KeyFailure,
+    SpyKey,
+    assert_stable_sorted,
+    make_records,
+)
 
 ALL_VARIANTS = sorted(VARIANTS)
 
@@ -231,6 +238,25 @@ def test_input_containing_reserved_value_falls_back():
         stable_sort_with(lst, config_for(variant, min_run_len=1))
         assert lst[-2:] == [SENTINEL, SENTINEL]
         assert lst[:-2] == sorted(base[:37] + base[38:150] + base[151:])
+
+
+@pytest.mark.parametrize(
+    "variant", [v for v in ALL_VARIANTS if v != "4way-nosentinel"])
+def test_raising_key_leaves_a_permutation_of_the_input(variant):
+    # The key raises on its j-th call, for every j of the sort: in run
+    # detection, run extension and merges of every width.  The staged
+    # merger of 4way-nosentinel does not put its elements back yet.
+    rng = random.Random(29)
+    records = make_records([rng.randint(0, 9) for _ in range(60)])
+    spy = SpyKey()
+    stable_sort_with(list(records),
+                     config_for(variant, key=spy, min_run_len=4))
+    for fail_at in range(1, spy.calls + 1):
+        lst = list(records)
+        with pytest.raises(KeyFailure):
+            stable_sort_with(lst, config_for(
+                variant, key=FailingKey(fail_at), min_run_len=4))
+        assert sorted(lst) == sorted(records), fail_at
 
 
 # --- profile simulation ------------------------------------------------------

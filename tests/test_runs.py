@@ -7,6 +7,8 @@ from powersort.runs import Run, extend_run, find_first_run, insertion_sort
 
 from conftest import (
     KEY,
+    FailingKey,
+    KeyFailure,
     SpyKey,
     fresh_instruments,
     is_weakly_increasing,
@@ -218,3 +220,19 @@ def test_exhaustive_insertion_comparisons_match_key_calls():
                 insertion_sort(lst, begin, n, prefix, order, stats)
                 assert lst[begin:] == sorted(records[begin:], key=KEY)
                 assert 2 * order.comparisons == spy.calls, (keys, begin, prefix)
+
+
+def test_raising_key_leaves_insertion_sort_a_permutation():
+    # The element held out for insertion goes back when the key raises.
+    for keys in key_strings(6):
+        records = make_records(keys)
+        n = len(records)
+        spy = SpyKey()
+        insertion_sort(list(records), 0, n, 0, *fresh_instruments(spy))
+        for fail_at in range(1, spy.calls + 1):
+            lst = ["pad"] + list(records) + ["pad"]
+            order, stats = fresh_instruments(FailingKey(fail_at))
+            with pytest.raises(KeyFailure):
+                insertion_sort(lst, 1, n + 1, 0, order, stats)
+            assert lst[0] == lst[-1] == "pad"
+            assert sorted(lst[1:-1]) == sorted(records), (keys, fail_at)
