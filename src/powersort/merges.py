@@ -40,10 +40,17 @@ head can be a sentinel, so the fast phase tests only that head and the
 head it just refilled.  After that, every decision tests both its sides
 for ``SENTINEL`` with ``is`` before it compares.
 
-If ``compare`` raises, the 2-way and tournament kernels write every element
-they have taken out and not yet output back into the merge region before
-the exception propagates, so the list stays a permutation of its input.
-The staged merger's tournament does not.
+The staged merger's tree holds values the same way, without sentinels:
+the heads h0..h3, the winners x and y with the runs they came from, and
+the cursors are locals.  A stage runs as many rounds as the shortest run
+has elements left, so no round checks a cursor; a head read ahead may lie
+one slot past its run, but it is not compared before the stage ends.  Then
+the root is output and the loser rolled back into its run, and the tree is
+rebuilt at the same width or the merge narrows.
+
+If ``compare`` raises, every kernel writes the elements it has taken out
+and not yet output back into the merge region before the exception
+propagates, so the list stays a permutation of its input.
 """
 
 from __future__ import annotations
@@ -404,13 +411,10 @@ def _tournament(lst, bounds, B, order, stats):
 def merge_4way_stages(lst, l, g1, g2, g3, r, buf, order, stats):
     """Sentinel-free 4-way merge, working in stages.
 
-    All four runs are buffered; one extra slot past the buffered data
-    duplicates the last element so that cursor reads at region ends stay
-    defined -- it is never consulted as a sentinel.  Each stage runs
-    ``min(remaining lengths)`` iterations without any exhaustion checks;
-    when that bound hits zero the tree is unwound, the losing element is
-    rolled back into its run, exhausted runs are dropped, and merging
-    continues 4- to 3- to 2-way.
+    All four runs are buffered, plus a guard slot.  Each stage runs
+    ``min(remaining lengths)`` rounds without exhaustion checks; then the
+    root is output, the loser rolled back into its run, exhausted runs are
+    dropped, and merging continues 4- to 3- to 2-way.
     """
     _check_regions(lst, (l, g1, g2, g3, r), buf, (r - l) + 1)
     _merge_stages(lst, (l, g1, g2, g3, r), buf, order, stats)
@@ -430,9 +434,8 @@ def _merge_stages(lst, bounds, buf, order, stats):
     n = r - l
     B = buf.data
     B[0:n] = lst[l:r]
-    # Guard slot mirroring the last element.  Defensive only: the stage
-    # bookkeeping keeps every read inside its run, and the slot is never
-    # consulted as a sentinel.
+    # Guard slot: a stage reads refilled heads ahead, up to one slot past
+    # their run.  Past the last run it reads this copy, never compared.
     B[n] = B[n - 1]
     cs = [b - l for b in bounds[:-1]]
     es = [b - l for b in bounds[1:]]
@@ -457,98 +460,105 @@ def _merge_stages(lst, bounds, buf, order, stats):
         if width == 2:
             out = _merge_runs(lst, out, B, cs[0], es[0], cs[1], es[1], order)
             break
-        out = _stage_tournament(lst, out, B, cs, es, order)
+        out = _stage_tournament(lst, out, r, B, cs, es, order)
     assert out == r
     _count_copy_all(stats, n, 1)
     stats.moves += 1  # the guard slot
 
 
-def _stage_tournament(lst, out, B, cs, es, order):
-    """Tournament stages over the 3 or 4 runs in cs/es.
+def _stage_tournament(lst, out, r, B, cs, es, order):
+    """Tournament stages over the 3 or 4 runs in cs/es, output from out on.
 
-    Returns the new output position as soon as some run is truly exhausted
-    (its cursor at its end with no element of it left in the tree), at
-    which point the caller drops empty runs and dispatches a narrower merge.
-    Cursors in cs are consumed as elements enter the tree; a rolled-back
-    element is returned by decrementing its run's cursor.
-
-    The comparisons are counted from the rounds: a tree build takes one per
-    compared pair and one at the root, and every round takes one at the
-    root plus one in the refill, except a 3-way refill from the right.
+    Returns the output position once some run is exhausted, with the
+    cursors written back to cs; the caller drops empty runs and merges
+    narrower.  If ``compare`` raises, the held winners and the runs' rests
+    go back to the end of the merge region [.., r).  A build counts one
+    comparison per compared pair and one at the root, a round one at the
+    root and one in the refill, except a 3-way refill from the right.
     """
     global nasty_rebuilds
     compare = order.compare
     four = len(cs) == 4
-    per_build = 3 if four else 2
-    comparisons = per_build
-
-    def fetch_left():
-        a, b = cs[0], cs[1]
-        if compare(B[a], B[b]):
-            cs[0] = a + 1
-            return a, 0
-        cs[1] = b + 1
-        return b, 1
-
-    if four:
-
-        def fetch_right():
-            a, b = cs[2], cs[3]
-            if compare(B[a], B[b]):
-                cs[2] = a + 1
-                return a, 2
-            cs[3] = b + 1
-            return b, 3
-
-    else:
-
-        def fetch_right():
-            a = cs[2]
-            cs[2] = a + 1
-            return a, 2
-
-    x_pos, x_run = fetch_left()
-    y_pos, y_run = fetch_right()
-    z_left = compare(B[x_pos], B[y_pos])
-    while True:
-        safe = min(es[i] - cs[i] for i in range(len(cs)))
-        if safe > 0:
-            left_fetched = cs[0] + cs[1]
-            # No cursor can leave its run within `safe` unchecked rounds.
-            for _ in range(safe):
-                if z_left:
-                    lst[out] = B[x_pos]
-                    out += 1
-                    x_pos, x_run = fetch_left()
-                else:
-                    lst[out] = B[y_pos]
-                    out += 1
-                    y_pos, y_run = fetch_right()
-                z_left = compare(B[x_pos], B[y_pos])
-            # Each left refill moved exactly one of cs[0], cs[1] on.
-            comparisons += (
-                2 * safe if four else safe + cs[0] + cs[1] - left_fetched
-            )
-            continue
-        # Some run's tail is consumed.  The root is still the global
-        # minimum, so emit it, then put the losing element back into its
-        # run; after that the tree is empty and every unconsumed element
-        # sits in its run again.
-        if z_left:
-            lst[out] = B[x_pos]
+    # A 3-way merge's run 3 never limits or ends a stage, nor is compared.
+    c0, c1, c2, c3 = cs if four else cs + [0]
+    e0, e1, e2, e3 = es if four else es + [len(B)]
+    x = y = empty = object()  # a winner not held in the tree
+    comparisons = 0
+    try:
+        while True:
+            # Build the tree: draw both winners, then decide the root.
+            h0, h1, h2, h3 = B[c0], B[c1], B[c2], B[c3]
+            if compare(h0, h1):
+                x, xr = h0, 0
+                c0 += 1
+                h0 = B[c0]
+            else:
+                x, xr = h1, 1
+                c1 += 1
+                h1 = B[c1]
+            if four and not compare(h2, h3):
+                y, yr = h3, 3
+                c3 += 1
+                h3 = B[c3]
+            else:
+                y, yr = h2, 2
+                c2 += 1
+                h2 = B[c2]
+            z = compare(x, y)
+            comparisons += 3 if four else 2
+            while True:
+                safe = min(e0 - c0, e1 - c1, e2 - c2, e3 - c3)
+                if not safe:
+                    break
+                left_fetched = c0 + c1
+                # `safe` rounds keep every cursor in its run.  A winner is
+                # output after its side's refill, so x and y stay held.
+                for out in range(out, out + safe):
+                    if z:
+                        if compare(h0, h1):
+                            lst[out] = x
+                            x, xr = h0, 0
+                            c0 += 1
+                            h0 = B[c0]
+                        else:
+                            lst[out] = x
+                            x, xr = h1, 1
+                            c1 += 1
+                            h1 = B[c1]
+                    elif four and not compare(h2, h3):
+                        lst[out] = y
+                        y, yr = h3, 3
+                        c3 += 1
+                        h3 = B[c3]
+                    else:
+                        lst[out] = y
+                        y, yr = h2, 2
+                        c2 += 1
+                        h2 = B[c2]
+                    z = compare(x, y)
+                out += 1
+                # Each left refill moved exactly one of c0, c1 on.
+                comparisons += (
+                    2 * safe if four else safe + c0 + c1 - left_fetched)
+            # A run is used up.  Output the root and roll the loser back
+            # into its run, which leaves the tree empty.
+            if z:
+                lst[out] = x
+                c2, c3 = (c2 - 1, c3) if yr == 2 else (c2, c3 - 1)
+            else:
+                lst[out] = y
+                c0, c1 = (c0 - 1, c1) if xr == 0 else (c0, c1 - 1)
             out += 1
-            cs[y_run] -= 1
-        else:
-            lst[out] = B[y_pos]
-            out += 1
-            cs[x_run] -= 1
-        if any(cs[i] == es[i] for i in range(len(cs))):
-            order.comparisons += comparisons
-            return out
-        # The rollback landed in the run that had just run dry: every run
-        # is nonempty again, so rebuild the tree and replay at this width.
-        nasty_rebuilds += 1
-        x_pos, x_run = fetch_left()
-        y_pos, y_run = fetch_right()
-        z_left = compare(B[x_pos], B[y_pos])
-        comparisons += per_build
+            x = y = empty
+            if c0 == e0 or c1 == e1 or c2 == e2 or c3 == e3:
+                break
+            # The loser went back into the run that ran dry: rebuild.
+            nasty_rebuilds += 1
+    except BaseException:
+        held = [v for v in (x, y) if v is not empty]
+        rest3 = B[c3:e3] if four else ()
+        _put_back(lst, r, (held, B[c0:e0], B[c1:e1], B[c2:e2], rest3))
+        raise
+    cs[:] = (c0, c1, c2, c3)[: len(cs)]
+    order.comparisons += comparisons
+    return out

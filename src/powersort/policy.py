@@ -235,7 +235,7 @@ def stable_sort_with(lst, config=None):
                 lst, begins[0], begins[1], begins[2], begins[3], end,
                 buf, order, stats,
             )
-        stats.comparisons = order.comparisons
+        stats.comparisons = order.comparisons - order.sentinel_comparisons
         if on_merge is not None:
             on_merge((tuple(begins) + (end,), end - begins[0]))
 
@@ -259,7 +259,7 @@ def stable_sort_with(lst, config=None):
             stats.max_stack_height = stack.height
         a_begin, a_end = b_begin, b_end
     _merge_down(stack, a_begin, a_end, k, config.strict_merge_down, do_merge)
-    stats.comparisons = order.comparisons
+    stats.comparisons = order.comparisons - order.sentinel_comparisons
     return stats
 
 

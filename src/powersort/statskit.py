@@ -58,16 +58,18 @@ class CountingOrder:
     compared by key only).  ``compare(a, b)`` is the uncounted predicate:
     ``operator.le`` without a key, ``key(a) <= key(b)`` with one.  Callers
     of ``compare`` add the comparisons they executed to ``comparisons``
-    themselves.  ``le(a, b)`` is the counted form: every element comparison
-    bumps ``comparisons``, and comparisons against ``SENTINEL`` short-circuit
-    uncounted.
+    themselves; ``sentinel_comparisons`` is the share of those that met an
+    admitted ``SENTINEL`` (see ``admit_sentinel``).  ``le(a, b)`` is the
+    counted form: every element comparison bumps ``comparisons``, and
+    comparisons against ``SENTINEL`` short-circuit uncounted.
     """
 
-    __slots__ = ("key", "comparisons", "compare")
+    __slots__ = ("key", "comparisons", "sentinel_comparisons", "compare")
 
     def __init__(self, key=None):
         self.key = key
         self.comparisons = 0
+        self.sentinel_comparisons = 0
         if key is None:
             self.compare = operator.le
         else:
@@ -92,18 +94,21 @@ class CountingOrder:
         """Let ``compare`` take ``SENTINEL`` as an input element.
 
         ``SENTINEL`` sorts after every other element and compares without a
-        call to the key.  Such a comparison is not an element comparison,
-        so it takes itself back out of ``comparisons``: the caller's count
-        includes it, and this uncounts it.
+        call to the key.  Such a comparison is not an element comparison:
+        the caller's count in ``comparisons`` includes it, and the compare
+        tallies it in ``sentinel_comparisons``, which the sort subtracts
+        where it reports its element comparisons.  ``compare`` is then the
+        only writer of that slot, and the caller the only writer of
+        ``comparisons``.
         """
         plain = self.compare
 
         def compare(a, b):
             if b is SENTINEL:
-                self.comparisons -= 1
+                self.sentinel_comparisons += 1
                 return True
             if a is SENTINEL:
-                self.comparisons -= 1
+                self.sentinel_comparisons += 1
                 return False
             return plain(a, b)
 

@@ -1,4 +1,7 @@
+import dataclasses
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -160,6 +163,14 @@ def test_stages_rollback_into_emptied_run():
     assert merges.nasty_rebuilds > before
 
 
+def test_stages_rollback_into_emptied_run_3way():
+    # The 3-way tree's rollback lands in the run that ran dry, too.
+    before = merges.nasty_rebuilds
+    out, _, _ = run_kernel(merge_3way_stages, [[1], [1], [0, 0]])
+    assert out == [0, 0, 1, 1]
+    assert merges.nasty_rebuilds > before
+
+
 def test_stages_single_elements():
     out, _, _ = run_kernel(merge_4way_stages, [[1], [2], [3], [4]])
     assert out == [1, 2, 3, 4]
@@ -216,10 +227,7 @@ def test_exhaustive_derived_comparisons_match_key_calls(kernel, arity):
         assert 2 * order.comparisons == spy.calls, (kernel.__name__, key_regions)
 
 
-@pytest.mark.parametrize(
-    "kernel,arity",
-    [(k, a) for k, a in ALL_KERNELS
-     if k not in (merge_3way_stages, merge_4way_stages)])
+@pytest.mark.parametrize("kernel,arity", ALL_KERNELS)
 def test_raising_key_leaves_a_permutation(kernel, arity):
     # A key that raises on its j-th call, for every j the merge reaches:
     # the error propagates and the merged region still holds its input.
@@ -237,6 +245,42 @@ def test_raising_key_leaves_a_permutation(kernel, arity):
                 kernel(lst, *bounds, buf, order, stats)
             assert lst[0] == lst[-1] == "pad"
             assert sorted(lst[1:-1]) == region_input, (key_regions, fail_at)
+
+
+def stage_counts_digest(kernel, arity, max_total, keyed):
+    """Digest of the ``order.comparisons``, the ``nasty_rebuilds`` delta and
+    the ``SortStats`` of a staged kernel over every exhaustive case."""
+    digest = hashlib.sha256()
+    for key_regions in exhaustive_cases(arity, max_total):
+        if keyed:
+            regions = split_records(key_regions)
+        else:
+            regions = [sorted(keys) for keys in key_regions]
+        before = merges.nasty_rebuilds
+        _, order, stats = run_kernel(
+            kernel, regions, key=KEY if keyed else None, pad=1)
+        digest.update(json.dumps([
+            order.comparisons, merges.nasty_rebuilds - before,
+            dataclasses.asdict(stats)]).encode())
+    return digest.hexdigest()[:16]
+
+
+#: Recorded from the staged merger's closure-based tournament, before its
+#: heads, winners and cursors moved into locals.
+STAGE_COUNTS_GOLDEN = {
+    ("merge_3way_stages", False): "9714d1831691e1a7",
+    ("merge_3way_stages", True): "9714d1831691e1a7",
+    ("merge_4way_stages", False): "6228df90fee6af5c",
+    ("merge_4way_stages", True): "6228df90fee6af5c",
+}
+
+
+@pytest.mark.parametrize("keyed", [False, True], ids=["plain", "keyed"])
+@pytest.mark.parametrize("kernel,arity,max_total",
+                         [(merge_3way_stages, 3, 9), (merge_4way_stages, 4, 8)])
+def test_stage_counts_match_golden(kernel, arity, max_total, keyed):
+    assert stage_counts_digest(kernel, arity, max_total, keyed) == (
+        STAGE_COUNTS_GOLDEN[kernel.__name__, keyed])
 
 
 def test_exhaustive_sweep_exercises_nasty_rollback():

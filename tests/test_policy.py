@@ -240,12 +240,10 @@ def test_input_containing_reserved_value_falls_back():
         assert lst[:-2] == sorted(base[:37] + base[38:150] + base[151:])
 
 
-@pytest.mark.parametrize(
-    "variant", [v for v in ALL_VARIANTS if v != "4way-nosentinel"])
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_raising_key_leaves_a_permutation_of_the_input(variant):
     # The key raises on its j-th call, for every j of the sort: in run
-    # detection, run extension and merges of every width.  The staged
-    # merger of 4way-nosentinel does not put its elements back yet.
+    # detection, run extension and merges of every width.
     rng = random.Random(29)
     records = make_records([rng.randint(0, 9) for _ in range(60)])
     spy = SpyKey()

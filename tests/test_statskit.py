@@ -81,16 +81,17 @@ def test_compare_is_the_uncounted_order():
 
 
 def test_admitted_sentinel_takes_its_comparisons_back():
-    # The caller counts every compare call; the three sentinel comparisons
-    # subtract themselves, so the caller's +3 nets to zero.
+    # The caller counts every compare call in ``comparisons``; the three
+    # sentinel comparisons tally themselves in their own slot, which the
+    # sort subtracts, and leave ``comparisons`` to the caller alone.
     order = CountingOrder(key=lambda rec: rec["k"])
     order.admit_sentinel()
     assert order.compare({"k": 5}, SENTINEL)
     assert not order.compare(SENTINEL, {"k": 5})
     assert order.compare(SENTINEL, SENTINEL)
-    assert order.comparisons == -3
+    assert (order.comparisons, order.sentinel_comparisons) == (0, 3)
     assert order.compare({"k": 1}, {"k": 2})
-    assert order.comparisons == -3
+    assert (order.comparisons, order.sentinel_comparisons) == (0, 3)
 
 
 def test_counters_monotone_during_sort(monkeypatch):
