@@ -1,12 +1,18 @@
 """Stable merge kernels.
 
 All kernels merge adjacent sorted regions of a list in place through an
-external buffer and tally costs into a SortStats.  Element comparisons go
-through the uncounted predicate ``order.compare``; each kernel adds the
-number it executed to ``order.comparisons`` once per call, derived from its
-loop structure where that gives it.  Ties always go to the run with the
-lower start index -- "at or before" at every decision point, with the
+external buffer and tally costs into a SortStats.  A kernel keys each
+element once when it loads it into a local (``k = h if key is None else
+key(h)``, with ``key = order.key``) and keeps the key beside the value:
+every decision is an inline ``<=`` on two held keys.  Each kernel adds the
+number of comparisons it executed to ``order.comparisons`` once per call,
+derived from its loop structure.  Ties always go to the run with the lower
+start index -- "at or before" at every decision point, with the
 lower-indexed run on the left -- which is what makes each kernel stable.
+
+When the input holds ``SENTINEL`` itself, ``order.key`` is the admitted
+key wrapper of ``CountingOrder.admit_sentinel`` and only the sentinel-free
+kernels run; they key an input ``SENTINEL`` like any other element.
 
 Five buffer strategies:
 
@@ -34,22 +40,25 @@ locals; x, the winner of runs 0 and 1, and y, of runs 2 and 3, are already
 taken from their runs.  The root outputs the smaller of x and y and
 refills that side from its two heads.  A 3-way merge is the same tree with
 an empty fourth run, whose head is run 2's sentinel slot.  A sentinel sorts
-after every element and loses each decision without a call to ``compare``;
-such a decision is not counted.  While runs 0-2 are nonempty, only run 3's
-head can be a sentinel, so the fast phase tests only that head and the
-head it just refilled.  After that, every decision tests both its sides
-for ``SENTINEL`` with ``is`` before it compares.
+after every element and loses each decision without a comparison; such a
+decision is not counted.  A head is tested for ``SENTINEL`` with ``is``
+before it is keyed, so a sentinel slot is never keyed.  While runs 0-2 are
+nonempty, only run 3's head can be a sentinel, so the fast phase tests
+only that head and the head it just refilled.  After that, every decision
+tests both its sides for ``SENTINEL`` with ``is`` before it compares.
 
 The staged merger's tree holds values the same way, without sentinels:
-the heads h0..h3, the winners x and y with the runs they came from, and
-the cursors are locals.  A stage runs as many rounds as the shortest run
-has elements left, so no round checks a cursor; a head read ahead may lie
-one slot past its run, but it is not compared before the stage ends.  Then
-the root is output and the loser rolled back into its run, and the tree is
-rebuilt at the same width or the merge narrows.
+the heads h0..h3, the winners x and y with the runs they came from, their
+keys, and the cursors are locals.  A stage runs as many rounds as the
+shortest run has elements left, so no round checks a cursor; a head read
+ahead may lie one slot past its run (it is keyed, but not compared before
+the stage ends).  Then the root is output and the loser, with its key,
+rolled back into its run, and the tree is rebuilt from the held heads at
+the same width, or the merge narrows and the narrower tree keys its heads
+again.
 
-If ``compare`` raises, every kernel writes the elements it has taken out
-and not yet output back into the merge region before the exception
+If the key or ``<=`` raises, every kernel writes the elements it has taken
+out and not yet output back into the merge region before the exception
 propagates, so the list stays a permutation of its input.
 """
 
@@ -110,8 +119,13 @@ def _put_back(lst, r, pieces):
     """Write the pieces, in order, to the end of the merge region [.., r).
 
     After a failure, the pieces are every element taken out and not yet
-    output, and the output so far fills the region up to them.
+    output, and the output so far fills the region up to them.  A region
+    past the end of the list (it was shortened during the merge) raises
+    IndexError: a slice write there would lengthen the list again and
+    hide the change.
     """
+    if r > len(lst):
+        raise IndexError("merge region past the end of the list")
     for piece in reversed(pieces):
         lst[r - len(piece) : r] = piece
         r -= len(piece)
@@ -122,23 +136,27 @@ def _merge_runs(lst, o, B, c1, e1, c2, e2, order):
     position o on, and return the position after the output."""
     r = o + (e1 - c1) + (e2 - c2)
     start = o
-    compare = order.compare
+    key = order.key
     a = B[c1]
     b = B[c2]
     try:
+        ka = a if key is None else key(a)
+        kb = b if key is None else key(b)
         for o in range(o, r):
-            if compare(a, b):
+            if ka <= kb:
                 lst[o] = a
                 c1 += 1
                 if c1 == e1:
                     break
                 a = B[c1]
+                ka = a if key is None else key(a)
             else:
                 lst[o] = b
                 c2 += 1
                 if c2 == e2:
                     break
                 b = B[c2]
+                kb = b if key is None else key(b)
     finally:
         # The surviving run's rest, or after a failure both rests.
         _put_back(lst, r, (B[c1:e1], B[c2:e2]))
@@ -158,25 +176,29 @@ def merge_2way_sentinel(lst, l, m, r, buf, order, stats):
     B[n1] = SENTINEL
     B[n1 + 1 : n + 1] = lst[m:r]
     B[n + 1] = SENTINEL
-    compare = order.compare
+    key = order.key
     sentinel = SENTINEL
     c1, c2 = 0, n1 + 1
     a = B[c1]
     b = B[c2]
     try:
+        ka = a if key is None else key(a)
+        kb = b if key is None else key(b)
         for o in range(l, r):
-            if compare(a, b):
+            if ka <= kb:
                 lst[o] = a
                 c1 += 1
                 a = B[c1]
                 if a is sentinel:
                     break
+                ka = a if key is None else key(a)
             else:
                 lst[o] = b
                 c2 += 1
                 b = B[c2]
                 if b is sentinel:
                     break
+                kb = b if key is None else key(b)
     finally:
         # The surviving run's rest, or after a failure both rests.
         _put_back(lst, r, (B[c1:n1], B[c2 : n + 1]))
@@ -211,30 +233,34 @@ def merge_2way_copy_smaller(lst, l, m, r, buf, order, stats):
     _check_regions(lst, (l, m, r), buf, min(n1, n2))
     n = r - l
     B = buf.data
-    compare = order.compare
+    key = order.key
     if n1 <= n2:
         B[0:n1] = lst[l:m]
         c1, c2 = 0, m
         a = B[0]
         b = lst[m]
         try:
+            ka = a if key is None else key(a)
+            kb = b if key is None else key(b)
             for o in range(l, r):
-                if compare(a, b):
+                if ka <= kb:
                     lst[o] = a
                     c1 += 1
                     if c1 == n1:
                         break
                     a = B[c1]
+                    ka = a if key is None else key(a)
                 else:
                     lst[o] = b
                     c2 += 1
                     if c2 == r:
                         break
                     b = lst[c2]
+                    kb = b if key is None else key(b)
         finally:
             # The left run's rest fills the gap before the right run's
             # rest, which is already in place.
-            lst[c2 - (n1 - c1) : c2] = B[c1:n1]
+            _put_back(lst, c2, (B[c1:n1],))
         outputs = o + 1 - l
         written = outputs + (n1 - c1)
     else:
@@ -243,23 +269,27 @@ def merge_2way_copy_smaller(lst, l, m, r, buf, order, stats):
         a = lst[c1]
         b = B[c2]
         try:
+            ka = a if key is None else key(a)
+            kb = b if key is None else key(b)
             for o in range(r - 1, l - 1, -1):
-                if compare(a, b):
+                if ka <= kb:
                     lst[o] = b
                     c2 -= 1
                     if c2 < 0:
                         break
                     b = B[c2]
+                    kb = b if key is None else key(b)
                 else:
                     lst[o] = a
                     c1 -= 1
                     if c1 < l:
                         break
                     a = lst[c1]
+                    ka = a if key is None else key(a)
         finally:
             # The right run's rest fills the gap after the left run's rest,
             # which is already in place.
-            lst[c1 + 1 : c1 + 2 + c2] = B[0 : c2 + 1]
+            _put_back(lst, c1 + 2 + c2, (B[0 : c2 + 1],))
         outputs = r - o
         written = outputs + (c2 + 1)
     order.comparisons += outputs  # one per output before the tail copy
@@ -307,14 +337,20 @@ def _tournament(lst, bounds, B, order, stats):
     c0, c1, c2, c3 = starts
     e0, e1, e2, e3 = ends
     h0, h1, h2, h3 = B[c0], B[c1], B[c2], B[c3]
-    compare = order.compare
+    key = order.key
     sentinel = SENTINEL
     # A sentinel winner is an exhausted side, or one not drawn yet.
-    x = y = sentinel
-    met = 0  # decisions met by a sentinel, without compare
+    x = y = kx = ky = sentinel
+    met = 0  # decisions met by a sentinel, without a comparison
     z = None  # the side of the last output: True left; None draws both
     o = l
     try:
+        # Runs 0-2 are nonempty; run 3 is empty in a 3-way merge.
+        if key is None:
+            k0, k1, k2, k3 = h0, h1, h2, h3
+        else:
+            k0, k1, k2 = key(h0), key(h1), key(h2)
+            k3 = h3 if h3 is sentinel else key(h3)
         while True:
             if z is not False:
                 # Draw the left winner; run 0 wins ties.
@@ -322,73 +358,81 @@ def _tournament(lst, bounds, B, order, stats):
                     met += 1
                     first = h1 is sentinel
                 else:
-                    first = compare(h0, h1)
+                    first = k0 <= k1
                 if not first:
-                    x = h1
+                    x, kx = h1, k1
                     c1 += 1
                     h1 = B[c1]
+                    k1 = h1 if key is None or h1 is sentinel else key(h1)
                 elif h0 is not sentinel:
-                    x = h0
+                    x, kx = h0, k0
                     c0 += 1
                     h0 = B[c0]
+                    k0 = h0 if key is None or h0 is sentinel else key(h0)
             if z is not True:
                 # Draw the right winner; run 2 wins ties.
                 if h2 is sentinel or h3 is sentinel:
                     met += 1
                     first = h3 is sentinel
                 else:
-                    first = compare(h2, h3)
+                    first = k2 <= k3
                 if not first:
-                    y = h3
+                    y, ky = h3, k3
                     c3 += 1
                     h3 = B[c3]
+                    k3 = h3 if key is None or h3 is sentinel else key(h3)
                 elif h2 is not sentinel:
-                    y = h2
+                    y, ky = h2, k2
                     c2 += 1
                     h2 = B[c2]
+                    k2 = h2 if key is None or h2 is sentinel else key(h2)
             if z is None and not (
                 h0 is sentinel or h1 is sentinel or h2 is sentinel
             ):
                 # Fast phase, while runs 0-2 are nonempty.  A winner is
-                # output only once its side is refilled, so a raising
-                # compare finds both x and y pending.
+                # output only once its side is refilled, so a raising key
+                # or comparison finds both x and y pending.
                 for o in range(l, r):
-                    if compare(x, y):
-                        if compare(h0, h1):
+                    if kx <= ky:
+                        if k0 <= k1:
                             lst[o] = x
-                            x = h0
+                            x, kx = h0, k0
                             c0 += 1
                             h0 = B[c0]
                             if h0 is sentinel:
                                 break
+                            k0 = h0 if key is None else key(h0)
                         else:
                             lst[o] = x
-                            x = h1
+                            x, kx = h1, k1
                             c1 += 1
                             h1 = B[c1]
                             if h1 is sentinel:
                                 break
-                    elif h3 is not sentinel and not compare(h2, h3):
+                            k1 = h1 if key is None else key(h1)
+                    elif h3 is not sentinel and not k2 <= k3:
                         lst[o] = y
-                        y = h3
+                        y, ky = h3, k3
                         c3 += 1
                         h3 = B[c3]
+                        k3 = h3 if key is None or h3 is sentinel else key(h3)
                     else:
                         if h3 is sentinel:
                             met += 1
                         lst[o] = y
-                        y = h2
+                        y, ky = h2, k2
                         c2 += 1
                         h2 = B[c2]
                         if h2 is sentinel:
                             break
+                        k2 = h2 if key is None else key(h2)
                 o += 1
             # The root; both sides are exhausted only after the last output.
             if x is sentinel or y is sentinel:
                 met += 1
                 z = y is sentinel
             else:
-                z = compare(x, y)
+                z = kx <= ky
             if z:
                 lst[o] = x
                 x = sentinel
@@ -453,9 +497,8 @@ def _merge_stages(lst, bounds, buf, order, stats):
         if width == 0:
             break
         if width == 1:
-            c, e = cs[0], es[0]
-            lst[out : out + (e - c)] = B[c:e]
-            out += e - c
+            _put_back(lst, r, (B[cs[0] : es[0]],))
+            out = r
             break
         if width == 2:
             out = _merge_runs(lst, out, B, cs[0], es[0], cs[1], es[1], order)
@@ -471,13 +514,13 @@ def _stage_tournament(lst, out, r, B, cs, es, order):
 
     Returns the output position once some run is exhausted, with the
     cursors written back to cs; the caller drops empty runs and merges
-    narrower.  If ``compare`` raises, the held winners and the runs' rests
+    narrower.  If the key or ``<=`` raises, the held winners and the runs' rests
     go back to the end of the merge region [.., r).  A build counts one
     comparison per compared pair and one at the root, a round one at the
     root and one in the refill, except a 3-way refill from the right.
     """
     global nasty_rebuilds
-    compare = order.compare
+    key = order.key
     four = len(cs) == 4
     # A 3-way merge's run 3 never limits or ends a stage, nor is compared.
     c0, c1, c2, c3 = cs if four else cs + [0]
@@ -485,26 +528,35 @@ def _stage_tournament(lst, out, r, B, cs, es, order):
     x = y = empty = object()  # a winner not held in the tree
     comparisons = 0
     try:
+        h0, h1, h2, h3 = B[c0], B[c1], B[c2], B[c3]
+        if key is None:
+            k0, k1, k2, k3 = h0, h1, h2, h3
+        else:
+            k0, k1, k2 = key(h0), key(h1), key(h2)
+            k3 = key(h3) if four else h3
         while True:
             # Build the tree: draw both winners, then decide the root.
-            h0, h1, h2, h3 = B[c0], B[c1], B[c2], B[c3]
-            if compare(h0, h1):
-                x, xr = h0, 0
+            if k0 <= k1:
+                x, kx, xr = h0, k0, 0
                 c0 += 1
                 h0 = B[c0]
+                k0 = h0 if key is None else key(h0)
             else:
-                x, xr = h1, 1
+                x, kx, xr = h1, k1, 1
                 c1 += 1
                 h1 = B[c1]
-            if four and not compare(h2, h3):
-                y, yr = h3, 3
+                k1 = h1 if key is None else key(h1)
+            if four and not k2 <= k3:
+                y, ky, yr = h3, k3, 3
                 c3 += 1
                 h3 = B[c3]
+                k3 = h3 if key is None else key(h3)
             else:
-                y, yr = h2, 2
+                y, ky, yr = h2, k2, 2
                 c2 += 1
                 h2 = B[c2]
-            z = compare(x, y)
+                k2 = h2 if key is None else key(h2)
+            z = kx <= ky
             comparisons += 3 if four else 2
             while True:
                 safe = min(e0 - c0, e1 - c1, e2 - c2, e3 - c3)
@@ -515,39 +567,53 @@ def _stage_tournament(lst, out, r, B, cs, es, order):
                 # output after its side's refill, so x and y stay held.
                 for out in range(out, out + safe):
                     if z:
-                        if compare(h0, h1):
+                        if k0 <= k1:
                             lst[out] = x
-                            x, xr = h0, 0
+                            x, kx, xr = h0, k0, 0
                             c0 += 1
                             h0 = B[c0]
+                            k0 = h0 if key is None else key(h0)
                         else:
                             lst[out] = x
-                            x, xr = h1, 1
+                            x, kx, xr = h1, k1, 1
                             c1 += 1
                             h1 = B[c1]
-                    elif four and not compare(h2, h3):
+                            k1 = h1 if key is None else key(h1)
+                    elif four and not k2 <= k3:
                         lst[out] = y
-                        y, yr = h3, 3
+                        y, ky, yr = h3, k3, 3
                         c3 += 1
                         h3 = B[c3]
+                        k3 = h3 if key is None else key(h3)
                     else:
                         lst[out] = y
-                        y, yr = h2, 2
+                        y, ky, yr = h2, k2, 2
                         c2 += 1
                         h2 = B[c2]
-                    z = compare(x, y)
+                        k2 = h2 if key is None else key(h2)
+                    z = kx <= ky
                 out += 1
                 # Each left refill moved exactly one of c0, c1 on.
                 comparisons += (
                     2 * safe if four else safe + c0 + c1 - left_fetched)
             # A run is used up.  Output the root and roll the loser back
-            # into its run, which leaves the tree empty.
+            # into its run, with its key, which leaves the tree empty.
             if z:
                 lst[out] = x
-                c2, c3 = (c2 - 1, c3) if yr == 2 else (c2, c3 - 1)
+                if yr == 2:
+                    c2 -= 1
+                    h2, k2 = y, ky
+                else:
+                    c3 -= 1
+                    h3, k3 = y, ky
             else:
                 lst[out] = y
-                c0, c1 = (c0 - 1, c1) if xr == 0 else (c0, c1 - 1)
+                if xr == 0:
+                    c0 -= 1
+                    h0, k0 = x, kx
+                else:
+                    c1 -= 1
+                    h1, k1 = x, kx
             out += 1
             x = y = empty
             if c0 == e0 or c1 == e1 or c2 == e2 or c3 == e3:

@@ -197,7 +197,12 @@ def _validated(config):
 
 
 def stable_sort_with(lst, config=None):
-    """Sort ``lst`` in place, stably, and return the populated SortStats."""
+    """Sort ``lst`` in place, stably, and return the populated SortStats.
+
+    Raises ``ValueError("list modified during sort")`` if the list's length
+    changed while it was sorted (by the key, say), also where the change
+    made the sort fail with an ``IndexError`` or a bounds ``ValueError``.
+    """
     if config is None:
         config = SortConfig()
     kernels = _validated(config)
@@ -207,9 +212,9 @@ def stable_sort_with(lst, config=None):
         return stats
     order = CountingOrder(config.key)
     if any(map(operator.is_, lst, repeat(SENTINEL))):
-        # The reserved value appears in the input.  The plain compare cannot
-        # order it, and sentinel slots would be ambiguous, so compare it
-        # structurally and use the bounds-checked siblings instead.
+        # The reserved value appears in the input.  The plain key cannot
+        # order it, and sentinel slots would be ambiguous, so key it as a
+        # greatest key and use the bounds-checked siblings instead.
         order.admit_sentinel()
         if kernels.needs_sentinel:
             kernels = VARIANTS[kernels.fallback]
@@ -248,17 +253,26 @@ def stable_sort_with(lst, config=None):
         stats.run_lengths.append(run.end - run.begin)
         return run
 
-    a_begin, a_end = next_run(0)
-    while a_end < n:
-        b_begin, b_end = next_run(a_end)
-        power = node_power(k, n, a_begin, a_end, b_begin, b_end)
-        while stack.top_power() > power:
-            a_begin = _merge_one_group(stack, a_begin, a_end, k, do_merge)
-        stack.push(a_begin, power)
-        if stack.height > stats.max_stack_height:
-            stats.max_stack_height = stack.height
-        a_begin, a_end = b_begin, b_end
-    _merge_down(stack, a_begin, a_end, k, config.strict_merge_down, do_merge)
+    try:
+        a_begin, a_end = next_run(0)
+        while a_end < n:
+            b_begin, b_end = next_run(a_end)
+            power = node_power(k, n, a_begin, a_end, b_begin, b_end)
+            while stack.top_power() > power:
+                a_begin = _merge_one_group(stack, a_begin, a_end, k, do_merge)
+            stack.push(a_begin, power)
+            if stack.height > stats.max_stack_height:
+                stats.max_stack_height = stack.height
+            a_begin, a_end = b_begin, b_end
+        _merge_down(stack, a_begin, a_end, k, config.strict_merge_down,
+                    do_merge)
+    except (IndexError, ValueError) as exc:
+        # Indices and merge bounds assume the length the sort started with.
+        if len(lst) != n:
+            raise ValueError("list modified during sort") from exc
+        raise
+    if len(lst) != n:
+        raise ValueError("list modified during sort")
     stats.comparisons = order.comparisons - order.sentinel_comparisons
     return stats
 

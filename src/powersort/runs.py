@@ -7,11 +7,17 @@ strictly decreasing region cannot contain two equal elements, so reversing
 it cannot reorder equals.  A weakly decreasing pair (x, x) therefore
 terminates a decreasing run.
 
-Run detection and insertion sort compare through the uncounted
-``order.compare`` and add the number of comparisons they executed to
-``order.comparisons`` once per call.  If ``compare`` raises, the list is
-still a permutation of its input: detection reverses a run only after its
-scan, and insertion sort puts the element it holds back.
+Run detection and insertion sort key each element once when they load it
+(``k = x if key is None else key(x)``, with ``key = order.key``), decide
+with an inline ``<=`` on keys, and add the number of comparisons they
+executed to ``order.comparisons`` once per call.  Detection holds the key
+of the previous element, so it keys each scanned element once.  Insertion
+sort holds the keys of its region in a local list, beside a local copy of
+the region, so it keys each element at most once.  If the key or ``<=``
+raises, the list is still a permutation of its input: detection reverses a
+run only after its scan, and insertion sort writes its copy back only when
+it is done.  An input that holds ``SENTINEL`` is keyed through the admitted
+key wrapper (``CountingOrder.admit_sentinel``), like any other element.
 """
 
 from __future__ import annotations
@@ -38,16 +44,31 @@ def find_first_run(lst, begin, end, order, stats):
     i = begin + 1
     if i == end:
         return Run(begin, i)
-    compare = order.compare
-    if compare(lst[begin], lst[i]):
-        i += 1
-        while i < end and compare(lst[i - 1], lst[i]):
-            i += 1
+    key = order.key
+    x = lst[begin]
+    kp = x if key is None else key(x)
+    x = lst[i]
+    k = x if key is None else key(x)
+    # kp is the key of lst[i - 1], k of lst[i].
+    if kp <= k:
+        for i in range(i + 1, end):
+            kp = k
+            x = lst[i]
+            k = x if key is None else key(x)
+            if not kp <= k:
+                break
+        else:
+            i = end
     else:
         # lst[begin] > lst[begin + 1]: strictly decreasing.
-        i += 1
-        while i < end and not compare(lst[i - 1], lst[i]):
-            i += 1
+        for i in range(i + 1, end):
+            kp = k
+            x = lst[i]
+            k = x if key is None else key(x)
+            if kp <= k:
+                break
+        else:
+            i = end
         lst[begin:i] = lst[begin:i][::-1]
         stats.moves += i - begin
     # One comparison per pair inside the run, plus the one that ended it
@@ -58,32 +79,51 @@ def find_first_run(lst, begin, end, order, stats):
 
 def insertion_sort(lst, begin, end, sorted_prefix_len, order, stats):
     """Stable insertion sort of [begin, end); the first ``sorted_prefix_len``
-    elements are known to be weakly increasing and are skipped."""
-    compare = order.compare
-    start = begin + sorted_prefix_len
-    if sorted_prefix_len == 0:
-        start = begin + 1
-    comparisons = 0
-    try:
-        for i in range(start, end):
-            x = lst[i]
-            j = i - 1
-            # Shift the strictly-greater tail right.  Stopping at the first
-            # element <= x inserts x after its equals, which keeps the sort
-            # stable.
-            while j >= begin and not compare(lst[j], x):
-                lst[j + 1] = lst[j]
+    elements are known to be weakly increasing and are skipped.
+
+    The region is sorted in a local copy, beside a list of its keys, and
+    written back at the end.  Each inserted element is keyed once; the
+    sorted prefix is keyed lazily, from its top down, as far as the
+    comparisons reach into it.  ``moves`` counts the writes of the in-place
+    algorithm: each shifted element and each element set into its hole.
+    """
+    key = order.key
+    start = max(sorted_prefix_len, 1)
+    vs = lst[begin:end]
+    if key is None:
+        ks = vs
+        lo = 0
+    else:
+        ks = [None] * start + list(map(key, vs[start:]))
+        lo = start  # ks[lo:] holds keys, ks[:lo] is not keyed yet
+    comparisons = moves = 0
+    for i in range(start, len(vs)):
+        kx = ks[i]
+        j = i - 1
+        # Stop at the first element <= x: x goes after its equals, which
+        # keeps the sort stable.
+        while j >= lo and not ks[j] <= kx:
+            j -= 1
+        if j < lo:
+            while j >= 0:
+                ks[j] = kj = key(vs[j])
+                lo = j
+                if kj <= kx:
+                    break
                 j -= 1
-            # One comparison per shifted element, plus the one that stopped
-            # the shift unless x went all the way to the front.
-            comparisons += i - 1 - j + (j >= begin)
-            if j + 1 != i:
-                lst[j + 1] = x
-                stats.moves += i - j
-    except BaseException:
-        # lst[j + 1] is the hole the shifts left; x goes back into it.
-        lst[j + 1] = x
-        raise
+        # One comparison per element x passes, plus the one that stopped
+        # it unless x went all the way to the front.
+        comparisons += i - 1 - j + (j >= 0)
+        if j + 1 != i:
+            vs.insert(j + 1, vs.pop(i))
+            if ks is not vs:
+                ks.insert(j + 1, ks.pop(i))
+            moves += i - j
+    if end > len(lst):
+        # Shortened during the sort; writing back would lengthen it again.
+        raise IndexError("insertion region past the end of the list")
+    lst[begin:end] = vs
+    stats.moves += moves
     order.comparisons += comparisons
 
 

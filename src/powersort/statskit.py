@@ -1,13 +1,21 @@
 """Instrumentation shared by the sorting kernels and the benchmark harness.
 
 Nothing in here is global state.  A ``CountingOrder`` holds the element
-order of one sort: ``compare``, a plain predicate that counts nothing, and
-the ``comparisons`` tally.  Run detection, insertion sort and the merge
-kernels call ``compare`` and add the number of comparisons they executed to
-``comparisons`` once per call, derived from their loop structure.  The
-counted method ``le`` is the same order one comparison at a time, for
-callers outside the sort.  A ``SortStats`` record accumulates every other
-counter and belongs to exactly one sort call.
+order of one sort: its ``key`` and the ``comparisons`` tally.  Run
+detection, insertion sort and the merge kernels key each element once when
+they load it (``k = x if key is None else key(x)``), keep that key in a
+local beside the element, decide with an inline ``<=`` on keys, and add the
+number of comparisons they executed to ``comparisons`` once per call,
+derived from their loop structure.  The counted method ``le`` is the same
+order one comparison at a time, for callers outside the sort.  A
+``SortStats`` record accumulates every other counter and belongs to exactly
+one sort call.
+
+An input that holds ``SENTINEL`` itself is sorted under
+``CountingOrder.admit_sentinel``, which wraps the key: ``SENTINEL`` maps to
+a greatest key of that order, whose ``<=`` tallies the comparison in
+``sentinel_comparisons``, and every other element to a thin wrapper around
+its real key, so the user's key type only ever meets its own kind.
 
 Counter semantics:
 
@@ -31,7 +39,6 @@ Counter semantics:
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 
@@ -51,33 +58,63 @@ class _PlusInfinity:
 SENTINEL = _PlusInfinity()
 
 
+class _AdmittedKey:
+    """An ordinary element's key while ``SENTINEL`` is admitted.
+
+    It compares with another such key by the keys it wraps.  Against the
+    greatest key it declines, so the greatest key answers through its
+    reflected ``__ge__``: the user's key type never meets a foreign object.
+    """
+
+    __slots__ = ("key",)
+
+    def __init__(self, key):
+        self.key = key
+
+    def __le__(self, other):
+        if other.__class__ is _AdmittedKey:
+            return self.key <= other.key
+        return NotImplemented
+
+
+class _GreatestKey:
+    """The key of an admitted ``SENTINEL``: after every other key, at or
+    before only itself.  Each comparison with it tallies itself in its
+    order's ``sentinel_comparisons``."""
+
+    __slots__ = ("order",)
+
+    def __init__(self, order):
+        self.order = order
+
+    def __le__(self, other):
+        self.order.sentinel_comparisons += 1
+        return other is self
+
+    def __ge__(self, other):
+        self.order.sentinel_comparisons += 1
+        return True
+
+
 class CountingOrder:
     """The element order of one sort: "a sorts at or before b".
 
-    An optional ``key`` extracts the sort key from an element (records are
-    compared by key only).  ``compare(a, b)`` is the uncounted predicate:
-    ``operator.le`` without a key, ``key(a) <= key(b)`` with one.  Callers
-    of ``compare`` add the comparisons they executed to ``comparisons``
-    themselves; ``sentinel_comparisons`` is the share of those that met an
-    admitted ``SENTINEL`` (see ``admit_sentinel``).  ``le(a, b)`` is the
-    counted form: every element comparison bumps ``comparisons``, and
-    comparisons against ``SENTINEL`` short-circuit uncounted.
+    ``key`` extracts the sort key from an element (records are compared by
+    key only); ``None`` compares the elements themselves.  The sort's
+    layers key each element once per load and compare keys with ``<=``;
+    they add the comparisons they executed to ``comparisons`` themselves.
+    ``sentinel_comparisons`` is the share of those that met an admitted
+    ``SENTINEL`` (see ``admit_sentinel``).  ``le(a, b)`` is the counted
+    form: every element comparison bumps ``comparisons``, and comparisons
+    against ``SENTINEL`` short-circuit uncounted.
     """
 
-    __slots__ = ("key", "comparisons", "sentinel_comparisons", "compare")
+    __slots__ = ("key", "comparisons", "sentinel_comparisons")
 
     def __init__(self, key=None):
         self.key = key
         self.comparisons = 0
         self.sentinel_comparisons = 0
-        if key is None:
-            self.compare = operator.le
-        else:
-
-            def compare(a, b):
-                return key(a) <= key(b)
-
-            self.compare = compare
 
     def le(self, a, b):
         if b is SENTINEL:
@@ -91,28 +128,26 @@ class CountingOrder:
         return key(a) <= key(b)
 
     def admit_sentinel(self):
-        """Let ``compare`` take ``SENTINEL`` as an input element.
+        """Let ``SENTINEL`` be an input element: wrap ``key``.
 
-        ``SENTINEL`` sorts after every other element and compares without a
-        call to the key.  Such a comparison is not an element comparison:
-        the caller's count in ``comparisons`` includes it, and the compare
-        tallies it in ``sentinel_comparisons``, which the sort subtracts
-        where it reports its element comparisons.  ``compare`` is then the
-        only writer of that slot, and the caller the only writer of
-        ``comparisons``.
+        The wrapped key maps ``SENTINEL``, without a call to the user's key,
+        to a greatest key of this order, and every other element to a thin
+        wrapper around its real key.  A comparison with the greatest key is
+        not an element comparison: the caller's count in ``comparisons``
+        includes it, and the greatest key tallies it in
+        ``sentinel_comparisons``, which the sort subtracts where it reports
+        its element comparisons.  The greatest key is then the only writer
+        of that slot, and the caller the only writer of ``comparisons``.
         """
-        plain = self.compare
+        key = self.key
+        greatest = _GreatestKey(self)
 
-        def compare(a, b):
-            if b is SENTINEL:
-                self.sentinel_comparisons += 1
-                return True
-            if a is SENTINEL:
-                self.sentinel_comparisons += 1
-                return False
-            return plain(a, b)
+        def admitted(x):
+            if x is SENTINEL:
+                return greatest
+            return _AdmittedKey(x if key is None else key(x))
 
-        self.compare = compare
+        self.key = admitted
 
 
 @dataclass(slots=True)

@@ -15,8 +15,7 @@ def fresh_instruments(key=None):
 
 
 class SpyKey:
-    """``KEY`` that counts its calls.  A counted comparison calls the key
-    twice, so ``2 * order.comparisons`` must equal ``calls``."""
+    """``KEY`` that counts its calls."""
 
     def __init__(self):
         self.calls = 0
@@ -24,6 +23,30 @@ class SpyKey:
     def __call__(self, record):
         self.calls += 1
         return record[0]
+
+
+class LeSpyKey(SpyKey):
+    """``SpyKey`` whose keys count their own ``<=`` calls in ``le_calls``:
+    the comparisons that ran, whatever the number of key calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.le_calls = 0
+
+    def __call__(self, record):
+        return _SpiedKey(super().__call__(record), self)
+
+
+class _SpiedKey:
+    __slots__ = ("key", "spy")
+
+    def __init__(self, key, spy):
+        self.key = key
+        self.spy = spy
+
+    def __le__(self, other):
+        self.spy.le_calls += 1
+        return self.key <= other.key
 
 
 class KeyFailure(Exception):

@@ -257,6 +257,79 @@ def test_raising_key_leaves_a_permutation_of_the_input(variant):
         assert sorted(lst) == sorted(records), fail_at
 
 
+class RandomOrderKey:
+    """A key whose ``<=`` answers from a seeded RNG: no order at all."""
+
+    __slots__ = ("rng",)
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def __le__(self, other):
+        return self.rng.random() < 0.5
+
+
+@pytest.mark.parametrize("min_run_len", [1, 24])
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_hostile_orders_terminate_with_a_permutation(variant, min_run_len):
+    # NaN keys (every comparison with one is false) and keys that answer
+    # at random: the sort must finish without an error, IndexError
+    # included, and leave a permutation of its input.
+    rng = random.Random(31)
+    for trial in range(25):
+        n = rng.randint(1, 400)
+        nan_keys = [float("nan") if rng.random() < 0.3 else rng.random()
+                    for _ in range(n)]
+        order_rng = random.Random(trial)
+        for values, key in (
+            (nan_keys, KEY),
+            (list(range(n)), lambda rec: RandomOrderKey(order_rng)),
+        ):
+            lst = make_records(values)
+            stable_sort_with(
+                lst, config_for(variant, key=key, min_run_len=min_run_len))
+            assert sorted(uid for _, uid in lst) == list(range(n)), trial
+
+
+class MutatingKey:
+    """``KEY`` that appends a record to ``lst``, or pops its last one, on
+    its ``at``-th call."""
+
+    def __init__(self, lst, at, grow):
+        self.lst = lst
+        self.at = at
+        self.grow = grow
+        self.calls = 0
+
+    def __call__(self, record):
+        self.calls += 1
+        if self.calls == self.at:
+            if self.grow:
+                self.lst.append((0, -1))
+            else:
+                self.lst.pop()
+        return record[0]
+
+
+@pytest.mark.parametrize("grow", [True, False], ids=["append", "pop"])
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_list_modified_during_sort_raises_value_error(variant, grow):
+    # For every key call j of the sort, in detection, extension and merges
+    # of every width: ValueError, never IndexError.
+    rng = random.Random(37)
+    records = make_records([rng.randint(0, 9) for _ in range(60)])
+    for min_run_len in (1, 4):
+        spy = SpyKey()
+        stable_sort_with(list(records), config_for(
+            variant, key=spy, min_run_len=min_run_len))
+        for at in range(1, spy.calls + 1):
+            lst = list(records)
+            config = config_for(variant, key=MutatingKey(lst, at, grow),
+                                min_run_len=min_run_len)
+            with pytest.raises(ValueError, match="list modified during sort"):
+                stable_sort_with(lst, config)
+
+
 # --- profile simulation ------------------------------------------------------
 
 

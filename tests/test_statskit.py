@@ -71,27 +71,59 @@ def test_counting_order_key_extraction():
     assert order.comparisons == 1
 
 
-def test_compare_is_the_uncounted_order():
-    order = CountingOrder()
-    assert order.compare(1, 2) and order.compare(2, 2) and not order.compare(3, 2)
-    keyed = CountingOrder(key=lambda rec: rec["k"])
-    assert keyed.compare({"k": 1, "x": 9}, {"k": 1, "x": 0})
-    assert not keyed.compare({"k": 2}, {"k": 1})
-    assert order.comparisons == keyed.comparisons == 0
+def test_admitted_key_orders_elements_by_their_own_keys():
+    order = CountingOrder(key=lambda rec: rec["k"])
+    order.admit_sentinel()
+    key = order.key
+    assert key({"k": 1, "x": 9}) <= key({"k": 1, "x": 0})
+    assert not key({"k": 2}) <= key({"k": 1})
+    plain = CountingOrder()
+    plain.admit_sentinel()
+    assert plain.key(1) <= plain.key(2) and not plain.key(3) <= plain.key(2)
+    assert order.comparisons == plain.comparisons == 0
+    assert order.sentinel_comparisons == plain.sentinel_comparisons == 0
 
 
 def test_admitted_sentinel_takes_its_comparisons_back():
-    # The caller counts every compare call in ``comparisons``; the three
-    # sentinel comparisons tally themselves in their own slot, which the
-    # sort subtracts, and leave ``comparisons`` to the caller alone.
+    # The caller counts every comparison in ``comparisons``; the three
+    # against the sentinel's key tally themselves in their own slot, which
+    # the sort subtracts, and leave ``comparisons`` to the caller alone.
     order = CountingOrder(key=lambda rec: rec["k"])
     order.admit_sentinel()
-    assert order.compare({"k": 5}, SENTINEL)
-    assert not order.compare(SENTINEL, {"k": 5})
-    assert order.compare(SENTINEL, SENTINEL)
+    key = order.key
+    assert key({"k": 5}) <= key(SENTINEL)
+    assert not key(SENTINEL) <= key({"k": 5})
+    assert key(SENTINEL) <= key(SENTINEL)
     assert (order.comparisons, order.sentinel_comparisons) == (0, 3)
-    assert order.compare({"k": 1}, {"k": 2})
+    assert key({"k": 1}) <= key({"k": 2})
     assert (order.comparisons, order.sentinel_comparisons) == (0, 3)
+
+
+class Strict:
+    """A key type that refuses to compare with any other type."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __le__(self, other):
+        if not isinstance(other, Strict):
+            raise TypeError("Strict compared with %r" % (other,))
+        return self.value <= other.value
+
+
+@pytest.mark.parametrize("variant", ["2way", "4way", "2way-copy-smaller"])
+def test_admitted_sort_never_shows_a_user_key_the_sentinel(variant):
+    # With SENTINEL in the input, the user's key type meets only its own
+    # kind: the sentinel's greatest key answers every comparison with it.
+    rng = random.Random(15)
+    values = [rng.randint(0, 20) for _ in range(300)]
+    lst = [SENTINEL if v == 0 else v for v in values]
+    config = SortConfig(k=4 if variant == "4way" else 2, variant=variant,
+                        key=Strict, min_run_len=4)
+    stable_sort_with(lst, config)
+    zeros = values.count(0)
+    assert lst[len(lst) - zeros:] == [SENTINEL] * zeros
+    assert lst[: len(lst) - zeros] == sorted(v for v in values if v)
 
 
 def test_counters_monotone_during_sort(monkeypatch):
