@@ -34,7 +34,8 @@ from .runs import extend_run, find_first_run
 from .statskit import SENTINEL, CountingOrder, SortStats
 
 #: Default minimum run length; shorter natural runs are extended to this
-#: length by insertion sort.  1 disables extension.
+#: length by binary insertion sort, which places each element with
+#: ``bisect_right`` and so compares keys with ``<``.  1 disables extension.
 MIN_RUN_LEN = 24
 
 
@@ -77,7 +78,9 @@ class SortConfig:
 
     ``k`` is the merge arity (2 or 4) and must match the kernel family named
     by ``variant``.  ``key`` extracts the sort key from an element; records
-    are compared by key only.  ``strict_merge_down`` collapses the final
+    are compared by key only.  Keys (or the elements, without ``key``)
+    need both ``<``, which run extension uses, and ``<=``, which run
+    detection and the merges use.  ``strict_merge_down`` collapses the final
     stack by popping up to k-1 runs per merge instead of normalizing to
     3j + 1 first.  ``on_merge`` is called after every executed merge with
     one ``(bounds, output_length)`` tuple, where bounds are the merged
@@ -278,7 +281,10 @@ def stable_sort_with(lst, config=None):
 
 
 def stable_sort(lst, key=None):
-    """Sort ``lst`` in place, stably, with the default configuration."""
+    """Sort ``lst`` in place, stably, with the default configuration.
+
+    Keys (or the elements, without ``key``) must support ``<`` and ``<=``.
+    """
     stable_sort_with(lst, SortConfig(key=key))
 
 

@@ -7,21 +7,30 @@ strictly decreasing region cannot contain two equal elements, so reversing
 it cannot reorder equals.  A weakly decreasing pair (x, x) therefore
 terminates a decreasing run.
 
+Short runs are extended by binary insertion sort, as in CPython's
+``list.sort`` (``binarysort`` in ``Objects/listsort.txt``).
+
 Run detection and insertion sort key each element once when they load it
-(``k = x if key is None else key(x)``, with ``key = order.key``), decide
-with an inline ``<=`` on keys, and add the number of comparisons they
-executed to ``order.comparisons`` once per call.  Detection holds the key
-of the previous element, so it keys each scanned element once.  Insertion
-sort holds the keys of its region in a local list, beside a local copy of
-the region, so it keys each element at most once.  If the key or ``<=``
-raises, the list is still a permutation of its input: detection reverses a
-run only after its scan, and insertion sort writes its copy back only when
-it is done.  An input that holds ``SENTINEL`` is keyed through the admitted
-key wrapper (``CountingOrder.admit_sentinel``), like any other element.
+(``k = x if key is None else key(x)``, with ``key = order.key``) and add
+the number of comparisons they executed to ``order.comparisons`` once per
+call.  Detection holds the key of the previous element, so it keys each
+scanned element once, and decides with an inline ``<=`` on keys.
+Insertion sort holds the keys of its region in a local list, beside a
+local copy of the region, and places each element with the C-level
+``bisect_right``, which decides with ``<``; it counts the probes from a
+table, since their number is fixed by the position ``bisect_right``
+returns.  If the key, ``<`` or ``<=`` raises, the list is still a
+permutation of its input: detection reverses a run only after its scan,
+and insertion sort writes its copy back only when it is done.  An input
+that holds ``SENTINEL`` is keyed through the admitted key wrapper
+(``CountingOrder.admit_sentinel``), like any other element.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from functools import cache
+from itertools import chain, islice
 from typing import NamedTuple
 
 
@@ -77,48 +86,100 @@ def find_first_run(lst, begin, end, order, stats):
     return Run(begin, i)
 
 
-def insertion_sort(lst, begin, end, sorted_prefix_len, order, stats):
-    """Stable insertion sort of [begin, end); the first ``sorted_prefix_len``
-    elements are known to be weakly increasing and are skipped.
+#: Rows of the insertion table: ``_insertion_table()[i]`` covers insertions
+#: into ``i`` < 64 sorted keys.  CPython's ``minrun`` never exceeds 64;
+#: longer regions, reachable with a larger ``min_run_len``, use ``_PathRow``
+#: directly.
+_TABLE_ROWS = 64
 
-    The region is sorted in a local copy, beside a list of its keys, and
-    written back at the end.  Each inserted element is keyed once; the
-    sorted prefix is keyed lazily, from its top down, as far as the
-    comparisons reach into it.  ``moves`` counts the writes of the in-place
-    algorithm: each shifted element and each element set into its hole.
+
+class _PathRow:
+    """Row ``i``: ``row[pos]`` is ``(probes, moves)`` of inserting an
+    element into ``i`` sorted keys when ``bisect_right`` returns ``pos``.
+
+    ``probes`` is the number of ``<`` that ``bisect_right`` runs: its path
+    is fixed by ``pos``, so walking it to ``pos`` counts them.  ``moves`` is
+    the in-place algorithm's writes: ``i - pos`` shifts plus the element set
+    into its hole, or none if it stays where it is.
     """
-    key = order.key
+
+    __slots__ = ("i",)
+
+    def __init__(self, i):
+        self.i = i
+
+    def __getitem__(self, pos):
+        i = self.i
+        lo, hi = 0, i
+        probes = 0
+        while lo < hi:
+            mid = (lo + hi) // 2
+            probes += 1
+            if pos <= mid:
+                hi = mid
+            else:
+                lo = mid + 1
+        return probes, (i - pos + 1 if pos != i else 0)
+
+
+@cache
+def _insertion_table():
+    """The ``_PathRow`` rows below ``_TABLE_ROWS`` as tuples; built on the
+    first insertion sort, not at import."""
+    return tuple(tuple(_PathRow(i)[pos] for pos in range(i + 1))
+                 for i in range(_TABLE_ROWS))
+
+
+def _insertion_rows(start, stop):
+    """Insertion-table rows ``start`` to ``stop - 1``, in order.
+
+    An iterator, not a slice: a slice is a new tuple, and CPython keeps
+    freed short tuples on a free list, so slices would stay allocated after
+    the sort and add to its peak memory.
+    """
+    rows = islice(_insertion_table(), start, stop)
+    if stop <= _TABLE_ROWS:
+        return rows
+    return chain(rows, map(_PathRow, range(max(start, _TABLE_ROWS), stop)))
+
+
+def insertion_sort(lst, begin, end, sorted_prefix_len, order, stats):
+    """Stable binary insertion sort of [begin, end); the first
+    ``sorted_prefix_len`` elements are known to be weakly increasing and
+    are skipped.
+
+    The sorted region is built in a local list, beside a list of its keys,
+    and written back at the end.  Each element is placed with the C-level
+    ``bisect_right`` on keys, after its equals, and inserted into both
+    lists.  If anything is inserted, every element of the region is keyed
+    once; otherwise none is.  ``bisect_right`` compares with ``<``, and its
+    probe path is fixed by the position it returns, whatever the order
+    answers, so ``comparisons`` adds ``rows[i][pos]`` per insertion.
+    ``moves`` counts the writes of the in-place algorithm: each shifted
+    element and each element set into its hole.
+    """
     start = max(sorted_prefix_len, 1)
-    vs = lst[begin:end]
+    if end - begin <= start:
+        return
+    key = order.key
+    vs = lst[begin:begin + start]
+    rest = lst[begin + start:end]
     if key is None:
         ks = vs
-        lo = 0
+        rest_keys = rest
     else:
-        ks = [None] * start + list(map(key, vs[start:]))
-        lo = start  # ks[lo:] holds keys, ks[:lo] is not keyed yet
+        ks = list(map(key, vs))
+        rest_keys = map(key, rest)
     comparisons = moves = 0
-    for i in range(start, len(vs)):
-        kx = ks[i]
-        j = i - 1
-        # Stop at the first element <= x: x goes after its equals, which
-        # keeps the sort stable.
-        while j >= lo and not ks[j] <= kx:
-            j -= 1
-        if j < lo:
-            while j >= 0:
-                ks[j] = kj = key(vs[j])
-                lo = j
-                if kj <= kx:
-                    break
-                j -= 1
-        # One comparison per element x passes, plus the one that stopped
-        # it unless x went all the way to the front.
-        comparisons += i - 1 - j + (j >= 0)
-        if j + 1 != i:
-            vs.insert(j + 1, vs.pop(i))
-            if ks is not vs:
-                ks.insert(j + 1, ks.pop(i))
-            moves += i - j
+    for row, x, kx in zip(_insertion_rows(start, end - begin), rest,
+                          rest_keys):
+        pos = bisect_right(ks, kx)
+        probes, shifted = row[pos]
+        comparisons += probes
+        moves += shifted
+        vs.insert(pos, x)
+        if ks is not vs:
+            ks.insert(pos, kx)
     if end > len(lst):
         # Shortened during the sort; writing back would lengthen it again.
         raise IndexError("insertion region past the end of the list")

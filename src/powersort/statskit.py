@@ -3,18 +3,21 @@
 Nothing in here is global state.  A ``CountingOrder`` holds the element
 order of one sort: its ``key`` and the ``comparisons`` tally.  Run
 detection, insertion sort and the merge kernels key each element once when
-they load it (``k = x if key is None else key(x)``), keep that key in a
-local beside the element, decide with an inline ``<=`` on keys, and add the
-number of comparisons they executed to ``comparisons`` once per call,
-derived from their loop structure.  The counted method ``le`` is the same
+they load it (``k = x if key is None else key(x)``), keep that key beside
+the element, and add the number of comparisons they executed to
+``comparisons`` once per call, derived from their loop structure (for
+insertion sort, from the positions ``bisect_right`` returns).  Detection
+and the merges decide with an inline ``<=`` on keys, insertion sort with
+``bisect_right``, which compares with ``<``; a key type needs both, as
+``list.sort``'s needs ``<``.  The counted method ``le`` is the same
 order one comparison at a time, for callers outside the sort.  A
 ``SortStats`` record accumulates every other counter and belongs to exactly
 one sort call.
 
 An input that holds ``SENTINEL`` itself is sorted under
 ``CountingOrder.admit_sentinel``, which wraps the key: ``SENTINEL`` maps to
-a greatest key of that order, whose ``<=`` tallies the comparison in
-``sentinel_comparisons``, and every other element to a thin wrapper around
+a greatest key of that order, whose ``<=`` and ``<`` tally the comparison
+in ``sentinel_comparisons``, and every other element to a thin wrapper around
 its real key, so the user's key type only ever meets its own kind.
 
 Counter semantics:
@@ -63,7 +66,8 @@ class _AdmittedKey:
 
     It compares with another such key by the keys it wraps.  Against the
     greatest key it declines, so the greatest key answers through its
-    reflected ``__ge__``: the user's key type never meets a foreign object.
+    reflected ``__ge__`` or ``__gt__``: the user's key type never meets a
+    foreign object.
     """
 
     __slots__ = ("key",)
@@ -74,6 +78,11 @@ class _AdmittedKey:
     def __le__(self, other):
         if other.__class__ is _AdmittedKey:
             return self.key <= other.key
+        return NotImplemented
+
+    def __lt__(self, other):
+        if other.__class__ is _AdmittedKey:
+            return self.key < other.key
         return NotImplemented
 
 
@@ -95,14 +104,23 @@ class _GreatestKey:
         self.order.sentinel_comparisons += 1
         return True
 
+    def __lt__(self, other):
+        self.order.sentinel_comparisons += 1
+        return False
+
+    def __gt__(self, other):
+        self.order.sentinel_comparisons += 1
+        return other is not self
+
 
 class CountingOrder:
     """The element order of one sort: "a sorts at or before b".
 
     ``key`` extracts the sort key from an element (records are compared by
     key only); ``None`` compares the elements themselves.  The sort's
-    layers key each element once per load and compare keys with ``<=``;
-    they add the comparisons they executed to ``comparisons`` themselves.
+    layers key each element once per load and compare keys with ``<=``
+    (detection and merges) or ``<`` (insertion sort); they add the
+    comparisons they executed to ``comparisons`` themselves.
     ``sentinel_comparisons`` is the share of those that met an admitted
     ``SENTINEL`` (see ``admit_sentinel``).  ``le(a, b)`` is the counted
     form: every element comparison bumps ``comparisons``, and comparisons

@@ -26,12 +26,14 @@ class SpyKey:
 
 
 class LeSpyKey(SpyKey):
-    """``SpyKey`` whose keys count their own ``<=`` calls in ``le_calls``:
-    the comparisons that ran, whatever the number of key calls."""
+    """``SpyKey`` whose keys count their own ``<=`` calls in ``le_calls``
+    and their ``<`` calls in ``lt_calls``: the comparisons that ran,
+    whatever the number of key calls."""
 
     def __init__(self):
         super().__init__()
         self.le_calls = 0
+        self.lt_calls = 0
 
     def __call__(self, record):
         return _SpiedKey(super().__call__(record), self)
@@ -47,6 +49,10 @@ class _SpiedKey:
     def __le__(self, other):
         self.spy.le_calls += 1
         return self.key <= other.key
+
+    def __lt__(self, other):
+        self.spy.lt_calls += 1
+        return self.key < other.key
 
 
 class KeyFailure(Exception):

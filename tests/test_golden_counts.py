@@ -4,13 +4,14 @@ reserved ``SENTINEL``.
 Inputs that hold ``SENTINEL`` take the sentinel-aware path: sentinel
 variants fall back to their bounds-checked siblings, and comparisons
 against ``SENTINEL`` stay uncounted.  ``golden_sentinel_counts.json`` holds
-the full ``SortStats`` and a digest of the merge trace of every such case,
-recorded when each comparison was still a counted ``CountingOrder.le``
-call.  ``golden_sentinel_free_counts.json`` holds the same for the same
-inputs with their ``SENTINEL`` slots dropped; those sorts run the sentinel
-kernels themselves, and their golden was recorded before the kernels were
-rewritten to hold their heads in locals.  Every count must reproduce
-exactly.
+the full ``SortStats`` and a digest of the merge trace of every such case.
+``golden_sentinel_free_counts.json`` holds the same for the same inputs
+with their ``SENTINEL`` slots dropped; those sorts run the sentinel kernels
+themselves.  Both were recorded when each comparison was still a counted
+``CountingOrder.le`` call, and re-recorded when run extension moved from
+linear to binary insertion, which changed ``comparisons`` only (the
+``chunks`` cases; ``ties`` sorts with ``min_run_len`` 1).  Every count must
+reproduce exactly.
 
 To re-baseline on purpose (a change that alters the counts and says so)::
 

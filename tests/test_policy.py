@@ -12,12 +12,14 @@ from powersort.policy import (
     stable_sort_with,
 )
 from powersort.power import run_stack_capacity
+from powersort.runs import _TABLE_ROWS
 from powersort.statskit import SENTINEL
 
 from conftest import (
     KEY,
     FailingKey,
     KeyFailure,
+    LeSpyKey,
     SpyKey,
     assert_stable_sorted,
     make_records,
@@ -211,6 +213,23 @@ def test_random_records_sort_stably(variant, min_run_len):
         assert_stable_sorted(lst, records)
 
 
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_min_run_len_past_the_insertion_table(variant):
+    # Regions longer than the insertion table's rows walk bisect_right's
+    # path instead; the counts still equal the comparisons that ran.
+    min_run_len = _TABLE_ROWS + 36
+    rng = random.Random(41)
+    records = make_records([rng.randint(0, 50) for _ in range(700)])
+    lst = list(records)
+    spy = LeSpyKey()
+    stats = stable_sort_with(
+        lst, config_for(variant, min_run_len=min_run_len, key=spy))
+    assert_stable_sorted(lst, records)
+    assert max(stats.run_lengths) == min_run_len
+    assert spy.lt_calls > 0
+    assert stats.comparisons == spy.le_calls + spy.lt_calls
+
+
 def test_stable_sort_default_entrypoint():
     records = make_records([3, 1, 3, 1, 2, 2, 3])
     lst = list(records)
@@ -258,7 +277,8 @@ def test_raising_key_leaves_a_permutation_of_the_input(variant):
 
 
 class RandomOrderKey:
-    """A key whose ``<=`` answers from a seeded RNG: no order at all."""
+    """A key whose ``<=`` and ``<`` answer from a seeded RNG: no order at
+    all."""
 
     __slots__ = ("rng",)
 
@@ -267,6 +287,8 @@ class RandomOrderKey:
 
     def __le__(self, other):
         return self.rng.random() < 0.5
+
+    __lt__ = __le__
 
 
 @pytest.mark.parametrize("min_run_len", [1, 24])
@@ -289,6 +311,31 @@ def test_hostile_orders_terminate_with_a_permutation(variant, min_run_len):
             stable_sort_with(
                 lst, config_for(variant, key=key, min_run_len=min_run_len))
             assert sorted(uid for _, uid in lst) == list(range(n)), trial
+
+
+class LeOnlyKey:
+    """A key type with ``<=`` and no ``<``."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, record):
+        self.value = record[0]
+
+    def __le__(self, other):
+        return self.value <= other.value
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_key_without_lt_raises_type_error(variant):
+    # Run extension places elements with bisect_right, which compares with
+    # ``<``, as list.sort does: a key type needs both operators.
+    rng = random.Random(43)
+    records = make_records([rng.randint(0, 9) for _ in range(100)])
+    lst = list(records)
+    with pytest.raises(TypeError):
+        stable_sort_with(
+            lst, config_for(variant, key=LeOnlyKey, min_run_len=24))
+    assert sorted(lst) == sorted(records)
 
 
 class MutatingKey:

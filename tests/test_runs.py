@@ -1,9 +1,17 @@
 import itertools
 import random
+from bisect import bisect_right
 
 import pytest
 
-from powersort.runs import Run, extend_run, find_first_run, insertion_sort
+from powersort.runs import (
+    _TABLE_ROWS,
+    Run,
+    _insertion_rows,
+    extend_run,
+    find_first_run,
+    insertion_sort,
+)
 
 from conftest import (
     KEY,
@@ -205,7 +213,8 @@ def test_exhaustive_detection_comparisons_match_key_calls():
                 order, stats = fresh_instruments(spy)
                 run = find_first_run(make_records(keys), begin, end, order, stats)
                 case = (keys, begin, end)
-                assert order.comparisons == spy.le_calls, case
+                # Detection decides with ``<=`` only.
+                assert (order.comparisons, spy.lt_calls) == (spy.le_calls, 0), case
                 scanned = run.end - begin + (run.end < end)
                 assert spy.calls == (scanned if scanned > 1 else 0), case
 
@@ -226,12 +235,50 @@ def test_exhaustive_insertion_comparisons_match_key_calls():
                 insertion_sort(lst, begin, n, prefix, order, stats)
                 case = (keys, begin, prefix)
                 assert lst[begin:] == sorted(records[begin:], key=KEY)
-                assert order.comparisons == spy.le_calls, case
-                # Keys are held, so no element is keyed twice, and a
-                # prefix element is keyed only once a comparison reaches it.
-                inserted = max(n - begin - max(prefix, 1), 0)
-                assert spy.calls <= order.comparisons + inserted, case
-                assert spy.calls <= n - begin, case
+                # bisect_right decides with ``<`` only, and the probe table
+                # counts every ``<`` it ran.
+                assert (order.comparisons, spy.le_calls) == (spy.lt_calls, 0), case
+                # The whole region is keyed once if anything is inserted,
+                # and not at all otherwise.
+                inserted = n - begin > max(prefix, 1)
+                assert spy.calls == (n - begin if inserted else 0), case
+
+
+class CoinKey:
+    """A key whose ``<`` answers from a seeded RNG and counts its calls."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.lt_calls = 0
+
+    def __lt__(self, other):
+        self.lt_calls += 1
+        return self.rng.random() < 0.5
+
+
+def test_insertion_rows_match_a_counting_bisect():
+    # For every (i, pos) in the table and past it, a row entry holds the
+    # ``<`` calls of a bisect_right over i keys that returns pos, and the
+    # in-place algorithm's moves for that insertion.
+    stop = _TABLE_ROWS + 40
+    for i, row in zip(range(stop), _insertion_rows(0, stop)):
+        for pos in range(i + 1):
+            spy = LeSpyKey()
+            keys = [spy((0,))] * pos + [spy((2,))] * (i - pos)
+            assert bisect_right(keys, spy((1,))) == pos
+            assert row[pos] == (spy.lt_calls, i - pos + 1 if pos != i else 0)
+
+
+def test_insertion_rows_hold_for_an_inconsistent_order():
+    # bisect_right's path is fixed by the position it returns, whatever
+    # ``<`` answers, so the row entry still counts the probes.
+    rng = random.Random(5)
+    stop = _TABLE_ROWS + 40
+    for i, row in zip(range(stop), _insertion_rows(0, stop)):
+        for _ in range(20):
+            x = CoinKey(rng)
+            pos = bisect_right([None] * i, x)
+            assert row[pos][0] == x.lt_calls, (i, pos)
 
 
 def test_raising_key_leaves_insertion_sort_a_permutation():
@@ -247,4 +294,45 @@ def test_raising_key_leaves_insertion_sort_a_permutation():
             with pytest.raises(KeyFailure):
                 insertion_sort(lst, 1, n + 1, 0, order, stats)
             assert lst[0] == lst[-1] == "pad"
-            assert sorted(lst[1:-1]) == sorted(records), (keys, fail_at)
+            assert lst[1:-1] == records, (keys, fail_at)
+
+
+class FailingLtKey:
+    """``KEY`` whose keys' ``<`` raises ``KeyFailure`` on the ``fail_at``-th
+    call across all of them."""
+
+    def __init__(self, fail_at):
+        self.lt_calls = 0
+        self.fail_at = fail_at
+
+    def __call__(self, record):
+        return _FailingLt(record[0], self)
+
+
+class _FailingLt:
+    __slots__ = ("key", "spy")
+
+    def __init__(self, key, spy):
+        self.key = key
+        self.spy = spy
+
+    def __lt__(self, other):
+        self.spy.lt_calls += 1
+        if self.spy.lt_calls == self.spy.fail_at:
+            raise KeyFailure(self.spy.fail_at)
+        return self.key < other.key
+
+
+def test_raising_lt_leaves_insertion_sort_untouched():
+    for keys in key_strings(6):
+        records = make_records(keys)
+        n = len(records)
+        spy = FailingLtKey(0)
+        insertion_sort(list(records), 0, n, 0, *fresh_instruments(spy))
+        for fail_at in range(1, spy.lt_calls + 1):
+            lst = list(records)
+            order, stats = fresh_instruments(FailingLtKey(fail_at))
+            with pytest.raises(KeyFailure):
+                insertion_sort(lst, 0, n, 0, order, stats)
+            assert lst == records, (keys, fail_at)
+            assert (order.comparisons, stats.moves) == (0, 0)

@@ -99,6 +99,23 @@ def test_admitted_sentinel_takes_its_comparisons_back():
     assert (order.comparisons, order.sentinel_comparisons) == (0, 3)
 
 
+def test_admitted_sentinel_answers_lt_as_a_greatest_key():
+    # bisect_right compares with ``<``: the greatest key is after every
+    # other key and not before itself, and tallies each such comparison.
+    order = CountingOrder(key=lambda rec: rec["k"])
+    order.admit_sentinel()
+    key = order.key
+    assert key({"k": 5}) < key(SENTINEL)
+    assert not key(SENTINEL) < key({"k": 5})
+    assert not key(SENTINEL) < key(SENTINEL)
+    assert key(SENTINEL) > key({"k": 5})
+    assert not key(SENTINEL) > key(SENTINEL)
+    assert (order.comparisons, order.sentinel_comparisons) == (0, 5)
+    assert key({"k": 1}) < key({"k": 2})
+    assert not key({"k": 2}) < key({"k": 2})
+    assert (order.comparisons, order.sentinel_comparisons) == (0, 5)
+
+
 class Strict:
     """A key type that refuses to compare with any other type."""
 
@@ -109,6 +126,11 @@ class Strict:
         if not isinstance(other, Strict):
             raise TypeError("Strict compared with %r" % (other,))
         return self.value <= other.value
+
+    def __lt__(self, other):
+        if not isinstance(other, Strict):
+            raise TypeError("Strict compared with %r" % (other,))
+        return self.value < other.value
 
 
 @pytest.mark.parametrize("variant", ["2way", "4way", "2way-copy-smaller"])
