@@ -294,7 +294,8 @@ def main(argv=None):
                         help="random-runs expected run length (default sqrt n)")
     parser.add_argument("--trials", required=True, type=_parse_count)
     parser.add_argument("--seed", required=True, type=int)
-    parser.add_argument("--min-run-len", type=_parse_count, default=24)
+    parser.add_argument("--min-run-len", type=_parse_count,
+                        default=MIN_RUN_LEN)
     parser.add_argument("--elem", choices=("int", "record"), default="int",
                         help="element type: plain ints or (key, index) records")
     parser.add_argument("--csv", default="-",

@@ -6,13 +6,14 @@ detection, insertion sort and the merge kernels key each element once when
 they load it (``k = x if key is None else key(x)``), keep that key beside
 the element, and add the number of comparisons they executed to
 ``comparisons`` once per call, derived from their loop structure (for
-insertion sort, from the positions ``bisect_right`` returns).  Detection
-and the merges decide with an inline ``<=`` on keys, insertion sort with
-``bisect_right``, which compares with ``<``; a key type needs both, as
-``list.sort``'s needs ``<``.  The counted method ``le`` is the same
-order one comparison at a time, for callers outside the sort.  A
-``SortStats`` record accumulates every other counter and belongs to exactly
-one sort call.
+insertion sort, from the positions ``bisect_right`` returns).  The merges
+decide with an inline ``<=`` on keys, and so does detection, except that
+an unkeyed run longer than 32 elements is finished by ``operator.le`` in C
+(``runs._scan_tail``); insertion sort uses ``bisect_right``, which compares
+with ``<``.  A key type needs both, as ``list.sort``'s needs ``<``.  The
+counted method ``le`` is the same order one comparison at a time, for
+callers outside the sort.  A ``SortStats`` record accumulates every other
+counter and belongs to exactly one sort call.
 
 An input that holds ``SENTINEL`` itself is sorted under
 ``CountingOrder.admit_sentinel``, which wraps the key: ``SENTINEL`` maps to

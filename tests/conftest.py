@@ -55,6 +55,48 @@ class _SpiedKey:
         return self.key < other.key
 
 
+class LeTally:
+    """Counts the ``<=`` and ``<`` calls of the ``Counted`` elements it
+    makes (``wrap``).  With ``truthy``, ``<=`` answers with a non-empty or
+    an empty string instead of a bool.  Once ``at`` and ``action`` are set,
+    the ``at``-th ``<=`` call runs ``action()`` first."""
+
+    def __init__(self, truthy=False):
+        self.le_calls = 0
+        self.lt_calls = 0
+        self.truthy = truthy
+        self.at = 0
+        self.action = None
+
+    def wrap(self, values):
+        return [Counted(v, self) for v in values]
+
+
+class Counted:
+    """An element ordered by ``value`` that counts its own comparisons in
+    its ``LeTally``, so a test sees the ``<=`` calls an unkeyed sort made,
+    whatever the sort counted."""
+
+    __slots__ = ("value", "tally")
+
+    def __init__(self, value, tally):
+        self.value = value
+        self.tally = tally
+
+    def __le__(self, other):
+        tally = self.tally
+        tally.le_calls += 1
+        if tally.le_calls == tally.at:
+            tally.action()
+        if self.value <= other.value:
+            return "yes" if tally.truthy else True
+        return "" if tally.truthy else False
+
+    def __lt__(self, other):
+        self.tally.lt_calls += 1
+        return self.value < other.value
+
+
 class KeyFailure(Exception):
     """Raised by ``FailingKey``."""
 

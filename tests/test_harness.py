@@ -178,6 +178,21 @@ def test_cli_rejects_unknown_algo(capsys):
     capsys.readouterr()
 
 
+def test_cli_min_run_len_defaults_to_the_sort_default(monkeypatch, capsys):
+    seen = []
+
+    def fake_benchmark(algos, generator, trials, min_run_len, elem):
+        seen.append(min_run_len)
+        return [], []
+
+    monkeypatch.setattr(harness, "MIN_RUN_LEN", 7)
+    monkeypatch.setattr(harness, "run_benchmark", fake_benchmark)
+    assert main(["--algo", "4way", "--input", "sorted", "--n", "10",
+                 "--trials", "1", "--seed", "0"]) == 0
+    capsys.readouterr()
+    assert seen == [7]
+
+
 def test_parallel_trials_match_serial(monkeypatch):
     spec = GeneratorSpec("random-runs", 400, expected_run_len=10, seed=3)
     serial, _ = run_benchmark(["4way"], spec, trials=4, workers=1)

@@ -20,6 +20,7 @@ from conftest import (
     FailingKey,
     KeyFailure,
     LeSpyKey,
+    LeTally,
     SpyKey,
     assert_stable_sorted,
     make_records,
@@ -375,6 +376,58 @@ def test_list_modified_during_sort_raises_value_error(variant, grow):
                                 min_run_len=min_run_len)
             with pytest.raises(ValueError, match="list modified during sort"):
                 stable_sort_with(lst, config)
+
+
+def tail_values():
+    """An ascending run of 70 (equal pairs included) and a strictly
+    descending run of 60 to the list's end.  Unkeyed, detection's inline
+    loop runs ``<=`` calls 1-31 and 71-101, its C tail calls 32-70 and
+    102-129, and the merge the calls after them."""
+    return [100 + i // 2 for i in range(70)] + list(range(99, 39, -1))
+
+
+def tail_trap(at, action):
+    """A fresh unkeyed ``tail_values`` list whose ``<=`` runs
+    ``action(lst)`` on its ``at``-th call, and the tally of its
+    comparisons."""
+    tally = LeTally()
+    lst = tally.wrap(tail_values())
+    tally.at = at
+    tally.action = lambda: action(lst)
+    return lst, tally
+
+
+def raise_key_failure(lst):
+    raise KeyFailure("<=")
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_raising_le_in_the_unkeyed_tail_leaves_a_permutation(variant):
+    lst, tally = tail_trap(0, None)
+    stable_sort_with(lst, config_for(variant))
+    assert [x.value for x in lst] == sorted(tail_values())
+    assert tally.le_calls > 129
+    for at in range(1, tally.le_calls + 1):
+        lst, _ = tail_trap(at, raise_key_failure)
+        before = sorted(map(id, lst))
+        with pytest.raises(KeyFailure):
+            stable_sort_with(lst, config_for(variant))
+        assert sorted(map(id, lst)) == before, at
+
+
+@pytest.mark.parametrize("grow", [True, False], ids=["append", "pop"])
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_list_modified_in_the_unkeyed_tail_raises_value_error(variant, grow):
+    # In the C tail the iterators would read past the view after an append
+    # and stop short after a pop; either way: ValueError, never a run end
+    # past the list.
+    lst, tally = tail_trap(0, None)
+    stable_sort_with(lst, config_for(variant))
+    for at in range(1, tally.le_calls + 1):
+        lst, _ = tail_trap(at, (lambda lst: lst.append(lst[0])) if grow
+                           else (lambda lst: lst.pop()))
+        with pytest.raises(ValueError, match="list modified during sort"):
+            stable_sort_with(lst, config_for(variant))
 
 
 # --- profile simulation ------------------------------------------------------

@@ -5,6 +5,7 @@ from bisect import bisect_right
 import pytest
 
 from powersort.runs import (
+    _SCAN_INLINE,
     _TABLE_ROWS,
     Run,
     _insertion_rows,
@@ -18,6 +19,7 @@ from conftest import (
     FailingKey,
     KeyFailure,
     LeSpyKey,
+    LeTally,
     SpyKey,
     fresh_instruments,
     is_weakly_increasing,
@@ -217,6 +219,69 @@ def test_exhaustive_detection_comparisons_match_key_calls():
                 assert (order.comparisons, spy.lt_calls) == (spy.le_calls, 0), case
                 scanned = run.end - begin + (run.end < end)
                 assert spy.calls == (scanned if scanned > 1 else 0), case
+
+
+def reference_run_end(values, begin, end):
+    """The end of the run at ``begin`` in the view [begin, end), found by
+    one comparison per pair."""
+    i = begin + 1
+    if i < end:
+        ascending = values[begin] <= values[i]
+        while i + 1 < end and (values[i] <= values[i + 1]) == ascending:
+            i += 1
+        i += 1
+    return i
+
+
+@pytest.mark.parametrize("truthy", [False, True], ids=["bool", "truthy"])
+@pytest.mark.parametrize("descending", [False, True],
+                         ids=["ascending", "descending"])
+@pytest.mark.parametrize("length", [31, 32, 33, 100, 1000])
+def test_unkeyed_tail_matches_the_loop(length, descending, truthy):
+    # Past _SCAN_INLINE elements an unkeyed run is finished in C: the run
+    # end, the reversal and the ``<=`` calls are the loop's, and no ``<``
+    # runs.  Ascending runs hold equal pairs; descending ones end at one.
+    # Views end inside the run, at it, one past it and at the list's end.
+    assert _SCAN_INLINE == 32
+    if descending:
+        run, after = list(range(length, 0, -1)), [1, 1, 0, 5]
+    else:
+        run, after = [i // 2 for i in range(length)], [-1, 7, 8]
+    pad = [50, -50, 50]
+    begin = len(pad)
+    cases = [(pad + run + after, end) for end in (
+        begin + length - 1, begin + length, begin + length + 1,
+        begin + length + len(after))]
+    cases.append((pad + run, begin + length))
+    for values, end in cases:
+        tally = LeTally(truthy)
+        lst = tally.wrap(values)
+        order, stats = fresh_instruments()
+        got = find_first_run(lst, begin, end, order, stats)
+        stop = reference_run_end(values, begin, end)
+        case = (length, end, len(values))
+        assert got == Run(begin, stop), case
+        assert order.comparisons == tally.le_calls, case
+        assert order.comparisons == stop - begin - 1 + (stop < end), case
+        assert tally.lt_calls == 0, case
+        region = values[begin:stop]
+        expected = (values[:begin] + (region[::-1] if descending else region)
+                    + values[stop:])
+        assert [x.value for x in lst] == expected, case
+
+
+@pytest.mark.parametrize("grow", [True, False], ids=["append", "pop"])
+def test_list_modified_in_the_unkeyed_tail_raises(grow):
+    # After a pop the tail's iterators stop short and would report a run
+    # to the old end, past the list's; after an append they read on.
+    values = [0, 0] + list(range(100)) + [-1]
+    for at in range(_SCAN_INLINE, 101):
+        tally = LeTally()
+        lst = tally.wrap(values)
+        tally.at = at
+        tally.action = (lambda: lst.append(lst[0])) if grow else lst.pop
+        with pytest.raises(ValueError, match="list modified"):
+            find_first_run(lst, 2, len(values), *fresh_instruments())
 
 
 def test_exhaustive_insertion_comparisons_match_key_calls():
