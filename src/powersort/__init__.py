@@ -17,7 +17,6 @@ from .policy import (
 from .power import node_power, run_stack_capacity
 from .runs import Run
 from .statskit import (
-    SENTINEL,
     CountingOrder,
     SortStats,
     normalized_merge_cost,
@@ -31,7 +30,6 @@ __all__ = [
     "MIN_RUN_LEN",
     "MergeBuffer",
     "Run",
-    "SENTINEL",
     "CountingOrder",
     "SortConfig",
     "SortStats",

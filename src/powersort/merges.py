@@ -10,9 +10,10 @@ derived from its loop structure.  Ties always go to the run with the lower
 start index -- "at or before" at every decision point, with the
 lower-indexed run on the left -- which is what makes each kernel stable.
 
-When the input holds ``SENTINEL`` itself, ``order.key`` is the admitted
-key wrapper of ``CountingOrder.admit_sentinel`` and only the sentinel-free
-kernels run; they key an input ``SENTINEL`` like any other element.
+The sentinel kernels place their buffer's own sentinel, ``buf.sentinel``,
+after each buffered run.  It is a fresh object per ``MergeBuffer`` that no
+caller of the sort can hold, so no input value is reserved: an element
+that sorts after every other is keyed and compared like any other.
 
 Five buffer strategies:
 
@@ -41,11 +42,11 @@ taken from their runs.  The root outputs the smaller of x and y and
 refills that side from its two heads.  A 3-way merge is the same tree with
 an empty fourth run, whose head is run 2's sentinel slot.  A sentinel sorts
 after every element and loses each decision without a comparison; such a
-decision is not counted.  A head is tested for ``SENTINEL`` with ``is``
+decision is not counted.  A head is tested for the sentinel with ``is``
 before it is keyed, so a sentinel slot is never keyed.  While runs 0-2 are
 nonempty, only run 3's head can be a sentinel, so the fast phase tests
 only that head and the head it just refilled.  After that, every decision
-tests both its sides for ``SENTINEL`` with ``is`` before it compares.
+tests both its sides for the sentinel with ``is`` before it compares.
 
 The staged merger's tree holds values the same way, without sentinels:
 the heads h0..h3, the winners x and y with the runs they came from, their
@@ -64,8 +65,6 @@ propagates, so the list stays a permutation of its input.
 
 from __future__ import annotations
 
-from .statskit import SENTINEL
-
 #: Diagnostic counter: number of times the staged merger rolled an element
 #: back into the run that had just run dry and had to replay a round at the
 #: same width.  Tests use this to pin coverage of that path; it has no
@@ -79,14 +78,20 @@ class MergeBuffer:
     A capacity of n + k covers the largest merge output plus one reserved
     slot per run (sentinels, or the stage merger's guard slot).  Contents
     are scratch: nothing is guaranteed between merges.
+
+    The buffer owns its sentinel, ``sentinel``: a fresh object that the
+    sentinel kernels write after each buffered run and recognise with
+    ``is``.  A caller that passes its own buffer to a kernel must keep
+    ``buf.sentinel`` out of the list it merges.
     """
 
-    __slots__ = ("data",)
+    __slots__ = ("data", "sentinel")
 
     def __init__(self, capacity):
         if capacity < 1:
             raise ValueError("buffer capacity must be positive")
         self.data = [None] * capacity
+        self.sentinel = object()
 
     @property
     def capacity(self):
@@ -172,12 +177,12 @@ def merge_2way_sentinel(lst, l, m, r, buf, order, stats):
     n = r - l
     n1 = m - l
     B = buf.data
+    sentinel = buf.sentinel
     B[0:n1] = lst[l:m]
-    B[n1] = SENTINEL
+    B[n1] = sentinel
     B[n1 + 1 : n + 1] = lst[m:r]
-    B[n + 1] = SENTINEL
+    B[n + 1] = sentinel
     key = order.key
-    sentinel = SENTINEL
     c1, c2 = 0, n1 + 1
     a = B[c1]
     b = B[c2]
@@ -210,7 +215,7 @@ def merge_2way_sentinel(lst, l, m, r, buf, order, stats):
 
 def merge_2way_no_sentinel(lst, l, m, r, buf, order, stats):
     """Like merge_2way_sentinel, but with explicit bounds checks instead of
-    reserved values.  Output and move counts are identical."""
+    sentinels.  Output and move counts are identical."""
     _check_regions(lst, (l, m, r), buf, r - l)
     n = r - l
     n1 = m - l
@@ -306,7 +311,7 @@ def merge_4way_sentinel(lst, l, g1, g2, g3, r, buf, order, stats):
     """Merge sorted [l,g1), [g1,g2), [g2,g3), [g3,r) in place via a winner
     tournament tree, with a sentinel after each buffered run."""
     _check_regions(lst, (l, g1, g2, g3, r), buf, (r - l) + 4)
-    _tournament(lst, (l, g1, g2, g3, r), buf.data, order, stats)
+    _tournament(lst, (l, g1, g2, g3, r), buf, order, stats)
     stats.merges4 += 1
 
 
@@ -314,22 +319,24 @@ def merge_3way(lst, l, g1, g2, r, buf, order, stats):
     """Merge sorted [l,g1), [g1,g2), [g2,r) in place: the tournament of
     merge_4way_sentinel with an empty fourth run."""
     _check_regions(lst, (l, g1, g2, r), buf, (r - l) + 3)
-    _tournament(lst, (l, g1, g2, r), buf.data, order, stats)
+    _tournament(lst, (l, g1, g2, r), buf, order, stats)
     stats.merges3 += 1
 
 
-def _tournament(lst, bounds, B, order, stats):
+def _tournament(lst, bounds, buf, order, stats):
     """Merge the 3 or 4 sorted regions between ``bounds`` in place through
     the tournament tree described in the module docstring."""
     l = bounds[0]
     r = bounds[-1]
     n = r - l
+    B = buf.data
+    sentinel = buf.sentinel
     # Run i goes to B[starts[i]:ends[i]], its sentinel to B[ends[i]].
     starts = [b - l + i for i, b in enumerate(bounds[:-1])]
     ends = [b - l + i for i, b in enumerate(bounds[1:])]
     for i, end in enumerate(ends):
         B[starts[i] : end] = lst[bounds[i] : bounds[i + 1]]
-        B[end] = SENTINEL
+        B[end] = sentinel
     if len(ends) == 3:
         # The empty fourth run starts and ends at run 2's sentinel slot.
         starts.append(ends[2])
@@ -338,7 +345,6 @@ def _tournament(lst, bounds, B, order, stats):
     e0, e1, e2, e3 = ends
     h0, h1, h2, h3 = B[c0], B[c1], B[c2], B[c3]
     key = order.key
-    sentinel = SENTINEL
     # A sentinel winner is an exhausted side, or one not drawn yet.
     x = y = kx = ky = sentinel
     met = 0  # decisions met by a sentinel, without a comparison

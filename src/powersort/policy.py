@@ -14,9 +14,7 @@ k = 4 the collapse first normalizes the number of remaining runs to
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Callable, Optional
 
 from .merges import (
@@ -31,7 +29,7 @@ from .merges import (
 )
 from .power import node_power, run_stack_capacity
 from .runs import extend_run, find_first_run
-from .statskit import SENTINEL, CountingOrder, SortStats
+from .statskit import CountingOrder, SortStats
 
 #: Default minimum run length; shorter natural runs are extended to this
 #: length by binary insertion sort, which places each element with
@@ -45,29 +43,20 @@ class _VariantKernels:
     merge2: Callable
     merge3: Optional[Callable]
     merge4: Optional[Callable]
-    needs_sentinel: bool
-    fallback: Optional[str] = None
 
 
-#: Merge-kernel families selectable per sort.  Sentinel-based variants fall
-#: back to their sentinel-free sibling when the input contains the reserved
-#: value.
+#: Merge-kernel families selectable per sort.
 VARIANTS = {
-    "2way": _VariantKernels(
-        2, merge_2way_sentinel, None, None, True, "2way-nosentinel"
-    ),
+    "2way": _VariantKernels(2, merge_2way_sentinel, None, None),
     "2way-copy-smaller": _VariantKernels(
-        2, merge_2way_copy_smaller, None, None, False
+        2, merge_2way_copy_smaller, None, None
     ),
-    "2way-nosentinel": _VariantKernels(
-        2, merge_2way_no_sentinel, None, None, False
-    ),
+    "2way-nosentinel": _VariantKernels(2, merge_2way_no_sentinel, None, None),
     "4way": _VariantKernels(
-        4, merge_2way_sentinel, merge_3way, merge_4way_sentinel, True,
-        "4way-nosentinel",
+        4, merge_2way_sentinel, merge_3way, merge_4way_sentinel
     ),
     "4way-nosentinel": _VariantKernels(
-        4, merge_2way_no_sentinel, merge_3way_stages, merge_4way_stages, False
+        4, merge_2way_no_sentinel, merge_3way_stages, merge_4way_stages
     ),
 }
 
@@ -214,13 +203,6 @@ def stable_sort_with(lst, config=None):
     if n == 0:
         return stats
     order = CountingOrder(config.key)
-    if any(map(operator.is_, lst, repeat(SENTINEL))):
-        # The reserved value appears in the input.  The plain key cannot
-        # order it, and sentinel slots would be ambiguous, so key it as a
-        # greatest key and use the bounds-checked siblings instead.
-        order.admit_sentinel()
-        if kernels.needs_sentinel:
-            kernels = VARIANTS[kernels.fallback]
     k = config.k
     buf = MergeBuffer(n + k)
     stats.scan_reads += n    # one detection scan over the input
@@ -243,7 +225,7 @@ def stable_sort_with(lst, config=None):
                 lst, begins[0], begins[1], begins[2], begins[3], end,
                 buf, order, stats,
             )
-        stats.comparisons = order.comparisons - order.sentinel_comparisons
+        stats.comparisons = order.comparisons
         if on_merge is not None:
             on_merge((tuple(begins) + (end,), end - begins[0]))
 
@@ -276,7 +258,7 @@ def stable_sort_with(lst, config=None):
         raise
     if len(lst) != n:
         raise ValueError("list modified during sort")
-    stats.comparisons = order.comparisons - order.sentinel_comparisons
+    stats.comparisons = order.comparisons
     return stats
 
 

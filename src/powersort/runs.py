@@ -24,9 +24,7 @@ with the C-level ``bisect_right``, which decides with ``<``; it counts the
 probes from a table, since their number is fixed by the position
 ``bisect_right`` returns.  If the key, ``<`` or ``<=`` raises, the list is
 still a permutation of its input: detection reverses a run only after its
-scan, and insertion sort writes its copy back only when it is done.  An
-input that holds ``SENTINEL`` is keyed through the admitted key wrapper
-(``CountingOrder.admit_sentinel``), like any other element.
+scan, and insertion sort writes its copy back only when it is done.
 """
 
 from __future__ import annotations

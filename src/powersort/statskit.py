@@ -15,18 +15,13 @@ counted method ``le`` is the same order one comparison at a time, for
 callers outside the sort.  A ``SortStats`` record accumulates every other
 counter and belongs to exactly one sort call.
 
-An input that holds ``SENTINEL`` itself is sorted under
-``CountingOrder.admit_sentinel``, which wraps the key: ``SENTINEL`` maps to
-a greatest key of that order, whose ``<=`` and ``<`` tally the comparison
-in ``sentinel_comparisons``, and every other element to a thin wrapper around
-its real key, so the user's key type only ever meets its own kind.
-
 Counter semantics:
 
-* ``comparisons`` counts comparisons between two input elements.  A
-  comparison in which one side is the reserved ``SENTINEL`` value resolves
-  structurally (the sentinel is a greatest element) and is not counted; it
-  is bookkeeping of the sentinel technique, not an element comparison.
+* ``comparisons`` counts comparisons between two input elements.  No
+  input value is reserved: the sentinel kernels place their buffer's own
+  sentinel (``merges.MergeBuffer``), which the caller cannot hold, and a
+  decision it meets is made by ``is``, without a comparison, and is not
+  counted.
 * ``merge_cost`` is the total output size of all merges executed.
 * ``buffer_cost`` counts input elements copied into the merge buffer.
   Reserved slots written next to the buffered runs are not included.
@@ -46,74 +41,6 @@ import math
 from dataclasses import dataclass, field
 
 
-class _PlusInfinity:
-    """Reserved greatest element used by the sentinel-based merge kernels."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "SENTINEL"
-
-
-#: Reserved +infinity value.  ``le(x, SENTINEL)`` is true for every x
-#: (including the sentinel itself) and ``le(SENTINEL, x)`` is false for every
-#: ordinary x, so a sentinel placed after a buffered run loses every
-#: comparison once the run is exhausted.
-SENTINEL = _PlusInfinity()
-
-
-class _AdmittedKey:
-    """An ordinary element's key while ``SENTINEL`` is admitted.
-
-    It compares with another such key by the keys it wraps.  Against the
-    greatest key it declines, so the greatest key answers through its
-    reflected ``__ge__`` or ``__gt__``: the user's key type never meets a
-    foreign object.
-    """
-
-    __slots__ = ("key",)
-
-    def __init__(self, key):
-        self.key = key
-
-    def __le__(self, other):
-        if other.__class__ is _AdmittedKey:
-            return self.key <= other.key
-        return NotImplemented
-
-    def __lt__(self, other):
-        if other.__class__ is _AdmittedKey:
-            return self.key < other.key
-        return NotImplemented
-
-
-class _GreatestKey:
-    """The key of an admitted ``SENTINEL``: after every other key, at or
-    before only itself.  Each comparison with it tallies itself in its
-    order's ``sentinel_comparisons``."""
-
-    __slots__ = ("order",)
-
-    def __init__(self, order):
-        self.order = order
-
-    def __le__(self, other):
-        self.order.sentinel_comparisons += 1
-        return other is self
-
-    def __ge__(self, other):
-        self.order.sentinel_comparisons += 1
-        return True
-
-    def __lt__(self, other):
-        self.order.sentinel_comparisons += 1
-        return False
-
-    def __gt__(self, other):
-        self.order.sentinel_comparisons += 1
-        return other is not self
-
-
 class CountingOrder:
     """The element order of one sort: "a sorts at or before b".
 
@@ -121,52 +48,22 @@ class CountingOrder:
     key only); ``None`` compares the elements themselves.  The sort's
     layers key each element once per load and compare keys with ``<=``
     (detection and merges) or ``<`` (insertion sort); they add the
-    comparisons they executed to ``comparisons`` themselves.
-    ``sentinel_comparisons`` is the share of those that met an admitted
-    ``SENTINEL`` (see ``admit_sentinel``).  ``le(a, b)`` is the counted
-    form: every element comparison bumps ``comparisons``, and comparisons
-    against ``SENTINEL`` short-circuit uncounted.
+    comparisons they executed to ``comparisons`` themselves.  ``le(a, b)``
+    is the counted form: every call bumps ``comparisons``.
     """
 
-    __slots__ = ("key", "comparisons", "sentinel_comparisons")
+    __slots__ = ("key", "comparisons")
 
     def __init__(self, key=None):
         self.key = key
         self.comparisons = 0
-        self.sentinel_comparisons = 0
 
     def le(self, a, b):
-        if b is SENTINEL:
-            return True
-        if a is SENTINEL:
-            return False
         self.comparisons += 1
         key = self.key
         if key is None:
             return a <= b
         return key(a) <= key(b)
-
-    def admit_sentinel(self):
-        """Let ``SENTINEL`` be an input element: wrap ``key``.
-
-        The wrapped key maps ``SENTINEL``, without a call to the user's key,
-        to a greatest key of this order, and every other element to a thin
-        wrapper around its real key.  A comparison with the greatest key is
-        not an element comparison: the caller's count in ``comparisons``
-        includes it, and the greatest key tallies it in
-        ``sentinel_comparisons``, which the sort subtracts where it reports
-        its element comparisons.  The greatest key is then the only writer
-        of that slot, and the caller the only writer of ``comparisons``.
-        """
-        key = self.key
-        greatest = _GreatestKey(self)
-
-        def admitted(x):
-            if x is SENTINEL:
-                return greatest
-            return _AdmittedKey(x if key is None else key(x))
-
-        self.key = admitted
 
 
 @dataclass(slots=True)

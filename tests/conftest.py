@@ -97,6 +97,36 @@ class Counted:
         return self.value < other.value
 
 
+class _Top:
+    """A value that sorts after every other and ties only with itself.
+
+    Other values' comparisons with it decline (``NotImplemented``), so it
+    answers through its reflected ``__ge__`` or ``__gt__``.
+    """
+
+    __slots__ = ()
+
+    def __le__(self, other):
+        return other is self
+
+    def __lt__(self, other):
+        return False
+
+    def __ge__(self, other):
+        return True
+
+    def __gt__(self, other):
+        return other is not self
+
+    def __repr__(self):
+        return "Top"
+
+
+#: A greatest value: the kind of value a sort that reserved one as its own
+#: sentinel would have to refuse or work around.
+Top = _Top()
+
+
 class KeyFailure(Exception):
     """Raised by ``FailingKey``."""
 

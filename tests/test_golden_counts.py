@@ -1,15 +1,15 @@
-"""Golden counters for sorts of fixed inputs, with and without the
-reserved ``SENTINEL``.
+"""Golden counters for sorts of fixed inputs, with and without a greatest
+value, ``Top``, in some slots.
 
-Inputs that hold ``SENTINEL`` take the sentinel-aware path: sentinel
-variants fall back to their bounds-checked siblings, and comparisons
-against ``SENTINEL`` stay uncounted.  ``golden_sentinel_counts.json`` holds
-the full ``SortStats`` and a digest of the merge trace of every such case.
-``golden_sentinel_free_counts.json`` holds the same for the same inputs
-with their ``SENTINEL`` slots dropped; those sorts run the sentinel kernels
-themselves.  Both were recorded when each comparison was still a counted
-``CountingOrder.le`` call, and re-recorded when run extension moved from
-linear to binary insertion, which changed ``comparisons`` only (the
+``golden_top_counts.json`` holds the full ``SortStats`` and a digest of the
+merge trace of every case whose input holds ``Top``; the sort reserves no
+value, so every variant runs its own kernels on it and counts each
+comparison with ``Top``.  ``golden_sentinel_free_counts.json`` holds the
+same for the same inputs with those slots dropped.  (The test names keep
+the word "sentinel": those slots once held the sort's reserved
+``SENTINEL``.)  Both files were recorded when each comparison was still a
+counted ``CountingOrder.le`` call, and re-recorded when run extension moved
+from linear to binary insertion, which changed ``comparisons`` only (the
 ``chunks`` cases; ``ties`` sorts with ``min_run_len`` 1).  Every count must
 reproduce exactly.
 
@@ -30,19 +30,20 @@ from operator import itemgetter
 import pytest
 
 from powersort.policy import VARIANTS, SortConfig, stable_sort_with
-from powersort.statskit import SENTINEL
+
+from conftest import Top
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-#: Golden file per input set: with ``SENTINEL`` (True) and without (False).
+#: Golden file per input set: with ``Top`` (True) and without (False).
 GOLDEN = {
-    True: os.path.join(HERE, "golden_sentinel_counts.json"),
+    True: os.path.join(HERE, "golden_top_counts.json"),
     False: os.path.join(HERE, "golden_sentinel_free_counts.json"),
 }
 
 
 def _base_inputs():
     """``{name: (values, min_run_len)}``: sorted and reversed chunks with
-    ties, ``None`` marking where a ``SENTINEL`` goes."""
+    ties, ``None`` marking where a ``Top`` goes."""
     rng = random.Random(2209)
     values = []
     while len(values) < 160:
@@ -59,9 +60,9 @@ def _base_inputs():
     return {"chunks": (values, 8), "ties": (ties, 1)}
 
 
-def cases(with_sentinel):
+def cases(with_top):
     for name, (values, min_run_len) in _base_inputs().items():
-        if not with_sentinel:
+        if not with_top:
             values = [v for v in values if v is not None]
         for keyed in (False, True):
             for variant in sorted(VARIANTS):
@@ -77,10 +78,10 @@ def case_id(name, keyed, variant, strict):
 def measure(values, min_run_len, keyed, variant, strict):
     """Sort one case; returns (output, stats dict, merge-trace digest)."""
     if keyed:
-        lst = [SENTINEL if v is None else (v, i) for i, v in enumerate(values)]
+        lst = [(Top if v is None else v, i) for i, v in enumerate(values)]
         key = itemgetter(0)
     else:
-        lst = [SENTINEL if v is None else v for v in values]
+        lst = [Top if v is None else v for v in values]
         key = None
     trace = []
     stats = stable_sort_with(lst, SortConfig(
@@ -91,19 +92,18 @@ def measure(values, min_run_len, keyed, variant, strict):
 
 
 def expected_output(values, keyed):
-    """Elements in key order with every ``SENTINEL`` at the end."""
+    """Elements in key order with every ``Top`` at the end, in input order."""
     if keyed:
         records = [(v, i) for i, v in enumerate(values) if v is not None]
-        ordered = sorted(records, key=itemgetter(0))
-    else:
-        ordered = sorted(v for v in values if v is not None)
-    return ordered + [SENTINEL] * values.count(None)
+        tops = [(Top, i) for i, v in enumerate(values) if v is None]
+        return sorted(records, key=itemgetter(0)) + tops
+    ordered = sorted(v for v in values if v is not None)
+    return ordered + [Top] * values.count(None)
 
 
-def record(with_sentinel):
+def record(with_top):
     golden = {}
-    for name, values, min_run_len, keyed, variant, strict in cases(
-            with_sentinel):
+    for name, values, min_run_len, keyed, variant, strict in cases(with_top):
         _, stats, digest = measure(values, min_run_len, keyed, variant, strict)
         golden[case_id(name, keyed, variant, strict)] = dict(
             stats, merge_trace=digest)
@@ -113,16 +113,15 @@ def record(with_sentinel):
 @pytest.fixture(scope="module")
 def golden():
     golden = {}
-    for with_sentinel, path in GOLDEN.items():
+    for with_top, path in GOLDEN.items():
         with open(path) as fh:
-            golden[with_sentinel] = json.load(fh)
+            golden[with_top] = json.load(fh)
     return golden
 
 
-CASES = {with_sentinel: list(cases(with_sentinel))
-         for with_sentinel in (True, False)}
-CASE_IDS = {with_sentinel: [case_id(c[0], c[3], c[4], c[5]) for c in found]
-            for with_sentinel, found in CASES.items()}
+CASES = {with_top: list(cases(with_top)) for with_top in (True, False)}
+CASE_IDS = {with_top: [case_id(c[0], c[3], c[4], c[5]) for c in found]
+            for with_top, found in CASES.items()}
 
 
 def check_case(golden, name, values, min_run_len, keyed, variant, strict):
@@ -149,13 +148,13 @@ def test_sentinel_free_input_counts_match_golden(
 
 
 def test_golden_file_covers_every_case(golden):
-    for with_sentinel, ids in CASE_IDS.items():
-        assert set(golden[with_sentinel]) == set(ids)
+    for with_top, ids in CASE_IDS.items():
+        assert set(golden[with_top]) == set(ids)
 
 
 if __name__ == "__main__":
-    for with_sentinel, path in GOLDEN.items():
-        entries = sorted(record(with_sentinel).items())
+    for with_top, path in GOLDEN.items():
+        entries = sorted(record(with_top).items())
         with open(path, "w") as fh:
             fh.write("{\n%s\n}\n" % ",\n".join(
                 "%s: %s" % (json.dumps(k), json.dumps(v, sort_keys=True))

@@ -17,7 +17,6 @@ from powersort.merges import (
     merge_4way_sentinel,
     merge_4way_stages,
 )
-from powersort.statskit import SENTINEL
 
 from conftest import (
     KEY,
@@ -58,6 +57,7 @@ def run_kernel(kernel, regions, key=None, pad=3):
     buf = MergeBuffer((bounds[-1] - bounds[0]) + 4)
     kernel(lst, *bounds, buf, order, stats)
     assert lst[:pad] == ["pad"] * pad and lst[-pad:] == ["pad"] * pad
+    assert buf.sentinel not in lst
     return lst[bounds[0] : bounds[-1]], order, stats
 
 
@@ -207,7 +207,6 @@ def test_exhaustive_small_merges_match_reference(kernel, arity):
         flat = [rec for region in regions for rec in region]
         out, _, _ = run_kernel(kernel, regions, key=KEY, pad=1)
         assert out == sorted(flat, key=KEY), (kernel.__name__, key_regions)
-        assert SENTINEL not in out
         count += 1
     assert count > 1000
 
@@ -406,8 +405,11 @@ def test_too_small_buffer_rejected(kernel, arity):
 
 
 def test_sentinel_values_never_emitted():
-    # Inputs never contain the reserved value when a sentinel kernel runs
-    # (the sort falls back otherwise); the kernels must not leak it either.
+    # run_kernel checks that no kernel leaks its buffer's sentinel.
     out, _, _ = run_kernel(merge_4way_sentinel, [[1], [2, 2], [0], [3]])
-    assert SENTINEL not in out
     assert out == [0, 1, 2, 2, 3]
+
+
+def test_each_buffer_has_its_own_sentinel():
+    # A sentinel that no caller holds cannot be in any input.
+    assert MergeBuffer(4).sentinel is not MergeBuffer(4).sentinel

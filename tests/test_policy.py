@@ -13,7 +13,6 @@ from powersort.policy import (
 )
 from powersort.power import run_stack_capacity
 from powersort.runs import _TABLE_ROWS
-from powersort.statskit import SENTINEL
 
 from conftest import (
     KEY,
@@ -22,6 +21,7 @@ from conftest import (
     LeSpyKey,
     LeTally,
     SpyKey,
+    Top,
     assert_stable_sorted,
     make_records,
 )
@@ -245,19 +245,26 @@ def test_duplicate_only_input():
     assert stats.merge_cost == 0
 
 
-# --- sentinel fallback ------------------------------------------------------
+# --- no reserved value -----------------------------------------------------
 
 
-def test_input_containing_reserved_value_falls_back():
+def test_no_input_value_is_reserved():
+    # A value that sorts after every other is sorted like any other, and
+    # every variant runs its own kernels on it: the sentinel kernels write
+    # their reserved slots (one per run) next to the buffered runs.
     rng = random.Random(5)
     base = [rng.randint(0, 50) for _ in range(200)]
-    for variant in ("2way", "4way"):
+    base[37] = base[150] = Top
+    for variant in ALL_VARIANTS:
         lst = list(base)
-        lst[37] = SENTINEL
-        lst[150] = SENTINEL
-        stable_sort_with(lst, config_for(variant, min_run_len=1))
-        assert lst[-2:] == [SENTINEL, SENTINEL]
-        assert lst[:-2] == sorted(base[:37] + base[38:150] + base[151:])
+        stats = stable_sort_with(lst, config_for(variant, min_run_len=1))
+        assert lst == sorted(base)
+        if variant in ("2way", "4way"):
+            reserved = (2 * stats.merges2 + 3 * stats.merges3
+                        + 4 * stats.merges4)
+            assert stats.scan_writes == (
+                len(lst) + 2 * stats.merge_cost + reserved)
+            assert reserved > 0
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)

@@ -5,7 +5,6 @@ import pytest
 
 from powersort.policy import SortConfig, stable_sort_with
 from powersort.statskit import (
-    SENTINEL,
     CountingOrder,
     SortStats,
     normalized_merge_cost,
@@ -57,63 +56,10 @@ def test_counting_order_counts_element_comparisons():
     assert order.comparisons == 3
 
 
-def test_counting_order_sentinel_comparisons_are_free():
-    order = CountingOrder()
-    assert order.le(5, SENTINEL)
-    assert not order.le(SENTINEL, 5)
-    assert order.le(SENTINEL, SENTINEL)
-    assert order.comparisons == 0
-
-
 def test_counting_order_key_extraction():
     order = CountingOrder(key=lambda rec: rec["k"])
     assert order.le({"k": 1, "x": 9}, {"k": 1, "x": 0})
     assert order.comparisons == 1
-
-
-def test_admitted_key_orders_elements_by_their_own_keys():
-    order = CountingOrder(key=lambda rec: rec["k"])
-    order.admit_sentinel()
-    key = order.key
-    assert key({"k": 1, "x": 9}) <= key({"k": 1, "x": 0})
-    assert not key({"k": 2}) <= key({"k": 1})
-    plain = CountingOrder()
-    plain.admit_sentinel()
-    assert plain.key(1) <= plain.key(2) and not plain.key(3) <= plain.key(2)
-    assert order.comparisons == plain.comparisons == 0
-    assert order.sentinel_comparisons == plain.sentinel_comparisons == 0
-
-
-def test_admitted_sentinel_takes_its_comparisons_back():
-    # The caller counts every comparison in ``comparisons``; the three
-    # against the sentinel's key tally themselves in their own slot, which
-    # the sort subtracts, and leave ``comparisons`` to the caller alone.
-    order = CountingOrder(key=lambda rec: rec["k"])
-    order.admit_sentinel()
-    key = order.key
-    assert key({"k": 5}) <= key(SENTINEL)
-    assert not key(SENTINEL) <= key({"k": 5})
-    assert key(SENTINEL) <= key(SENTINEL)
-    assert (order.comparisons, order.sentinel_comparisons) == (0, 3)
-    assert key({"k": 1}) <= key({"k": 2})
-    assert (order.comparisons, order.sentinel_comparisons) == (0, 3)
-
-
-def test_admitted_sentinel_answers_lt_as_a_greatest_key():
-    # bisect_right compares with ``<``: the greatest key is after every
-    # other key and not before itself, and tallies each such comparison.
-    order = CountingOrder(key=lambda rec: rec["k"])
-    order.admit_sentinel()
-    key = order.key
-    assert key({"k": 5}) < key(SENTINEL)
-    assert not key(SENTINEL) < key({"k": 5})
-    assert not key(SENTINEL) < key(SENTINEL)
-    assert key(SENTINEL) > key({"k": 5})
-    assert not key(SENTINEL) > key(SENTINEL)
-    assert (order.comparisons, order.sentinel_comparisons) == (0, 5)
-    assert key({"k": 1}) < key({"k": 2})
-    assert not key({"k": 2}) < key({"k": 2})
-    assert (order.comparisons, order.sentinel_comparisons) == (0, 5)
 
 
 class Strict:
@@ -135,17 +81,26 @@ class Strict:
 
 @pytest.mark.parametrize("variant", ["2way", "4way", "2way-copy-smaller"])
 def test_admitted_sort_never_shows_a_user_key_the_sentinel(variant):
-    # With SENTINEL in the input, the user's key type meets only its own
-    # kind: the sentinel's greatest key answers every comparison with it.
+    # The buffer's own sentinel never reaches the user's key, nor ``<=``:
+    # keyed, the key sees only input elements and its keys meet only their
+    # own kind; unkeyed, the elements themselves refuse any other type.
     rng = random.Random(15)
     values = [rng.randint(0, 20) for _ in range(300)]
-    lst = [SENTINEL if v == 0 else v for v in values]
-    config = SortConfig(k=4 if variant == "4way" else 2, variant=variant,
-                        key=Strict, min_run_len=4)
-    stable_sort_with(lst, config)
-    zeros = values.count(0)
-    assert lst[len(lst) - zeros:] == [SENTINEL] * zeros
-    assert lst[: len(lst) - zeros] == sorted(v for v in values if v)
+    seen = []
+
+    def key(x):
+        seen.append(x)
+        return Strict(x)
+
+    k = 4 if variant == "4way" else 2
+    lst = list(values)
+    stable_sort_with(lst, SortConfig(k=k, variant=variant, key=key,
+                                     min_run_len=4))
+    assert lst == sorted(values)
+    assert seen and all(type(x) is int for x in seen)
+    lst = [Strict(v) for v in values]
+    stable_sort_with(lst, SortConfig(k=k, variant=variant, min_run_len=4))
+    assert [x.value for x in lst] == sorted(values)
 
 
 def test_counters_monotone_during_sort(monkeypatch):
