@@ -18,15 +18,12 @@ Randomness: the generator is numpy's PCG64.  Trial t of base seed s draws
 its own 64-bit seed from ``SeedSequence((s, t))``; that derived seed is what
 the CSV's ``seed`` column records, so any row can be reproduced in
 isolation, and all algorithms see identical inputs for equal trial indices.
-Setting POWERSORT_THREADS > 1 runs trials in parallel worker processes.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -214,7 +211,6 @@ def run_benchmark(
     trials: int,
     min_run_len: int = MIN_RUN_LEN,
     elem: str = "int",
-    workers: int | None = None,
 ):
     """Run the (algorithm x trial) matrix; returns (rows, errors).
 
@@ -241,13 +237,7 @@ def run_benchmark(
         for algo in algos
         for trial in range(trials)
     ]
-    if workers is None:
-        workers = int(os.environ.get("POWERSORT_THREADS", "1"))
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_trial, specs))
-    else:
-        results = [run_trial(ts) for ts in specs]
+    results = [run_trial(ts) for ts in specs]
     rows = [res.row for res in results]
     errors = [
         "%s trial %d: %s" % (res.row["algo"], res.row["trial"], res.error)

@@ -11,20 +11,11 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .power import boundary_powers
+from .power import boundary_powers, validated_profile
 
 #: Largest profile optimal_merge_cost accepts; the DP is exponential in
 #: spirit (O(r^3 * k) states x splits) and meant for small cross-checks.
 OPTIMAL_MERGE_COST_MAX_RUNS = 14
-
-
-def _validated_profile(lengths):
-    lengths = list(lengths)
-    if not lengths:
-        raise ValueError("a run profile has at least one run")
-    if any(length < 1 for length in lengths):
-        raise ValueError("run lengths must be positive")
-    return lengths
 
 
 def kway_tree(lengths, k):
@@ -34,11 +25,10 @@ def kway_tree(lengths, k):
     minimal power (all of them -- this is what caps node degree at k), and
     recurses on the parts.  A single run yields a lone leaf.
     """
-    lengths = _validated_profile(lengths)
-    r = len(lengths)
+    powers = boundary_powers(lengths, k)
+    r = len(powers) + 1
     if r == 1:
         return 0
-    powers = boundary_powers(lengths, k)
 
     def build(lo, hi):
         # Runs lo..hi inclusive; powers[j] belongs to the boundary between
@@ -80,7 +70,7 @@ def tree_merge_cost(tree, lengths):
     Computed twice -- as the sum of leaf depth x run length and as the sum
     of internal-node subtree weights -- and cross-checked.
     """
-    lengths = _validated_profile(lengths)
+    lengths = validated_profile(lengths)
     if tree_leaves(tree) != list(range(len(lengths))):
         raise ValueError("tree leaves do not match the profile")
     by_depth = 0
@@ -110,7 +100,7 @@ def tree_merge_cost(tree, lengths):
 
 def entropy(lengths):
     """Shannon entropy (bits) of the run-length fractions L_i / n."""
-    lengths = _validated_profile(lengths)
+    lengths = validated_profile(lengths)
     if len(lengths) == 1:
         return 0.0
     n = sum(lengths)
@@ -125,7 +115,7 @@ def entropy(lengths):
 def comparison_lower_bound(lengths):
     """``H * n``: no comparison sort beats this on worst-case inputs with
     the given run profile (up to O(n))."""
-    return entropy(lengths) * sum(_validated_profile(lengths))
+    return entropy(lengths) * sum(validated_profile(lengths))
 
 
 def optimal_merge_cost(lengths, k):
@@ -135,7 +125,7 @@ def optimal_merge_cost(lengths, k):
     weight plus the cheapest split into 2..k consecutive blocks.  Guarded to
     small profiles; raises ``ValueError`` beyond OPTIMAL_MERGE_COST_MAX_RUNS.
     """
-    lengths = _validated_profile(lengths)
+    lengths = validated_profile(lengths)
     if k < 2:
         raise ValueError("optimal_merge_cost needs k >= 2")
     r = len(lengths)
@@ -202,7 +192,7 @@ def realize_profile(lengths):
     strictly decreasing pair and is absorbed), so callers enumerate profiles
     whose non-final lengths are >= 2.
     """
-    lengths = _validated_profile(lengths)
+    lengths = validated_profile(lengths)
     out = []
     for i, length in enumerate(lengths):
         out.extend(x - i for x in range(length))

@@ -1,20 +1,28 @@
 """The run-adaptive k-way merge policy.
 
-Runs are detected left to right.  A stack holds pending runs together with
-the power of the boundary at which each was deferred; powers on the stack
+One engine, ``merge_schedule``, decides every merge.  It reads adjacent runs
+lazily from an iterator and computes the power of each boundary between two
+runs (``power.node_power``).  A stack holds pending runs together with the
+power of the boundary at which each was deferred; powers on the stack
 weakly increase from bottom to top, and at most k-1 entries ever share a
 power.  When the next boundary's power is smaller than the power on top of
-the stack, the whole equal-power top group is merged with the current run
-in one 2-, 3- or 4-way merge, repeating per power level until the new run
-can be pushed.  After the last run, the stack is collapsed top-down; for
-k = 4 the collapse first normalizes the number of remaining runs to
-3j + 1 with a single 2- or 3-way merge so every following merge is a full
-4-way merge.
+the stack, the whole equal-power top group and the current run form one 2-,
+3- or 4-way merge group, repeating per power level until the new run can be
+pushed.  After the last run, the stack is collapsed top-down; for k = 4 the
+collapse first normalizes the number of remaining runs to 3j + 1 with a
+single 2- or 3-way merge so every following merge is a full 4-way merge.
+
+The engine yields each group ``(begins, end)`` and knows nothing of the
+elements.  ``stable_sort_with`` feeds it the runs it detects (and extends)
+in the list and runs each group through a merge kernel;
+``merge_cost_for_profile`` feeds it the runs of a length profile and sums
+the groups' lengths.  Both therefore execute the same merges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Optional
 
 from .merges import (
@@ -27,7 +35,7 @@ from .merges import (
     merge_4way_sentinel,
     merge_4way_stages,
 )
-from .power import node_power, run_stack_capacity
+from .power import node_power, run_stack_capacity, validated_profile
 from .runs import extend_run, find_first_run
 from .statskit import CountingOrder, SortStats
 
@@ -123,50 +131,62 @@ class RunStack:
         return begin
 
 
-def _merge_one_group(stack, run_begin, run_end, k, do_merge):
-    """Merge the maximal equal-power group on top of the stack with the
-    current run [run_begin, run_end); returns the merged run's begin."""
-    group_power = stack.top_power()
-    begins = [stack.pop()]
-    while stack.top_power() == group_power:
-        begins.append(stack.pop())
-    assert len(begins) <= k - 1, "more than k-1 equal powers were stacked"
-    begins.reverse()
-    begins.append(run_begin)
-    do_merge(begins, run_end)
-    return begins[0]
+def merge_schedule(k, n, runs, strict_merge_down, stats):
+    """Yield the policy's merge groups ``(begins, end)`` in execution order.
 
-
-def _merge_down(stack, run_begin, run_end, k, strict, do_merge):
-    """Collapse the remaining stack under the rightmost run."""
-    if k == 4 and not strict:
-        n_runs = stack.height + 1
-        rem = n_runs % 3
-        if rem == 0:
-            # One 3-way merge brings the run count to 3j + 1 ...
-            b2 = stack.pop()
-            b1 = stack.pop()
-            do_merge([b1, b2, run_begin], run_end)
-            run_begin = b1
-        elif rem == 2:
-            # ... as does one 2-way merge.
-            b1 = stack.pop()
-            do_merge([b1, run_begin], run_end)
-            run_begin = b1
-        assert stack.height % 3 == 0
-        while stack.height:
-            b3 = stack.pop()
-            b2 = stack.pop()
-            b1 = stack.pop()
-            do_merge([b1, b2, b3, run_begin], run_end)
-            run_begin = b1
-    else:
-        while stack.height:
-            begins = [stack.pop() for _ in range(min(k - 1, stack.height))]
+    ``runs`` is an iterator of adjacent ``(begin, end)`` runs covering
+    [0, n), read lazily: a group is yielded as soon as the run after it has
+    been drawn, so a consumer may rewrite everything left of that run before
+    the next one is read.  ``begins`` lists the begins of the 2..k merged
+    runs, left to right.  Records the peak stack height in
+    ``stats.max_stack_height``.
+    """
+    stack = RunStack(run_stack_capacity(k, n))
+    a_begin, a_end = next(runs)
+    for b_begin, b_end in runs:
+        power = node_power(k, n, a_begin, a_end, b_begin, b_end)
+        while stack.top_power() > power:
+            group_power = stack.top_power()
+            begins = [stack.pop()]
+            while stack.top_power() == group_power:
+                begins.append(stack.pop())
+            assert len(begins) <= k - 1, (
+                "more than k-1 equal powers were stacked"
+            )
             begins.reverse()
-            begins.append(run_begin)
-            do_merge(begins, run_end)
-            run_begin = begins[0]
+            begins.append(a_begin)
+            yield begins, a_end
+            a_begin = begins[0]
+        stack.push(a_begin, power)
+        if stack.height > stats.max_stack_height:
+            stats.max_stack_height = stack.height
+        a_begin, a_end = b_begin, b_end
+    # Collapse the remaining stack under the rightmost run.  Unless strict,
+    # k = 4 first pops height % 3 runs, so 3j + 1 runs remain for 4-way
+    # merges.
+    while stack.height:
+        popped = min(k - 1, stack.height)
+        if k == 4 and not strict_merge_down and stack.height % 3:
+            popped = stack.height % 3
+        begins = [stack.pop() for _ in range(popped)]
+        begins.reverse()
+        begins.append(a_begin)
+        yield begins, a_end
+        a_begin = begins[0]
+
+
+def _detected_runs(lst, n, order, stats, min_run_len):
+    """Detect runs left to right, extending each short one in place."""
+    at = 0
+    while at < n:
+        run = find_first_run(lst, at, n, order, stats)
+        stats.natural_run_lengths.append(run.end - run.begin)
+        if run.end - run.begin < min_run_len:
+            run = extend_run(lst, run, min_run_len, n, order, stats)
+        stats.runs_detected += 1
+        stats.run_lengths.append(run.end - run.begin)
+        yield run
+        at = run.end
 
 
 def _validated(config):
@@ -207,50 +227,26 @@ def stable_sort_with(lst, config=None):
     buf = MergeBuffer(n + k)
     stats.scan_reads += n    # one detection scan over the input
     stats.scan_writes += n   # buffer initialization
-    stack = RunStack(run_stack_capacity(k, n))
-    min_run_len = config.min_run_len
     on_merge = config.on_merge
     merge2 = kernels.merge2
     merge3 = kernels.merge3
     merge4 = kernels.merge4
-
-    def do_merge(begins, end):
-        width = len(begins)
-        if width == 2:
-            merge2(lst, begins[0], begins[1], end, buf, order, stats)
-        elif width == 3:
-            merge3(lst, begins[0], begins[1], begins[2], end, buf, order, stats)
-        else:
-            merge4(
-                lst, begins[0], begins[1], begins[2], begins[3], end,
-                buf, order, stats,
-            )
-        stats.comparisons = order.comparisons
-        if on_merge is not None:
-            on_merge((tuple(begins) + (end,), end - begins[0]))
-
-    def next_run(at):
-        run = find_first_run(lst, at, n, order, stats)
-        stats.natural_run_lengths.append(run.end - run.begin)
-        if run.end - run.begin < min_run_len:
-            run = extend_run(lst, run, min_run_len, n, order, stats)
-        stats.runs_detected += 1
-        stats.run_lengths.append(run.end - run.begin)
-        return run
-
+    runs = _detected_runs(lst, n, order, stats, config.min_run_len)
     try:
-        a_begin, a_end = next_run(0)
-        while a_end < n:
-            b_begin, b_end = next_run(a_end)
-            power = node_power(k, n, a_begin, a_end, b_begin, b_end)
-            while stack.top_power() > power:
-                a_begin = _merge_one_group(stack, a_begin, a_end, k, do_merge)
-            stack.push(a_begin, power)
-            if stack.height > stats.max_stack_height:
-                stats.max_stack_height = stack.height
-            a_begin, a_end = b_begin, b_end
-        _merge_down(stack, a_begin, a_end, k, config.strict_merge_down,
-                    do_merge)
+        for begins, end in merge_schedule(
+            k, n, runs, config.strict_merge_down, stats
+        ):
+            width = len(begins)
+            if width == 2:
+                merge2(lst, begins[0], begins[1], end, buf, order, stats)
+            elif width == 3:
+                merge3(lst, begins[0], begins[1], begins[2], end,
+                       buf, order, stats)
+            else:
+                merge4(lst, begins[0], begins[1], begins[2], begins[3], end,
+                       buf, order, stats)
+            if on_merge is not None:
+                on_merge((tuple(begins) + (end,), end - begins[0]))
     except (IndexError, ValueError) as exc:
         # Indices and merge bounds assume the length the sort started with.
         if len(lst) != n:
@@ -275,33 +271,18 @@ def merge_cost_for_profile(lengths, k, strict_merge_down=False, on_merge=None):
     given lengths.
 
     The policy's merge decisions depend only on run boundaries, so the cost
-    can be evaluated directly on the profile.  This drives the same stack,
-    power and collapse code as the real sort; only the kernels are replaced
-    by cost accounting.
+    can be evaluated directly on the profile: this consumes the same
+    ``merge_schedule`` as the real sort, with the kernels replaced by cost
+    accounting.
     """
     if k not in (2, 4):
         raise ValueError("k must be 2 or 4, got %r" % (k,))
-    if not lengths:
-        raise ValueError("a run profile has at least one run")
-    if any(length < 1 for length in lengths):
-        raise ValueError("run lengths must be positive")
-    n = sum(lengths)
+    bounds = list(accumulate(validated_profile(lengths), initial=0))
     cost = 0
-
-    def do_merge(begins, end):
-        nonlocal cost
+    for begins, end in merge_schedule(
+        k, bounds[-1], zip(bounds, bounds[1:]), strict_merge_down, SortStats()
+    ):
         cost += end - begins[0]
         if on_merge is not None:
             on_merge((tuple(begins) + (end,), end - begins[0]))
-
-    stack = RunStack(run_stack_capacity(k, n))
-    a_begin, a_end = 0, lengths[0]
-    for length in lengths[1:]:
-        b_begin, b_end = a_end, a_end + length
-        power = node_power(k, n, a_begin, a_end, b_begin, b_end)
-        while stack.top_power() > power:
-            a_begin = _merge_one_group(stack, a_begin, a_end, k, do_merge)
-        stack.push(a_begin, power)
-        a_begin, a_end = b_begin, b_end
-    _merge_down(stack, a_begin, a_end, k, strict_merge_down, do_merge)
     return cost

@@ -8,17 +8,35 @@ k**-p.  Equivalently: the least p with floor(a * k**p) < floor(b * k**p),
 where a and b are the two midpoints divided by n.
 
 Everything here is exact integer arithmetic.  With run bounds b1 < e1 = b2
-< e2 the doubled midpoints are A = b1 + e1 and B = b2 + e2, and the
-floor comparison becomes (A * k**p) // (2n) < (B * k**p) // (2n).  Floating
-point would mis-rank boundaries for large n; the merge tree depends on
-these values being exact.
+< e2 the doubled midpoints are A = b1 + e1 and B = b2 + e2, so a = A / 2n
+and b = B / 2n, both strictly inside (0, 1).  Floating point would mis-rank
+boundaries for large n; the merge tree depends on these values being exact.
 
-p = 0 can never satisfy the condition: both midpoints lie strictly inside
-(0, 1) for an interior boundary, so both floors are 0.  The search
-therefore starts at p = 1.
+For k = 2 the power is the position of the first bit after the binary point
+in which a and b differ (Munro & Wild, ESA 2018, arXiv:1805.04154).  Take
+s = (2n).bit_length() + 1 bits of each: x = (A << s) // 2n and
+y = (B << s) // 2n.  These s bits suffice: B - A = e2 - b1 >= 2, so
+b - a >= 1/n, and 2**s > 4n puts x and y more than 4 apart; the two
+expansions therefore differ within their first s bits.  Bit p (counted
+from the binary point) is the first to differ exactly when x ^ y has bit
+length s - p + 1, so p2 = s - (x ^ y).bit_length() + 1.  A multiple of
+4**-q is a multiple of 2**-2q, so for k = 4 the power is the least q with
+2q >= p2: p4 = ceil(p2 / 2), the squish rule.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
+
+
+def validated_profile(lengths) -> list[int]:
+    """``lengths`` as a list, checked to be a non-empty run-length profile."""
+    lengths = list(lengths)
+    if not lengths:
+        raise ValueError("a run profile has at least one run")
+    if any(length < 1 for length in lengths):
+        raise ValueError("run lengths must be positive")
+    return lengths
 
 
 def ceil_log(k: int, n: int) -> int:
@@ -47,50 +65,36 @@ def run_stack_capacity(k: int, n: int) -> int:
 def node_power(k: int, n: int, b1: int, e1: int, b2: int, e2: int) -> int:
     """Power of the boundary between adjacent runs [b1, e1) and [b2, e2).
 
-    ``n`` is the total array length.  Exact; raises ``ValueError`` for
-    k outside {2, 3, 4} or malformed bounds.
+    ``n`` is the total array length.  Exact, in O(1) big-integer operations;
+    raises ``ValueError`` for k outside {2, 4} or malformed bounds.
     """
-    if k not in (2, 3, 4):
-        raise ValueError("node_power supports k in {2, 3, 4}, got %r" % (k,))
-    return _node_power_any(k, n, b1, e1, b2, e2)
-
-
-def _node_power_any(k: int, n: int, b1: int, e1: int, b2: int, e2: int) -> int:
-    # Generic in k >= 2; used by analysis helpers that probe other arities.
-    if k < 2:
-        raise ValueError("boundary power needs k >= 2")
+    if k not in (2, 4):
+        raise ValueError("node_power supports k in {2, 4}, got %r" % (k,))
     if not (0 <= b1 < e1 == b2 < e2 <= n):
         raise ValueError(
             "malformed run bounds: need 0 <= b1 < e1 == b2 < e2 <= n, got "
             "b1=%r e1=%r b2=%r e2=%r n=%r" % (b1, e1, b2, e2, n)
         )
-    doubled_left_mid = b1 + e1    # 2n * (midpoint of left run / n)
-    doubled_right_mid = b2 + e2
     two_n = 2 * n
-    p, k_pow = 1, k
-    while (doubled_left_mid * k_pow) // two_n == (doubled_right_mid * k_pow) // two_n:
-        p += 1
-        k_pow *= k
-    return p
+    s = two_n.bit_length() + 1
+    x = ((b1 + e1) << s) // two_n
+    y = ((b2 + e2) << s) // two_n
+    p2 = s - (x ^ y).bit_length() + 1
+    return p2 if k == 2 else (p2 + 1) >> 1
 
 
 def boundary_powers(lengths, k: int) -> list[int]:
     """Powers of all r-1 interior boundaries of a run-length profile.
 
     ``lengths`` is the left-to-right list of run lengths; element j of the
-    result is the power of the boundary between runs j and j+1.  Generic in
-    k >= 2 so that analysis code can compare arities.
+    result is the power of the boundary between runs j and j+1.
     """
-    if not lengths:
-        raise ValueError("a run profile has at least one run")
-    if any(length < 1 for length in lengths):
-        raise ValueError("run lengths must be positive")
-    n = sum(lengths)
-    powers = []
-    left = 0
-    for j in range(len(lengths) - 1):
-        mid = left + lengths[j]
-        right = mid + lengths[j + 1]
-        powers.append(_node_power_any(k, n, left, mid, mid, right))
-        left = mid
-    return powers
+    if k not in (2, 4):
+        # Checked here too: a one-run profile has no boundary to check it.
+        raise ValueError("boundary_powers supports k in {2, 4}, got %r" % (k,))
+    bounds = list(accumulate(validated_profile(lengths), initial=0))
+    n = bounds[-1]
+    return [
+        node_power(k, n, begin, mid, mid, end)
+        for begin, mid, end in zip(bounds, bounds[1:], bounds[2:])
+    ]

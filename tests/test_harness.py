@@ -193,14 +193,6 @@ def test_cli_min_run_len_defaults_to_the_sort_default(monkeypatch, capsys):
     assert seen == [7]
 
 
-def test_parallel_trials_match_serial(monkeypatch):
-    spec = GeneratorSpec("random-runs", 400, expected_run_len=10, seed=3)
-    serial, _ = run_benchmark(["4way"], spec, trials=4, workers=1)
-    parallel, _ = run_benchmark(["4way"], spec, trials=4, workers=2)
-    strip = lambda row: {k: v for k, v in row.items() if k != "time_ns"}
-    assert list(map(strip, serial)) == list(map(strip, parallel))
-
-
 def one_trial(monkeypatch, values, sort=None):
     """Run one 4way trial whose generated input is ``values``."""
     monkeypatch.setattr(harness, "generate", lambda spec: list(values))

@@ -51,11 +51,18 @@ def test_tree_leaves_in_order_and_degree_at_most_k():
     rng = random.Random(0)
     for _ in range(300):
         profile = random_profile(rng)
-        for k in (2, 3, 4):
+        for k in (2, 4):
             tree = kway_tree(profile, k)
             assert tree_leaves(tree) == list(range(len(profile)))
             degrees = all_degrees(tree)
             assert all(2 <= d <= k for d in degrees)
+
+
+def test_kway_tree_rejects_k3():
+    with pytest.raises(ValueError, match="k in {2, 4}"):
+        kway_tree([2, 2, 4, 8], 3)
+    with pytest.raises(ValueError, match="k in {2, 4}"):
+        kway_tree([16], 3)
 
 
 def boundary_node_depths(tree):

@@ -1,18 +1,21 @@
 import random
+from itertools import accumulate
 
 import pytest
 
-from powersort import oracle
+from powersort import oracle, policy
 from powersort.policy import (
     RunStack,
     SortConfig,
     VARIANTS,
     merge_cost_for_profile,
+    merge_schedule,
     stable_sort,
     stable_sort_with,
 )
 from powersort.power import run_stack_capacity
 from powersort.runs import _TABLE_ROWS
+from powersort.statskit import SortStats
 
 from conftest import (
     KEY,
@@ -467,15 +470,72 @@ def test_simulated_cost_equals_real_sort(k, variant, strict):
 
 def test_simulator_trace_matches_real_trace():
     rng = random.Random(31)
-    for _ in range(50):
-        profile = random_realizable_profile(rng)
-        lst = oracle.realize_profile(profile)
-        real_trace, sim_trace = [], []
-        stable_sort_with(
-            lst, SortConfig(min_run_len=1, on_merge=real_trace.append)
-        )
-        merge_cost_for_profile(profile, 4, on_merge=sim_trace.append)
-        assert real_trace == sim_trace
+    for k, variant in ((2, "2way"), (4, "4way")):
+        for strict in (False, True):
+            for _ in range(50):
+                profile = random_realizable_profile(rng)
+                lst = oracle.realize_profile(profile)
+                real_trace, sim_trace = [], []
+                stable_sort_with(
+                    lst,
+                    SortConfig(k=k, variant=variant, min_run_len=1,
+                               strict_merge_down=strict,
+                               on_merge=real_trace.append),
+                )
+                merge_cost_for_profile(profile, k, strict_merge_down=strict,
+                                       on_merge=sim_trace.append)
+                assert real_trace == sim_trace
+
+
+@pytest.mark.parametrize("k", [2, 4])
+@pytest.mark.parametrize("strict", [False, True])
+def test_merge_schedule_draws_runs_lazily(k, strict):
+    # The sort extends each run in place as it draws it, so the engine must
+    # yield every group before it reads more than one run past the group.
+    rng = random.Random(41 + k * 10 + strict)
+    for _ in range(100):
+        profile = random_realizable_profile(rng, max_runs=30)
+        bounds = list(accumulate(profile, initial=0))
+        drawn = []
+
+        def runs():
+            for run in zip(bounds, bounds[1:]):
+                drawn.append(run)
+                yield run
+
+        stats = SortStats()
+        trace = []
+        for begins, end in merge_schedule(k, bounds[-1], runs(), strict,
+                                          stats):
+            runs_through_group = bounds.index(end)
+            assert runs_through_group <= len(drawn) <= runs_through_group + 1
+            trace.append((tuple(begins) + (end,), end - begins[0]))
+        assert len(drawn) == len(profile)
+        assert stats.max_stack_height <= run_stack_capacity(k, bounds[-1])
+        expected = []
+        merge_cost_for_profile(profile, k, strict_merge_down=strict,
+                               on_merge=expected.append)
+        assert trace == expected
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_policy_hooks_called_once_per_run_and_boundary(variant, monkeypatch):
+    # A tracer wraps these module globals; it relies on node_power being
+    # looked up once per boundary and find_first_run once per run.
+    calls = {"node_power": 0, "find_first_run": 0}
+    for name in calls:
+        def counting(*args, _name=name, _real=getattr(policy, name)):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(policy, name, counting)
+    rng = random.Random(7)
+    lst = [rng.randint(0, 500) for _ in range(3000)]
+    stats = stable_sort_with(lst, config_for(variant))
+    assert lst == sorted(lst)
+    assert stats.runs_detected > 1
+    assert calls == {"node_power": stats.runs_detected - 1,
+                     "find_first_run": stats.runs_detected}
 
 
 def test_executed_tree_matches_conceptual_tree_for_k2_strict():

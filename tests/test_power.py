@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from powersort.power import (
-    _node_power_any,
     boundary_powers,
     ceil_log,
     node_power,
@@ -42,12 +41,13 @@ def test_profile_2_2_4_8_quaternary_powers():
 
 
 def test_rejects_bad_arity():
-    with pytest.raises(ValueError):
-        node_power(1, 4, 0, 2, 2, 4)
-    with pytest.raises(ValueError):
-        node_power(5, 4, 0, 2, 2, 4)
-    with pytest.raises(ValueError):
-        _node_power_any(1, 4, 0, 2, 2, 4)
+    for k in (1, 3, 5):
+        with pytest.raises(ValueError, match="k in {2, 4}"):
+            node_power(k, 4, 0, 2, 2, 4)
+        with pytest.raises(ValueError, match="k in {2, 4}"):
+            boundary_powers([2, 2], k)
+        with pytest.raises(ValueError, match="k in {2, 4}"):
+            boundary_powers([4], k)
 
 
 @pytest.mark.parametrize(
@@ -72,7 +72,7 @@ def test_powers_start_at_one():
     rng = random.Random(1)
     for _ in range(500):
         profile = random_profile(rng)
-        for k in (2, 3, 4):
+        for k in (2, 4):
             assert min(boundary_powers(profile, k)) >= 1
 
 
@@ -85,7 +85,7 @@ def test_agrees_with_rational_definition():
         for j in range(len(profile) - 1):
             mid = left + profile[j]
             right = mid + profile[j + 1]
-            for k in (2, 3, 4):
+            for k in (2, 4):
                 assert node_power(k, n, left, mid, mid, right) == definition_power(
                     k, n, left, mid, mid, right
                 )
@@ -108,6 +108,36 @@ def test_exact_at_huge_lengths():
                     k, n, left, mid, mid, right
                 )
             left = mid
+
+
+def test_exact_up_to_2_to_the_80():
+    # The bit-length rule takes s = (2n).bit_length() + 1 bits of each
+    # midpoint; it must stay exact far beyond machine words.
+    rng = random.Random(6)
+    for _ in range(300):
+        n = rng.randint(2, 2**rng.randint(2, 80))
+        b1 = rng.randrange(n - 1)
+        e2 = rng.randint(b1 + 2, n)
+        e1 = rng.randint(b1 + 1, e2 - 1)
+        for k in (2, 4):
+            assert node_power(k, n, b1, e1, e1, e2) == definition_power(
+                k, n, b1, e1, e1, e2
+            )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 8, 9, 1000, 2**61 - 1, 2**80])
+def test_exact_for_unit_runs(n):
+    # Runs of length 1 at either end of the array, and two adjacent runs of
+    # length 1 anywhere: B - A = 2, the smallest gap the bit-length rule
+    # has to resolve.
+    cases = [(0, 1, n), (0, n - 1, n)]
+    cases += [(b, b + 1, b + 2) for b in {0, 1, n // 3, n // 2, n - 3, n - 2}
+              if 0 <= b <= n - 2]
+    for b1, e1, e2 in cases:
+        for k in (2, 4):
+            assert node_power(k, n, b1, e1, e1, e2) == definition_power(
+                k, n, b1, e1, e1, e2
+            )
 
 
 def squished(p2):
@@ -149,7 +179,7 @@ def test_power_bounded_by_adjacent_run_lengths():
     for _ in range(500):
         profile = random_profile(rng)
         n = sum(profile)
-        for k in (2, 3, 4):
+        for k in (2, 4):
             powers = boundary_powers(profile, k)
             for i, length in enumerate(profile):
                 bound = ceil_log_ratio(k, n, length) + 1
