@@ -1,19 +1,28 @@
 """Stable merge kernels.
 
 All kernels merge adjacent sorted regions of a list in place through an
-external buffer and tally costs into a SortStats.  A kernel keys each
-element once when it loads it into a local (``k = h if key is None else
-key(h)``, with ``key = order.key``) and keeps the key beside the value:
-every decision is an inline ``<=`` on two held keys.  Each kernel adds the
-number of comparisons it executed to ``order.comparisons`` once per call,
-derived from its loop structure.  Ties always go to the run with the lower
-start index -- "at or before" at every decision point, with the
-lower-indexed run on the left -- which is what makes each kernel stable.
+external buffer and tally costs into a SortStats.  Every decision is an
+inline ``<=`` on two held locals.  Without a key (``order.key is None``)
+they are the elements themselves.  With one, a kernel calls the key once
+on each element when it loads it into a local and keeps the key beside
+the element.  Each kernel adds the number of comparisons it executed to
+``order.comparisons`` once per call, derived from its loop structure.
+Ties always go to the run with the lower start index -- "at or before" at
+every decision point, with the lower-indexed run on the left -- which is
+what makes each kernel stable.
 
 The sentinel kernels place their buffer's own sentinel, ``buf.sentinel``,
 after each buffered run.  It is a fresh object per ``MergeBuffer`` that no
 caller of the sort can hold, so no input value is reserved: an element
-that sorts after every other is keyed and compared like any other.
+that sorts after every other is keyed and compared like any other.  They
+read each buffered run through a list iterator placed at the run's start
+with ``__setstate__``, and load the next head with ``next()``, so a step
+moves no cursor.  A run's cursor, the buffer index of its head, is
+recovered as ``len(B) - 1 - length_hint(it)`` only where it is read: for
+the 2-way tail copy and for the put-back after a failure.  Their hot loop
+is chosen once per merge, by ``key is None``: the unkeyed loop compares
+heads and holds no keys, and the keyed loop calls the key on each head it
+loads, without testing for a key.
 
 Five buffer strategies:
 
@@ -47,6 +56,8 @@ before it is keyed, so a sentinel slot is never keyed.  While runs 0-2 are
 nonempty, only run 3's head can be a sentinel, so the fast phase tests
 only that head and the head it just refilled.  After that, every decision
 tests both its sides for the sentinel with ``is`` before it compares.
+Outside the fast phase the tree holds a key beside each head and winner;
+without a key, that key is the element itself.
 
 The staged merger's tree holds values the same way, without sentinels:
 the heads h0..h3, the winners x and y with the runs they came from, their
@@ -64,6 +75,8 @@ propagates, so the list stays a permutation of its input.
 """
 
 from __future__ import annotations
+
+from operator import length_hint
 
 #: Diagnostic counter: number of times the staged merger rolled an element
 #: back into the run that had just run dry and had to replay a round at the
@@ -96,6 +109,18 @@ class MergeBuffer:
     @property
     def capacity(self):
         return len(self.data)
+
+
+def _iter_at(B, i):
+    """A list iterator over B, placed so that ``next()`` returns B[i]."""
+    it = iter(B)
+    it.__setstate__(i)
+    return it
+
+
+def _cursor(B, it):
+    """The index in B of the element that ``next(it)`` returned last."""
+    return len(B) - 1 - length_hint(it)
 
 
 def _check_regions(lst, bounds, buf, need):
@@ -183,30 +208,42 @@ def merge_2way_sentinel(lst, l, m, r, buf, order, stats):
     B[n1 + 1 : n + 1] = lst[m:r]
     B[n + 1] = sentinel
     key = order.key
-    c1, c2 = 0, n1 + 1
-    a = B[c1]
-    b = B[c2]
+    it1 = _iter_at(B, 0)
+    it2 = _iter_at(B, n1 + 1)
+    a = next(it1)
+    b = next(it2)
     try:
-        ka = a if key is None else key(a)
-        kb = b if key is None else key(b)
-        for o in range(l, r):
-            if ka <= kb:
-                lst[o] = a
-                c1 += 1
-                a = B[c1]
-                if a is sentinel:
-                    break
-                ka = a if key is None else key(a)
-            else:
-                lst[o] = b
-                c2 += 1
-                b = B[c2]
-                if b is sentinel:
-                    break
-                kb = b if key is None else key(b)
+        if key is None:
+            for o in range(l, r):
+                if a <= b:
+                    lst[o] = a
+                    a = next(it1)
+                    if a is sentinel:
+                        break
+                else:
+                    lst[o] = b
+                    b = next(it2)
+                    if b is sentinel:
+                        break
+        else:
+            ka = key(a)
+            kb = key(b)
+            for o in range(l, r):
+                if ka <= kb:
+                    lst[o] = a
+                    a = next(it1)
+                    if a is sentinel:
+                        break
+                    ka = key(a)
+                else:
+                    lst[o] = b
+                    b = next(it2)
+                    if b is sentinel:
+                        break
+                    kb = key(b)
     finally:
         # The surviving run's rest, or after a failure both rests.
-        _put_back(lst, r, (B[c1:n1], B[c2 : n + 1]))
+        _put_back(lst, r, (B[_cursor(B, it1):n1], B[_cursor(B, it2) : n + 1]))
     # The rounds after the break would each have met a sentinel.
     order.comparisons += o + 1 - l
     _count_copy_all(stats, n, 2)
@@ -341,9 +378,9 @@ def _tournament(lst, bounds, buf, order, stats):
         # The empty fourth run starts and ends at run 2's sentinel slot.
         starts.append(ends[2])
         ends.append(ends[2])
-    c0, c1, c2, c3 = starts
-    e0, e1, e2, e3 = ends
-    h0, h1, h2, h3 = B[c0], B[c1], B[c2], B[c3]
+    its = [_iter_at(B, start) for start in starts]
+    i0, i1, i2, i3 = its
+    h0, h1, h2, h3 = next(i0), next(i1), next(i2), next(i3)
     key = order.key
     # A sentinel winner is an exhausted side, or one not drawn yet.
     x = y = kx = ky = sentinel
@@ -367,13 +404,11 @@ def _tournament(lst, bounds, buf, order, stats):
                     first = k0 <= k1
                 if not first:
                     x, kx = h1, k1
-                    c1 += 1
-                    h1 = B[c1]
+                    h1 = next(i1)
                     k1 = h1 if key is None or h1 is sentinel else key(h1)
                 elif h0 is not sentinel:
                     x, kx = h0, k0
-                    c0 += 1
-                    h0 = B[c0]
+                    h0 = next(i0)
                     k0 = h0 if key is None or h0 is sentinel else key(h0)
             if z is not True:
                 # Draw the right winner; run 2 wins ties.
@@ -384,13 +419,11 @@ def _tournament(lst, bounds, buf, order, stats):
                     first = k2 <= k3
                 if not first:
                     y, ky = h3, k3
-                    c3 += 1
-                    h3 = B[c3]
+                    h3 = next(i3)
                     k3 = h3 if key is None or h3 is sentinel else key(h3)
                 elif h2 is not sentinel:
                     y, ky = h2, k2
-                    c2 += 1
-                    h2 = B[c2]
+                    h2 = next(i2)
                     k2 = h2 if key is None or h2 is sentinel else key(h2)
             if z is None and not (
                 h0 is sentinel or h1 is sentinel or h2 is sentinel
@@ -398,40 +431,66 @@ def _tournament(lst, bounds, buf, order, stats):
                 # Fast phase, while runs 0-2 are nonempty.  A winner is
                 # output only once its side is refilled, so a raising key
                 # or comparison finds both x and y pending.
-                for o in range(l, r):
-                    if kx <= ky:
-                        if k0 <= k1:
-                            lst[o] = x
-                            x, kx = h0, k0
-                            c0 += 1
-                            h0 = B[c0]
-                            if h0 is sentinel:
-                                break
-                            k0 = h0 if key is None else key(h0)
+                if key is None:
+                    for o in range(l, r):
+                        if x <= y:
+                            if h0 <= h1:
+                                lst[o] = x
+                                x = h0
+                                h0 = next(i0)
+                                if h0 is sentinel:
+                                    break
+                            else:
+                                lst[o] = x
+                                x = h1
+                                h1 = next(i1)
+                                if h1 is sentinel:
+                                    break
+                        elif h3 is not sentinel and not h2 <= h3:
+                            lst[o] = y
+                            y = h3
+                            h3 = next(i3)
                         else:
-                            lst[o] = x
-                            x, kx = h1, k1
-                            c1 += 1
-                            h1 = B[c1]
-                            if h1 is sentinel:
+                            if h3 is sentinel:
+                                met += 1
+                            lst[o] = y
+                            y = h2
+                            h2 = next(i2)
+                            if h2 is sentinel:
                                 break
-                            k1 = h1 if key is None else key(h1)
-                    elif h3 is not sentinel and not k2 <= k3:
-                        lst[o] = y
-                        y, ky = h3, k3
-                        c3 += 1
-                        h3 = B[c3]
-                        k3 = h3 if key is None or h3 is sentinel else key(h3)
-                    else:
-                        if h3 is sentinel:
-                            met += 1
-                        lst[o] = y
-                        y, ky = h2, k2
-                        c2 += 1
-                        h2 = B[c2]
-                        if h2 is sentinel:
-                            break
-                        k2 = h2 if key is None else key(h2)
+                    # Unkeyed, every held key is its element.
+                    kx, ky, k0, k1, k2, k3 = x, y, h0, h1, h2, h3
+                else:
+                    for o in range(l, r):
+                        if kx <= ky:
+                            if k0 <= k1:
+                                lst[o] = x
+                                x, kx = h0, k0
+                                h0 = next(i0)
+                                if h0 is sentinel:
+                                    break
+                                k0 = key(h0)
+                            else:
+                                lst[o] = x
+                                x, kx = h1, k1
+                                h1 = next(i1)
+                                if h1 is sentinel:
+                                    break
+                                k1 = key(h1)
+                        elif h3 is not sentinel and not k2 <= k3:
+                            lst[o] = y
+                            y, ky = h3, k3
+                            h3 = next(i3)
+                            k3 = h3 if h3 is sentinel else key(h3)
+                        else:
+                            if h3 is sentinel:
+                                met += 1
+                            lst[o] = y
+                            y, ky = h2, k2
+                            h2 = next(i2)
+                            if h2 is sentinel:
+                                break
+                            k2 = key(h2)
                 o += 1
             # The root; both sides are exhausted only after the last output.
             if x is sentinel or y is sentinel:
@@ -450,7 +509,8 @@ def _tournament(lst, bounds, buf, order, stats):
                 break
     except BaseException:
         pending = [v for v in (x, y) if v is not sentinel]
-        _put_back(lst, r, (pending, B[c0:e0], B[c1:e1], B[c2:e2], B[c3:e3]))
+        rests = [B[_cursor(B, it) : end] for it, end in zip(its, ends)]
+        _put_back(lst, r, [pending] + rests)
         raise
     # Two decisions draw the first winners, and every output takes one at
     # the root and, but for the last, one to refill its side.

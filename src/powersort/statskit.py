@@ -1,16 +1,17 @@
 """Instrumentation shared by the sorting kernels and the benchmark harness.
 
 Nothing in here is global state.  A ``CountingOrder`` holds the element
-order of one sort: its ``key`` and the ``comparisons`` tally.  Run
-detection, insertion sort and the merge kernels key each element once when
-they load it (``k = x if key is None else key(x)``), keep that key beside
-the element, and add the number of comparisons they executed to
-``comparisons`` once per call, derived from their loop structure (for
-insertion sort, from the positions ``bisect_right`` returns).  The merges
-decide with an inline ``<=`` on keys, and so does detection, except that
-an unkeyed run longer than 32 elements is finished by ``operator.le`` in C
-(``runs._scan_tail``); insertion sort uses ``bisect_right``, which compares
-with ``<``.  A key type needs both, as ``list.sort``'s needs ``<``.  The
+order of one sort: its ``key`` and the ``comparisons`` tally.  With a
+key, run detection, insertion sort and the merge kernels call it once on
+each element when they load it and keep that key beside the element;
+without one, they hold and compare the elements themselves (the sentinel
+merge kernels choose a loop without a key test for that case).  Each adds
+the number of comparisons it executed to ``comparisons`` once per call,
+derived from its loop structure (for insertion sort, from the positions
+``bisect_right`` returns).  The merges decide with an inline ``<=`` on
+what they hold, and so does detection, except that an unkeyed run longer
+than 32 elements is finished by ``operator.le`` in C (``runs._scan_tail``);
+insertion sort uses ``bisect_right``, which compares with ``<``.  A key type needs both, as ``list.sort``'s needs ``<``.  The
 counted method ``le`` is the same order one comparison at a time, for
 callers outside the sort.  A ``SortStats`` record accumulates every other
 counter and belongs to exactly one sort call.

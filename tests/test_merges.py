@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import random
+from operator import attrgetter, length_hint
 
 import pytest
 
@@ -23,6 +24,7 @@ from conftest import (
     FailingKey,
     KeyFailure,
     LeSpyKey,
+    LeTally,
     SpyKey,
     compositions,
     fresh_instruments,
@@ -71,6 +73,20 @@ def split_records(keys_per_region):
 
 def make_records_with(uid, keys):
     return [(k, next(uid)) for k in keys]
+
+
+VALUE = attrgetter("value")
+
+
+def counted_regions(keys_per_region, tally):
+    """Each region's keys as sorted ``Counted`` elements of ``tally``, for
+    unkeyed merges.  Every element is a distinct object, so identity shows
+    where each one went."""
+    return [sorted(tally.wrap(keys), key=VALUE) for keys in keys_per_region]
+
+
+def same_objects(a, b):
+    return len(a) == len(b) and all(x is y for x, y in zip(a, b))
 
 
 # --- two-way kernels -------------------------------------------------------
@@ -194,19 +210,22 @@ def exhaustive_cases(arity, max_total, alphabet=(0, 1)):
                 yield regions
 
 
-@pytest.mark.parametrize("kernel,arity", [(k, a) for a, ks in KERNELS_BY_ARITY.items() for k in ks])
+@pytest.mark.parametrize("kernel,arity", ALL_KERNELS)
 def test_exhaustive_small_merges_match_reference(kernel, arity):
+    # Keyed records, and unkeyed elements checked by identity: the output
+    # is the stable sort of the input either way.
     max_total = {2: 10, 3: 9, 4: 8}[arity]
     count = 0
     for key_regions in exhaustive_cases(arity, max_total):
-        uid = itertools.count()
-        regions = [
-            sorted(make_records_with(uid, keys), key=KEY)
-            for keys in key_regions
-        ]
+        regions = split_records(key_regions)
         flat = [rec for region in regions for rec in region]
         out, _, _ = run_kernel(kernel, regions, key=KEY, pad=1)
         assert out == sorted(flat, key=KEY), (kernel.__name__, key_regions)
+        regions = counted_regions(key_regions, LeTally())
+        flat = [x for region in regions for x in region]
+        out, _, _ = run_kernel(kernel, regions, pad=1)
+        assert same_objects(out, sorted(flat, key=VALUE)), (
+            kernel.__name__, key_regions)
         count += 1
     assert count > 1000
 
@@ -214,14 +233,19 @@ def test_exhaustive_small_merges_match_reference(kernel, arity):
 @pytest.mark.parametrize("kernel,arity", ALL_KERNELS)
 def test_exhaustive_derived_comparisons_match_key_calls(kernel, arity):
     # The kernels count their comparisons from loop structure instead of
-    # per call; keys that count their own ``<=`` see the comparisons that
-    # ran.  Merges never use ``<``.
+    # per call; keys, or unkeyed elements, that count their own ``<=`` see
+    # the comparisons that ran.  Merges never use ``<``.
     max_total = {2: 10, 3: 9, 4: 8}[arity]
     for key_regions in exhaustive_cases(arity, max_total):
         regions = split_records(key_regions)
         spy = LeSpyKey()
         _, order, _ = run_kernel(kernel, regions, key=spy, pad=1)
         assert (order.comparisons, spy.lt_calls) == (spy.le_calls, 0), (
+            kernel.__name__, key_regions)
+        tally = LeTally()
+        _, order, _ = run_kernel(
+            kernel, counted_regions(key_regions, tally), pad=1)
+        assert (order.comparisons, tally.lt_calls) == (tally.le_calls, 0), (
             kernel.__name__, key_regions)
 
 
@@ -255,6 +279,8 @@ def test_exhaustive_merges_key_each_element_once(kernel, arity):
 def test_raising_key_leaves_a_permutation(kernel, arity):
     # A key that raises on its j-th call, for every j the merge reaches:
     # the error propagates and the merged region still holds its input.
+    # Unkeyed, an element's ``<=`` raises on its j-th call instead, and the
+    # region must hold the same objects.
     max_total = {2: 8, 3: 7, 4: 7}[arity]
     for key_regions in exhaustive_cases(arity, max_total):
         regions = split_records(key_regions)
@@ -269,6 +295,25 @@ def test_raising_key_leaves_a_permutation(kernel, arity):
                 kernel(lst, *bounds, buf, order, stats)
             assert lst[0] == lst[-1] == "pad"
             assert sorted(lst[1:-1]) == region_input, (key_regions, fail_at)
+        tally = LeTally()
+        run_kernel(kernel, counted_regions(key_regions, tally), pad=1)
+        for fail_at in range(1, tally.le_calls + 1):
+            tally = LeTally()
+            tally.at = fail_at
+            tally.action = raise_key_failure
+            lst, bounds = padded(counted_regions(key_regions, tally), 1)
+            region_input = sorted(map(id, lst[1:-1]))
+            order, stats = fresh_instruments()
+            buf = MergeBuffer((bounds[-1] - bounds[0]) + 4)
+            with pytest.raises(KeyFailure):
+                kernel(lst, *bounds, buf, order, stats)
+            assert lst[0] == lst[-1] == "pad"
+            assert sorted(map(id, lst[1:-1])) == region_input, (
+                key_regions, fail_at)
+
+
+def raise_key_failure():
+    raise KeyFailure("<=")
 
 
 def stage_counts_digest(kernel, arity, max_total, keyed):
@@ -408,6 +453,20 @@ def test_sentinel_values_never_emitted():
     # run_kernel checks that no kernel leaks its buffer's sentinel.
     out, _, _ = run_kernel(merge_4way_sentinel, [[1], [2, 2], [0], [3]])
     assert out == [0, 1, 2, 2, 3]
+
+
+def test_list_iterator_placement_and_cursor_recovery():
+    # The sentinel kernels and run detection place list iterators with
+    # ``__setstate__`` and recover the index of the element ``next()``
+    # returned last from ``length_hint``.  This pins that CPython behaviour.
+    B = list(range(10, 16))
+    for start in range(len(B)):
+        it = iter(B)
+        it.__setstate__(start)
+        for j in range(start, len(B)):
+            assert next(it) == B[j]
+            # Also at j == len(B) - 1, the buffer's last slot.
+            assert len(B) - 1 - length_hint(it) == j, (start, j)
 
 
 def test_each_buffer_has_its_own_sentinel():

@@ -306,8 +306,9 @@ class RandomOrderKey:
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_hostile_orders_terminate_with_a_permutation(variant, min_run_len):
     # NaN keys (every comparison with one is false) and keys that answer
-    # at random: the sort must finish without an error, IndexError
-    # included, and leave a permutation of its input.
+    # at random, then the same as plain elements, unkeyed: the sort must
+    # finish without an error, IndexError included, and leave a
+    # permutation of its input.
     rng = random.Random(31)
     for trial in range(25):
         n = rng.randint(1, 400)
@@ -322,6 +323,12 @@ def test_hostile_orders_terminate_with_a_permutation(variant, min_run_len):
             stable_sort_with(
                 lst, config_for(variant, key=key, min_run_len=min_run_len))
             assert sorted(uid for _, uid in lst) == list(range(n)), trial
+        for values in (nan_keys,
+                       [RandomOrderKey(order_rng) for _ in range(n)]):
+            lst = list(values)
+            stable_sort_with(
+                lst, config_for(variant, min_run_len=min_run_len))
+            assert sorted(map(id, lst)) == sorted(map(id, values)), trial
 
 
 class LeOnlyKey:
