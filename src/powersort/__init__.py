@@ -19,8 +19,6 @@ from .runs import Run
 from .statskit import (
     CountingOrder,
     SortStats,
-    normalized_merge_cost,
-    normalized_time,
     scanned_elements_estimate,
 )
 
@@ -36,8 +34,6 @@ __all__ = [
     "VARIANTS",
     "merge_cost_for_profile",
     "node_power",
-    "normalized_merge_cost",
-    "normalized_time",
     "run_stack_capacity",
     "scanned_elements_estimate",
     "stable_sort",

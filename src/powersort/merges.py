@@ -5,7 +5,10 @@ external buffer and tally costs into a SortStats.  Every decision is an
 inline ``<=`` on two held locals.  Without a key (``order.key is None``)
 they are the elements themselves.  With one, a kernel calls the key once
 on each element when it loads it into a local and keeps the key beside
-the element.  Each kernel adds the number of comparisons it executed to
+the element.  Every kernel chooses its hot loop once per merge, by ``key
+is None``: the unkeyed loop compares the elements and holds no keys, and
+the keyed loop calls the key on each element it loads, without testing
+for a key.  Each kernel adds the number of comparisons it executed to
 ``order.comparisons`` once per call, derived from its loop structure.
 Ties always go to the run with the lower start index -- "at or before" at
 every decision point, with the lower-indexed run on the left -- which is
@@ -19,10 +22,7 @@ read each buffered run through a list iterator placed at the run's start
 with ``__setstate__``, and load the next head with ``next()``, so a step
 moves no cursor.  A run's cursor, the buffer index of its head, is
 recovered as ``len(B) - 1 - length_hint(it)`` only where it is read: for
-the 2-way tail copy and for the put-back after a failure.  Their hot loop
-is chosen once per merge, by ``key is None``: the unkeyed loop compares
-heads and holds no keys, and the keyed loop calls the key on each head it
-loads, without testing for a key.
+the 2-way tail copy and for the put-back after a failure.
 
 Five buffer strategies:
 
@@ -64,10 +64,12 @@ the heads h0..h3, the winners x and y with the runs they came from, their
 keys, and the cursors are locals.  A stage runs as many rounds as the
 shortest run has elements left, so no round checks a cursor; a head read
 ahead may lie one slot past its run (it is keyed, but not compared before
-the stage ends).  Then the root is output and the loser, with its key,
-rolled back into its run, and the tree is rebuilt from the held heads at
-the same width, or the merge narrows and the narrower tree keys its heads
-again.
+the stage ends).  Each round decides the root at its top, outputs the
+winner and refills that side; the unkeyed rounds hold no keys, and each
+held key is set to its element after them.  At the stage's end the root
+is decided once more and output, the loser, with its key, rolled back
+into its run, and the tree is rebuilt from the held heads at the same
+width, or the merge narrows and the narrower tree keys its heads again.
 
 If the key or ``<=`` raises, every kernel writes the elements it has taken
 out and not yet output back into the merge region before the exception
@@ -170,23 +172,38 @@ def _merge_runs(lst, o, B, c1, e1, c2, e2, order):
     a = B[c1]
     b = B[c2]
     try:
-        ka = a if key is None else key(a)
-        kb = b if key is None else key(b)
-        for o in range(o, r):
-            if ka <= kb:
-                lst[o] = a
-                c1 += 1
-                if c1 == e1:
-                    break
-                a = B[c1]
-                ka = a if key is None else key(a)
-            else:
-                lst[o] = b
-                c2 += 1
-                if c2 == e2:
-                    break
-                b = B[c2]
-                kb = b if key is None else key(b)
+        if key is None:
+            for o in range(o, r):
+                if a <= b:
+                    lst[o] = a
+                    c1 += 1
+                    if c1 == e1:
+                        break
+                    a = B[c1]
+                else:
+                    lst[o] = b
+                    c2 += 1
+                    if c2 == e2:
+                        break
+                    b = B[c2]
+        else:
+            ka = key(a)
+            kb = key(b)
+            for o in range(o, r):
+                if ka <= kb:
+                    lst[o] = a
+                    c1 += 1
+                    if c1 == e1:
+                        break
+                    a = B[c1]
+                    ka = key(a)
+                else:
+                    lst[o] = b
+                    c2 += 1
+                    if c2 == e2:
+                        break
+                    b = B[c2]
+                    kb = key(b)
     finally:
         # The surviving run's rest, or after a failure both rests.
         _put_back(lst, r, (B[c1:e1], B[c2:e2]))
@@ -282,23 +299,38 @@ def merge_2way_copy_smaller(lst, l, m, r, buf, order, stats):
         a = B[0]
         b = lst[m]
         try:
-            ka = a if key is None else key(a)
-            kb = b if key is None else key(b)
-            for o in range(l, r):
-                if ka <= kb:
-                    lst[o] = a
-                    c1 += 1
-                    if c1 == n1:
-                        break
-                    a = B[c1]
-                    ka = a if key is None else key(a)
-                else:
-                    lst[o] = b
-                    c2 += 1
-                    if c2 == r:
-                        break
-                    b = lst[c2]
-                    kb = b if key is None else key(b)
+            if key is None:
+                for o in range(l, r):
+                    if a <= b:
+                        lst[o] = a
+                        c1 += 1
+                        if c1 == n1:
+                            break
+                        a = B[c1]
+                    else:
+                        lst[o] = b
+                        c2 += 1
+                        if c2 == r:
+                            break
+                        b = lst[c2]
+            else:
+                ka = key(a)
+                kb = key(b)
+                for o in range(l, r):
+                    if ka <= kb:
+                        lst[o] = a
+                        c1 += 1
+                        if c1 == n1:
+                            break
+                        a = B[c1]
+                        ka = key(a)
+                    else:
+                        lst[o] = b
+                        c2 += 1
+                        if c2 == r:
+                            break
+                        b = lst[c2]
+                        kb = key(b)
         finally:
             # The left run's rest fills the gap before the right run's
             # rest, which is already in place.
@@ -311,23 +343,38 @@ def merge_2way_copy_smaller(lst, l, m, r, buf, order, stats):
         a = lst[c1]
         b = B[c2]
         try:
-            ka = a if key is None else key(a)
-            kb = b if key is None else key(b)
-            for o in range(r - 1, l - 1, -1):
-                if ka <= kb:
-                    lst[o] = b
-                    c2 -= 1
-                    if c2 < 0:
-                        break
-                    b = B[c2]
-                    kb = b if key is None else key(b)
-                else:
-                    lst[o] = a
-                    c1 -= 1
-                    if c1 < l:
-                        break
-                    a = lst[c1]
-                    ka = a if key is None else key(a)
+            if key is None:
+                for o in range(r - 1, l - 1, -1):
+                    if a <= b:
+                        lst[o] = b
+                        c2 -= 1
+                        if c2 < 0:
+                            break
+                        b = B[c2]
+                    else:
+                        lst[o] = a
+                        c1 -= 1
+                        if c1 < l:
+                            break
+                        a = lst[c1]
+            else:
+                ka = key(a)
+                kb = key(b)
+                for o in range(r - 1, l - 1, -1):
+                    if ka <= kb:
+                        lst[o] = b
+                        c2 -= 1
+                        if c2 < 0:
+                            break
+                        b = B[c2]
+                        kb = key(b)
+                    else:
+                        lst[o] = a
+                        c1 -= 1
+                        if c1 < l:
+                            break
+                        a = lst[c1]
+                        ka = key(a)
         finally:
             # The right run's rest fills the gap after the left run's rest,
             # which is already in place.
@@ -580,10 +627,11 @@ def _stage_tournament(lst, out, r, B, cs, es, order):
 
     Returns the output position once some run is exhausted, with the
     cursors written back to cs; the caller drops empty runs and merges
-    narrower.  If the key or ``<=`` raises, the held winners and the runs' rests
-    go back to the end of the merge region [.., r).  A build counts one
-    comparison per compared pair and one at the root, a round one at the
-    root and one in the refill, except a 3-way refill from the right.
+    narrower.  If the key or ``<=`` raises, the held winners and the runs'
+    rests go back to the end of the merge region [.., r).  A stage counts
+    one comparison per pair its build compares and one for the root it
+    decides at its end; a round counts one for the root, decided at its
+    top, and one in the refill, except a 3-way refill from the right.
     """
     global nasty_rebuilds
     key = order.key
@@ -601,7 +649,8 @@ def _stage_tournament(lst, out, r, B, cs, es, order):
             k0, k1, k2 = key(h0), key(h1), key(h2)
             k3 = key(h3) if four else h3
         while True:
-            # Build the tree: draw both winners, then decide the root.
+            # Build the tree: draw both winners.  The root is decided at
+            # the top of each round, and once more at the stage's end.
             if k0 <= k1:
                 x, kx, xr = h0, k0, 0
                 c0 += 1
@@ -622,8 +671,7 @@ def _stage_tournament(lst, out, r, B, cs, es, order):
                 c2 += 1
                 h2 = B[c2]
                 k2 = h2 if key is None else key(h2)
-            z = kx <= ky
-            comparisons += 3 if four else 2
+            comparisons += 3 if four else 2  # with the stage-end root
             while True:
                 safe = min(e0 - c0, e1 - c1, e2 - c2, e3 - c3)
                 if not safe:
@@ -631,40 +679,66 @@ def _stage_tournament(lst, out, r, B, cs, es, order):
                 left_fetched = c0 + c1
                 # `safe` rounds keep every cursor in its run.  A winner is
                 # output after its side's refill, so x and y stay held.
-                for out in range(out, out + safe):
-                    if z:
-                        if k0 <= k1:
-                            lst[out] = x
-                            x, kx, xr = h0, k0, 0
-                            c0 += 1
-                            h0 = B[c0]
-                            k0 = h0 if key is None else key(h0)
+                if key is None:
+                    for out in range(out, out + safe):
+                        if x <= y:
+                            if h0 <= h1:
+                                lst[out] = x
+                                x, xr = h0, 0
+                                c0 += 1
+                                h0 = B[c0]
+                            else:
+                                lst[out] = x
+                                x, xr = h1, 1
+                                c1 += 1
+                                h1 = B[c1]
+                        elif four and not h2 <= h3:
+                            lst[out] = y
+                            y, yr = h3, 3
+                            c3 += 1
+                            h3 = B[c3]
                         else:
-                            lst[out] = x
-                            x, kx, xr = h1, k1, 1
-                            c1 += 1
-                            h1 = B[c1]
-                            k1 = h1 if key is None else key(h1)
-                    elif four and not k2 <= k3:
-                        lst[out] = y
-                        y, ky, yr = h3, k3, 3
-                        c3 += 1
-                        h3 = B[c3]
-                        k3 = h3 if key is None else key(h3)
-                    else:
-                        lst[out] = y
-                        y, ky, yr = h2, k2, 2
-                        c2 += 1
-                        h2 = B[c2]
-                        k2 = h2 if key is None else key(h2)
-                    z = kx <= ky
+                            lst[out] = y
+                            y, yr = h2, 2
+                            c2 += 1
+                            h2 = B[c2]
+                    # Unkeyed, every held key is its element.
+                    kx, ky, k0, k1, k2, k3 = x, y, h0, h1, h2, h3
+                else:
+                    for out in range(out, out + safe):
+                        if kx <= ky:
+                            if k0 <= k1:
+                                lst[out] = x
+                                x, kx, xr = h0, k0, 0
+                                c0 += 1
+                                h0 = B[c0]
+                                k0 = key(h0)
+                            else:
+                                lst[out] = x
+                                x, kx, xr = h1, k1, 1
+                                c1 += 1
+                                h1 = B[c1]
+                                k1 = key(h1)
+                        elif four and not k2 <= k3:
+                            lst[out] = y
+                            y, ky, yr = h3, k3, 3
+                            c3 += 1
+                            h3 = B[c3]
+                            k3 = key(h3)
+                        else:
+                            lst[out] = y
+                            y, ky, yr = h2, k2, 2
+                            c2 += 1
+                            h2 = B[c2]
+                            k2 = key(h2)
                 out += 1
                 # Each left refill moved exactly one of c0, c1 on.
                 comparisons += (
                     2 * safe if four else safe + c0 + c1 - left_fetched)
-            # A run is used up.  Output the root and roll the loser back
-            # into its run, with its key, which leaves the tree empty.
-            if z:
+            # A run is used up.  Decide the root, output it and roll the
+            # loser back into its run, with its key, which leaves the tree
+            # empty.
+            if kx <= ky:
                 lst[out] = x
                 if yr == 2:
                     c2 -= 1

@@ -4,17 +4,18 @@ Nothing in here is global state.  A ``CountingOrder`` holds the element
 order of one sort: its ``key`` and the ``comparisons`` tally.  With a
 key, run detection, insertion sort and the merge kernels call it once on
 each element when they load it and keep that key beside the element;
-without one, they hold and compare the elements themselves (the sentinel
-merge kernels choose a loop without a key test for that case).  Each adds
-the number of comparisons it executed to ``comparisons`` once per call,
-derived from its loop structure (for insertion sort, from the positions
-``bisect_right`` returns).  The merges decide with an inline ``<=`` on
-what they hold, and so does detection, except that an unkeyed run longer
-than 32 elements is finished by ``operator.le`` in C (``runs._scan_tail``);
-insertion sort uses ``bisect_right``, which compares with ``<``.  A key type needs both, as ``list.sort``'s needs ``<``.  The
-counted method ``le`` is the same order one comparison at a time, for
-callers outside the sort.  A ``SortStats`` record accumulates every other
-counter and belongs to exactly one sort call.
+without one, they hold and compare the elements themselves (every merge
+kernel chooses a loop without a key test for that case, once per merge).
+Each adds the number of comparisons it executed to ``comparisons`` once
+per call, derived from its loop structure (for insertion sort, from the
+positions ``bisect_right`` returns).  The merges decide with an inline
+``<=`` on what they hold, and so does detection, except that an unkeyed
+run longer than 32 elements is finished by ``operator.le`` in C
+(``runs._scan_tail``); insertion sort uses ``bisect_right``, which
+compares with ``<``.  A key type needs both, as ``list.sort``'s needs
+``<``.  The counted method ``le`` is the same order one comparison at a
+time, for callers outside the sort.  A ``SortStats`` record accumulates
+every other counter and belongs to exactly one sort call.
 
 Counter semantics:
 
@@ -38,7 +39,6 @@ Counter semantics:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 
@@ -102,18 +102,3 @@ def scanned_elements_estimate(stats: SortStats, n: int) -> int:
     """
     return 4 * stats.merge_cost + 2 * n
 
-
-def normalized_merge_cost(value: float, n: int, min_run_len: int) -> float:
-    """``value / (n * lg(n / min_run_len))`` -- the scale on which merge
-    costs of different input sizes are comparable."""
-    if n <= min_run_len:
-        raise ValueError("normalization needs n > min_run_len")
-    return value / (n * math.log2(n / min_run_len))
-
-
-def normalized_time(milliseconds: float, n: int) -> float:
-    """``ms * 1e6 / (n * lg n)`` -- running time per n lg n, in convenient
-    magnitude for plotting."""
-    if n < 2:
-        raise ValueError("normalization needs n >= 2")
-    return milliseconds * 1e6 / (n * math.log2(n))

@@ -1,8 +1,10 @@
+import collections
 import dataclasses
 import hashlib
 import itertools
 import json
 import random
+import sys
 from operator import attrgetter, length_hint
 
 import pytest
@@ -298,18 +300,23 @@ def test_raising_key_leaves_a_permutation(kernel, arity):
         tally = LeTally()
         run_kernel(kernel, counted_regions(key_regions, tally), pad=1)
         for fail_at in range(1, tally.le_calls + 1):
-            tally = LeTally()
-            tally.at = fail_at
-            tally.action = raise_key_failure
-            lst, bounds = padded(counted_regions(key_regions, tally), 1)
-            region_input = sorted(map(id, lst[1:-1]))
-            order, stats = fresh_instruments()
-            buf = MergeBuffer((bounds[-1] - bounds[0]) + 4)
-            with pytest.raises(KeyFailure):
-                kernel(lst, *bounds, buf, order, stats)
-            assert lst[0] == lst[-1] == "pad"
-            assert sorted(map(id, lst[1:-1])) == region_input, (
-                key_regions, fail_at)
+            check_raising_le(kernel, key_regions, fail_at)
+
+
+def check_raising_le(kernel, key_regions, fail_at):
+    """Merge unkeyed elements whose ``<=`` raises on its fail_at-th call:
+    the error propagates and the region holds the same objects."""
+    tally = LeTally()
+    tally.at = fail_at
+    tally.action = raise_key_failure
+    lst, bounds = padded(counted_regions(key_regions, tally), 1)
+    region_input = sorted(map(id, lst[1:-1]))
+    order, stats = fresh_instruments()
+    buf = MergeBuffer((bounds[-1] - bounds[0]) + 4)
+    with pytest.raises(KeyFailure):
+        kernel(lst, *bounds, buf, order, stats)
+    assert lst[0] == lst[-1] == "pad"
+    assert sorted(map(id, lst[1:-1])) == region_input, (key_regions, fail_at)
 
 
 def raise_key_failure():
@@ -364,21 +371,63 @@ def test_exhaustive_sweep_exercises_nasty_rollback():
 
 @pytest.mark.parametrize("kernel,arity", ALL_KERNELS)
 def test_randomized_large_merges_match_reference(kernel, arity):
+    # Keyed records, and unkeyed elements checked by identity.  The runs
+    # are long enough for many stages and rebuilds of the staged merger.
     rng = random.Random(arity * 1000 + 17)
     for _ in range(30):
-        uid = itertools.count()
-        regions = [
-            sorted(
-                make_records_with(
-                    uid, (rng.randint(0, 6) for _ in range(rng.randint(1, 400)))
-                ),
-                key=KEY,
-            )
+        key_regions = [
+            [rng.randint(0, 6) for _ in range(rng.randint(1, 400))]
             for _ in range(arity)
         ]
+        regions = split_records(key_regions)
         flat = [rec for region in regions for rec in region]
         out, _, _ = run_kernel(kernel, regions, key=KEY)
         assert out == sorted(flat, key=KEY)
+        tally = LeTally()
+        regions = counted_regions(key_regions, tally)
+        flat = [x for region in regions for x in region]
+        out, order, _ = run_kernel(kernel, regions)
+        assert same_objects(out, sorted(flat, key=VALUE)), key_regions
+        assert order.comparisons == tally.le_calls, key_regions
+
+
+def stage_call_lines(key_regions):
+    """For each ``<=`` call of an unkeyed ``merge_4way_stages`` merge, the
+    line of ``_stage_tournament`` that made it, or None if another
+    function made it."""
+    lines = []
+    code = merges._stage_tournament.__code__
+    tally = LeTally()
+
+    def record():
+        caller = sys._getframe(2)
+        lines.append(caller.f_lineno if caller.f_code is code else None)
+        tally.at += 1
+
+    tally.at = 1
+    tally.action = record
+    run_kernel(merge_4way_stages, counted_regions(key_regions, tally))
+    return lines
+
+
+def test_raising_le_in_large_staged_merge_keeps_the_objects():
+    # A ``<=`` that raises in the unkeyed rounds, or at the root decided at
+    # a stage's end, leaves the region holding the same objects.  The last
+    # comparison in the tournament's source is that stage-end root; a
+    # round's root and refills are the lines called most often.
+    rng = random.Random(4017)
+    key_regions = [[rng.randint(0, 6) for _ in range(rng.randint(200, 400))]
+                   for _ in range(4)]
+    lines = stage_call_lines(key_regions)
+    stage_end = max(line for line in lines if line is not None)
+    in_rounds = collections.Counter(lines).most_common(3)
+    picks = {lines.index(stage_end, len(lines) // 2) + 1}
+    for line, _ in in_rounds:
+        assert line is not None and line < stage_end
+        picks.add(lines.index(line, len(lines) // 3) + 1)
+    assert len(picks) == 4
+    for fail_at in sorted(picks):
+        check_raising_le(merge_4way_stages, key_regions, fail_at)
 
 
 # --- accounting ------------------------------------------------------------

@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -7,8 +6,6 @@ from powersort.policy import SortConfig, stable_sort_with
 from powersort.statskit import (
     CountingOrder,
     SortStats,
-    normalized_merge_cost,
-    normalized_time,
     scanned_elements_estimate,
 )
 
@@ -33,21 +30,6 @@ def test_scanned_estimate_reference_instance():
     lines = estimate / 16
     measured = 90_998_034 + 90_941_221
     assert abs(lines / measured - 1.0) < 2e-3
-
-
-def test_normalized_merge_cost():
-    n = 16
-    assert abs(normalized_merge_cost(n * math.log2(n / 1), n, 1) - 1.0) < 1e-12
-    assert normalized_merge_cost(28, 16, 1) == 28 / 64
-    with pytest.raises(ValueError):
-        normalized_merge_cost(1.0, 24, 24)
-
-
-def test_normalized_time():
-    assert abs(normalized_time(1.0, 10**6) - 1e6 / (1e6 * math.log2(1e6))) < 1e-15
-    assert abs(normalized_time(1.0, 10**6) - 0.0501716659) < 1e-9
-    with pytest.raises(ValueError):
-        normalized_time(1.0, 1)
 
 
 def test_counting_order_counts_element_comparisons():
