@@ -2,7 +2,8 @@
 
 The public sorting surface is ``stable_sort`` / ``stable_sort_with``; the
 submodules expose the building blocks (run detection, boundary powers, the
-merge kernels), the reference oracle, and the benchmark harness.
+merge kernels), the reference oracle, and seeded input generators
+(``harness``).
 """
 
 from .merges import MergeBuffer

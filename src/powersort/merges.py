@@ -32,8 +32,10 @@ Five buffer strategies:
 * ``merge_2way_no_sentinel``   -- copy both runs out; a step checks the
                                   cursor it moved against its run's end.
 * ``merge_2way_copy_smaller``  -- copy only the smaller run out and merge
-                                  into the gap; backward when the right run
-                                  is the smaller one.
+                                  into the gap.  Forward, the same loop as
+                                  ``merge_2way_no_sentinel`` reads the right
+                                  run in place; backward, a mirrored loop,
+                                  when the right run is the smaller one.
 * ``merge_3way`` / ``merge_4way_sentinel``
                                -- one winner tournament tree over four
                                   runs, sentinel after each buffered run.
@@ -163,14 +165,19 @@ def _put_back(lst, r, pieces):
         r -= len(piece)
 
 
-def _merge_runs(lst, o, B, c1, e1, c2, e2, order):
-    """Merge the nonempty sorted runs B[c1:e1] and B[c2:e2] into lst from
-    position o on, and return the position after the output."""
+def _merge_runs(lst, o, A, c1, e1, C, c2, e2, order):
+    """Merge the nonempty sorted runs A[c1:e1] and C[c2:e2] into lst from
+    position o on, and return the second run's cursor at the end: e2 if it
+    ran out first, else where its rest starts.
+
+    C may be lst itself, with its run ending where the output does: the
+    output stays behind that run's cursor, and its rest is already in
+    place."""
     r = o + (e1 - c1) + (e2 - c2)
     start = o
     key = order.key
-    a = B[c1]
-    b = B[c2]
+    a = A[c1]
+    b = C[c2]
     try:
         if key is None:
             for o in range(o, r):
@@ -179,13 +186,13 @@ def _merge_runs(lst, o, B, c1, e1, c2, e2, order):
                     c1 += 1
                     if c1 == e1:
                         break
-                    a = B[c1]
+                    a = A[c1]
                 else:
                     lst[o] = b
                     c2 += 1
                     if c2 == e2:
                         break
-                    b = B[c2]
+                    b = C[c2]
         else:
             ka = key(a)
             kb = key(b)
@@ -195,20 +202,20 @@ def _merge_runs(lst, o, B, c1, e1, c2, e2, order):
                     c1 += 1
                     if c1 == e1:
                         break
-                    a = B[c1]
+                    a = A[c1]
                     ka = key(a)
                 else:
                     lst[o] = b
                     c2 += 1
                     if c2 == e2:
                         break
-                    b = B[c2]
+                    b = C[c2]
                     kb = key(b)
     finally:
         # The surviving run's rest, or after a failure both rests.
-        _put_back(lst, r, (B[c1:e1], B[c2:e2]))
+        _put_back(lst, r, (A[c1:e1], C[c2:e2]))
     order.comparisons += o + 1 - start  # one per output before the tail copy
-    return r
+    return c2
 
 
 def merge_2way_sentinel(lst, l, m, r, buf, order, stats):
@@ -275,7 +282,7 @@ def merge_2way_no_sentinel(lst, l, m, r, buf, order, stats):
     n1 = m - l
     B = buf.data
     B[0:n] = lst[l:r]
-    _merge_runs(lst, l, B, 0, n1, n1, n, order)
+    _merge_runs(lst, l, B, 0, n1, B, n1, n, order)
     _count_copy_all(stats, n, 0)
     stats.merges2 += 1
 
@@ -292,53 +299,13 @@ def merge_2way_copy_smaller(lst, l, m, r, buf, order, stats):
     _check_regions(lst, (l, m, r), buf, min(n1, n2))
     n = r - l
     B = buf.data
-    key = order.key
     if n1 <= n2:
         B[0:n1] = lst[l:m]
-        c1, c2 = 0, m
-        a = B[0]
-        b = lst[m]
-        try:
-            if key is None:
-                for o in range(l, r):
-                    if a <= b:
-                        lst[o] = a
-                        c1 += 1
-                        if c1 == n1:
-                            break
-                        a = B[c1]
-                    else:
-                        lst[o] = b
-                        c2 += 1
-                        if c2 == r:
-                            break
-                        b = lst[c2]
-            else:
-                ka = key(a)
-                kb = key(b)
-                for o in range(l, r):
-                    if ka <= kb:
-                        lst[o] = a
-                        c1 += 1
-                        if c1 == n1:
-                            break
-                        a = B[c1]
-                        ka = key(a)
-                    else:
-                        lst[o] = b
-                        c2 += 1
-                        if c2 == r:
-                            break
-                        b = lst[c2]
-                        kb = key(b)
-        finally:
-            # The left run's rest fills the gap before the right run's
-            # rest, which is already in place.
-            _put_back(lst, c2, (B[c1:n1],))
-        outputs = o + 1 - l
-        written = outputs + (n1 - c1)
+        c2 = _merge_runs(lst, l, B, 0, n1, lst, m, r, order)
+        written = c2 - l  # the right run's rest stays where it is
     else:
         B[0:n2] = lst[m:r]
+        key = order.key
         c1, c2 = m - 1, n2 - 1
         a = lst[c1]
         b = B[c2]
@@ -380,8 +347,8 @@ def merge_2way_copy_smaller(lst, l, m, r, buf, order, stats):
             # which is already in place.
             _put_back(lst, c1 + 2 + c2, (B[0 : c2 + 1],))
         outputs = r - o
+        order.comparisons += outputs  # one per output before the tail copy
         written = outputs + (c2 + 1)
-    order.comparisons += outputs  # one per output before the tail copy
     copied = min(n1, n2)
     stats.merge_cost += n
     stats.buffer_cost += copied
@@ -614,7 +581,8 @@ def _merge_stages(lst, bounds, buf, order, stats):
             out = r
             break
         if width == 2:
-            out = _merge_runs(lst, out, B, cs[0], es[0], cs[1], es[1], order)
+            _merge_runs(lst, out, B, cs[0], es[0], B, cs[1], es[1], order)
+            out = r
             break
         out = _stage_tournament(lst, out, r, B, cs, es, order)
     assert out == r

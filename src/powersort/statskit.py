@@ -1,4 +1,4 @@
-"""Instrumentation shared by the sorting kernels and the benchmark harness.
+"""Instrumentation of a sort: its element order and its counters.
 
 Nothing in here is global state.  A ``CountingOrder`` holds the element
 order of one sort: its ``key`` and the ``comparisons`` tally.  With a

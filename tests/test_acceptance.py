@@ -16,7 +16,12 @@ import numpy as np
 import pytest
 
 from powersort import oracle
-from powersort.harness import GeneratorSpec, generate, sample_run_lengths
+from powersort.harness import (
+    GENERATOR_KINDS,
+    GeneratorSpec,
+    generate,
+    sample_run_lengths,
+)
 from powersort.policy import (
     SortConfig,
     VARIANTS,
@@ -28,7 +33,6 @@ from powersort.statskit import scanned_elements_estimate
 
 from conftest import KEY, realizable_profiles_upto
 
-GENERATOR_KINDS = ("random-runs", "random-permutation", "sorted", "reverse")
 SORT_VARIANTS = sorted(VARIANTS)
 COPY_ALL_VARIANTS = ("2way", "2way-nosentinel", "4way", "4way-nosentinel")
 

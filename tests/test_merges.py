@@ -475,6 +475,39 @@ def test_copy_smaller_costs():
     assert stats.scan_reads == stats.scan_writes
 
 
+def copy_smaller_left_in_place(left, right):
+    """How many of the larger run's elements a copy-smaller merge of the
+    sorted key lists leaves where they are.  Forward, that is the right
+    run's keys at or after the left run's last; backward, the left run's
+    keys at or before the right run's first (ties keep the left first)."""
+    if len(left) <= len(right):
+        return sum(k >= left[-1] for k in right)
+    return sum(k <= right[0] for k in left)
+
+
+def test_copy_smaller_costs_match_closed_form():
+    # The smaller run is copied out; every slot but the larger run's
+    # elements left in place is written; each of those moves reads and
+    # writes one element.
+    directions = set()
+    for key_regions in exhaustive_cases(2, 10):
+        left, right = map(sorted, key_regions)
+        n = len(left) + len(right)
+        copied = min(len(left), len(right))
+        written = n - copy_smaller_left_in_place(left, right)
+        directions.add(len(left) <= len(right))
+        for regions, key in (([left, right], None),
+                             (split_records(key_regions), KEY)):
+            _, _, stats = run_kernel(
+                merge_2way_copy_smaller, regions, key=key, pad=1)
+            costs = (stats.merge_cost, stats.buffer_cost, stats.moves,
+                     stats.scan_reads, stats.scan_writes)
+            moved = copied + written
+            assert costs == (n, copied, moved, moved, moved), (
+                key_regions, key)
+    assert directions == {True, False}
+
+
 @pytest.mark.parametrize("kernel,arity", ALL_KERNELS)
 def test_empty_region_rejected(kernel, arity):
     lst = list(range(2 * arity))
