@@ -3,7 +3,7 @@
 The public sorting surface is ``stable_sort`` / ``stable_sort_with``; the
 submodules expose the building blocks (run detection, boundary powers, the
 merge kernels), the reference oracle, and seeded input generators
-(``harness``).
+(``harness``).  Runs are ``(begin, end)`` index pairs of plain ints.
 """
 
 from .merges import MergeBuffer
@@ -16,7 +16,6 @@ from .policy import (
     stable_sort_with,
 )
 from .power import node_power, run_stack_capacity
-from .runs import Run
 from .statskit import (
     CountingOrder,
     SortStats,
@@ -28,7 +27,6 @@ __version__ = "0.1.0"
 __all__ = [
     "MIN_RUN_LEN",
     "MergeBuffer",
-    "Run",
     "CountingOrder",
     "SortConfig",
     "SortStats",

@@ -115,13 +115,6 @@ class MergeBuffer:
         return len(self.data)
 
 
-def _iter_at(B, i):
-    """A list iterator over B, placed so that ``next()`` returns B[i]."""
-    it = iter(B)
-    it.__setstate__(i)
-    return it
-
-
 def _cursor(B, it):
     """The index in B of the element that ``next(it)`` returned last."""
     return len(B) - 1 - length_hint(it)
@@ -130,12 +123,15 @@ def _cursor(B, it):
 def _check_regions(lst, bounds, buf, need):
     if bounds[0] < 0 or bounds[-1] > len(lst):
         raise ValueError("merge bounds %r outside the array" % (bounds,))
-    for a, b in zip(bounds, bounds[1:]):
+    a = bounds[0]
+    for b in bounds[1:]:
         if a >= b:
             raise ValueError("empty merge region in bounds %r" % (bounds,))
-    if buf.capacity < need:
+        a = b
+    if len(buf.data) < need:
         raise ValueError(
-            "merge buffer too small: capacity %d, need %d" % (buf.capacity, need)
+            "merge buffer too small: capacity %d, need %d"
+            % (len(buf.data), need)
         )
 
 
@@ -212,8 +208,12 @@ def _merge_runs(lst, o, A, c1, e1, C, c2, e2, order):
                     b = C[c2]
                     kb = key(b)
     finally:
-        # The surviving run's rest, or after a failure both rests.
-        _put_back(lst, r, (A[c1:e1], C[c2:e2]))
+        # The surviving run's rest, or after a failure both rests; in lst,
+        # C's rest is already in place, from c2 to r.
+        if C is lst and r <= len(lst):
+            _put_back(lst, c2, (A[c1:e1],))
+        else:
+            _put_back(lst, r, (A[c1:e1], C[c2:e2]))
     order.comparisons += o + 1 - start  # one per output before the tail copy
     return c2
 
@@ -232,8 +232,9 @@ def merge_2way_sentinel(lst, l, m, r, buf, order, stats):
     B[n1 + 1 : n + 1] = lst[m:r]
     B[n + 1] = sentinel
     key = order.key
-    it1 = _iter_at(B, 0)
-    it2 = _iter_at(B, n1 + 1)
+    it1 = iter(B)
+    it2 = iter(B)
+    it2.__setstate__(n1 + 1)
     a = next(it1)
     b = next(it2)
     try:
@@ -382,18 +383,30 @@ def _tournament(lst, bounds, buf, order, stats):
     n = r - l
     B = buf.data
     sentinel = buf.sentinel
-    # Run i goes to B[starts[i]:ends[i]], its sentinel to B[ends[i]].
-    starts = [b - l + i for i, b in enumerate(bounds[:-1])]
-    ends = [b - l + i for i, b in enumerate(bounds[1:])]
-    for i, end in enumerate(ends):
-        B[starts[i] : end] = lst[bounds[i] : bounds[i + 1]]
+    # Each run goes to B right after the previous run's sentinel, and its
+    # own sentinel to B[end].
+    ends = []
+    end = -1
+    b = l
+    for e in bounds[1:]:
+        start = end + 1
+        end = start + e - b
+        B[start:end] = lst[b:e]
         B[end] = sentinel
+        ends.append(end)
+        b = e
+    i0 = iter(B)
+    i1 = iter(B)
+    i1.__setstate__(ends[0] + 1)
+    i2 = iter(B)
+    i2.__setstate__(ends[1] + 1)
+    i3 = iter(B)
     if len(ends) == 3:
         # The empty fourth run starts and ends at run 2's sentinel slot.
-        starts.append(ends[2])
-        ends.append(ends[2])
-    its = [_iter_at(B, start) for start in starts]
-    i0, i1, i2, i3 = its
+        ends.append(end)
+        i3.__setstate__(end)
+    else:
+        i3.__setstate__(ends[2] + 1)
     h0, h1, h2, h3 = next(i0), next(i1), next(i2), next(i3)
     key = order.key
     # A sentinel winner is an exhausted side, or one not drawn yet.
@@ -523,7 +536,8 @@ def _tournament(lst, bounds, buf, order, stats):
                 break
     except BaseException:
         pending = [v for v in (x, y) if v is not sentinel]
-        rests = [B[_cursor(B, it) : end] for it, end in zip(its, ends)]
+        rests = [B[_cursor(B, it) : end]
+                 for it, end in zip((i0, i1, i2, i3), ends)]
         _put_back(lst, r, [pending] + rests)
         raise
     # Two decisions draw the first winners, and every output takes one at
@@ -561,8 +575,9 @@ def _merge_stages(lst, bounds, buf, order, stats):
     # Guard slot: a stage reads refilled heads ahead, up to one slot past
     # their run.  Past the last run it reads this copy, never compared.
     B[n] = B[n - 1]
-    cs = [b - l for b in bounds[:-1]]
-    es = [b - l for b in bounds[1:]]
+    es = [b - l for b in bounds]
+    cs = es[:-1]
+    del es[0]
     out = l
     while True:
         # Drop exhausted runs; several can empty at the same boundary.

@@ -3,7 +3,8 @@
 One engine, ``merge_schedule``, decides every merge.  It reads adjacent runs
 lazily from an iterator and computes the power of each boundary between two
 runs (``power.node_power``).  A stack holds pending runs together with the
-power of the boundary at which each was deferred; powers on the stack
+power of the boundary at which each was deferred, as two local lists of
+ints (begins, and powers over a bottom power 0); powers on the stack
 weakly increase from bottom to top, and at most k-1 entries ever share a
 power.  When the next boundary's power is smaller than the power on top of
 the stack, the whole equal-power top group and the current run form one 2-,
@@ -13,8 +14,9 @@ collapse first normalizes the number of remaining runs to 3j + 1 with a
 single 2- or 3-way merge so every following merge is a full 4-way merge.
 
 The engine yields each group ``(begins, end)`` and knows nothing of the
-elements.  ``stable_sort_with`` feeds it the runs it detects (and extends)
-in the list and runs each group through a merge kernel;
+elements.  ``stable_sort_with`` feeds it the ``(begin, end)`` runs it
+detects (and extends) in the list and runs each group through a merge
+kernel;
 ``merge_cost_for_profile`` feeds it the runs of a length profile and sums
 the groups' lengths.  Both therefore execute the same merges.
 """
@@ -93,44 +95,6 @@ class SortConfig:
     on_merge: Optional[Callable] = None
 
 
-class RunStack:
-    """Fixed-capacity stack of (run begin, boundary power) entries.
-
-    Slot 0 is a bottom sentinel with power 0, so ``top_power()`` of an empty
-    stack compares below every real power.  The capacity is the proven
-    height bound; exceeding it raises, making the bound a hard assertion.
-    """
-
-    __slots__ = ("capacity", "height", "_begins", "_powers")
-
-    def __init__(self, capacity):
-        self.capacity = capacity
-        self.height = 0
-        self._begins = [0] * (capacity + 1)
-        self._powers = [0] * (capacity + 1)
-
-    def top_power(self):
-        return self._powers[self.height]
-
-    def push(self, begin, power):
-        assert power >= self._powers[self.height], (
-            "stack powers must weakly increase bottom to top"
-        )
-        if self.height == self.capacity:
-            raise OverflowError(
-                "run stack exceeded its height bound of %d" % self.capacity
-            )
-        h = self.height + 1
-        self._begins[h] = begin
-        self._powers[h] = power
-        self.height = h
-
-    def pop(self):
-        begin = self._begins[self.height]
-        self.height -= 1
-        return begin
-
-
 def merge_schedule(k, n, runs, strict_merge_down, stats):
     """Yield the policy's merge groups ``(begins, end)`` in execution order.
 
@@ -141,14 +105,20 @@ def merge_schedule(k, n, runs, strict_merge_down, stats):
     runs, left to right.  Records the peak stack height in
     ``stats.max_stack_height``.
     """
-    stack = RunStack(run_stack_capacity(k, n))
+    capacity = run_stack_capacity(k, n)
+    # The run stack: stack[h] begins a pending run that was deferred at a
+    # boundary of power powers[h + 1]; powers[0] = 0 lies below them all.
+    stack = []
+    powers = [0]
+    peak = stats.max_stack_height
     a_begin, a_end = next(runs)
     for b_begin, b_end in runs:
         power = node_power(k, n, a_begin, a_end, b_begin, b_end)
-        while stack.top_power() > power:
-            group_power = stack.top_power()
+        while powers[-1] > power:
+            group_power = powers.pop()
             begins = [stack.pop()]
-            while stack.top_power() == group_power:
+            while powers[-1] == group_power:
+                powers.pop()
                 begins.append(stack.pop())
             assert len(begins) <= k - 1, (
                 "more than k-1 equal powers were stacked"
@@ -157,36 +127,49 @@ def merge_schedule(k, n, runs, strict_merge_down, stats):
             begins.append(a_begin)
             yield begins, a_end
             a_begin = begins[0]
-        stack.push(a_begin, power)
-        if stack.height > stats.max_stack_height:
-            stats.max_stack_height = stack.height
+        # The pops left powers[-1] <= power, so powers weakly increase up
+        # the stack by construction.
+        height = len(stack)
+        if height == capacity:
+            raise OverflowError(
+                "run stack exceeded its height bound of %d" % capacity
+            )
+        stack.append(a_begin)
+        powers.append(power)
+        if height == peak:
+            peak = height + 1
+            stats.max_stack_height = peak
         a_begin, a_end = b_begin, b_end
     # Collapse the remaining stack under the rightmost run.  Unless strict,
     # k = 4 first pops height % 3 runs, so 3j + 1 runs remain for 4-way
     # merges.
-    while stack.height:
-        popped = min(k - 1, stack.height)
-        if k == 4 and not strict_merge_down and stack.height % 3:
-            popped = stack.height % 3
-        begins = [stack.pop() for _ in range(popped)]
-        begins.reverse()
+    while stack:
+        height = len(stack)
+        popped = min(k - 1, height)
+        if k == 4 and not strict_merge_down and height % 3:
+            popped = height % 3
+        begins = stack[height - popped:]
+        del stack[height - popped:]
         begins.append(a_begin)
         yield begins, a_end
         a_begin = begins[0]
 
 
 def _detected_runs(lst, n, order, stats, min_run_len):
-    """Detect runs left to right, extending each short one in place."""
-    at = 0
-    while at < n:
-        run = find_first_run(lst, at, n, order, stats)
-        stats.natural_run_lengths.append(run.end - run.begin)
-        if run.end - run.begin < min_run_len:
-            run = extend_run(lst, run, min_run_len, n, order, stats)
-        stats.runs_detected += 1
-        stats.run_lengths.append(run.end - run.begin)
-        yield run
-        at = run.end
+    """Detect runs left to right, extending each short one in place, and
+    yield each as ``(begin, end)``."""
+    natural_length = stats.natural_run_lengths.append
+    run_length = stats.run_lengths.append
+    begin = 0
+    while begin < n:
+        end = find_first_run(lst, begin, n, order, stats)
+        natural_length(end - begin)
+        if end - begin < min_run_len:
+            end = extend_run(lst, begin, end, min_run_len, n, order, stats)
+        run_length(end - begin)
+        yield begin, end
+        begin = end
+    stats.runs_detected = len(stats.run_lengths)
 
 
 def _validated(config):

@@ -1,6 +1,8 @@
 """Run detection and small-run finishing.
 
-A run is a maximal weakly increasing region, or a maximal strictly
+A run is an index pair [begin, end), held as two plain ints; there is no
+run type.  ``find_first_run`` and ``extend_run`` return the run's end.  A
+natural run is a maximal weakly increasing region, or a maximal strictly
 decreasing region which is reversed in place on detection.  Strictness in
 the decreasing case is what makes the reversal safe for stability: a
 strictly decreasing region cannot contain two equal elements, so reversing
@@ -18,9 +20,9 @@ scanned element once, and decides with an inline ``<=`` on keys.  Without
 a key, a run still going after ``_SCAN_INLINE`` elements is finished at C
 speed, by ``all`` (or ``any``) over ``map(operator.le, ...)`` of two list
 iterators one element apart; ``map`` is lazy, so the ``<=`` calls are
-exactly the loop's.  Insertion sort holds the keys of its region in a
-local list, beside a local copy of the region, and places each element
-with the C-level ``bisect_right``, which decides with ``<``; it counts the
+exactly the loop's.  Insertion sort holds a local copy of its region,
+with a key also a local list of its keys, and places each element with
+the C-level ``bisect_right``, which decides with ``<``; it counts the
 probes from a table, since their number is fixed by the position
 ``bisect_right`` returns.  If the key, ``<`` or ``<=`` raises, the list is
 still a permutation of its input: detection reverses a run only after its
@@ -33,15 +35,6 @@ from bisect import bisect_right
 from functools import cache
 from itertools import chain, islice
 from operator import le, length_hint
-from typing import NamedTuple
-
-
-class Run(NamedTuple):
-    """Half-open index interval [begin, end) of an already-sorted segment."""
-
-    begin: int
-    end: int
-
 
 #: Elements of a run that detection scans with its inline loop before an
 #: unkeyed scan goes on in C (``_scan_tail``).  The tail costs a fixed set-up
@@ -52,8 +45,8 @@ _SCAN_INLINE = 32
 
 
 def find_first_run(lst, begin, end, order, stats):
-    """Return the maximal run starting at ``begin`` within the view
-    [begin, end), which must be nonempty.
+    """Return the end of the maximal run starting at ``begin`` within the
+    view [begin, end), which must be nonempty.
 
     If the leading region is strictly decreasing it is reversed in place
     before returning, so the returned region is always weakly increasing.
@@ -65,7 +58,7 @@ def find_first_run(lst, begin, end, order, stats):
         raise ValueError("find_first_run requires a nonempty view")
     i = begin + 1
     if i == end:
-        return Run(begin, i)
+        return i
     key = order.key
     stop = end if key is not None else min(end, begin + _SCAN_INLINE)
     x = lst[begin]
@@ -97,7 +90,7 @@ def find_first_run(lst, begin, end, order, stats):
     # One comparison per pair inside the run, plus the one that ended it
     # when the run stops short of the view's end.
     order.comparisons += i - begin - 1 + (i < end)
-    return Run(begin, i)
+    return i
 
 
 def _scan_tail(lst, start, end, ascending):
@@ -188,13 +181,15 @@ def insertion_sort(lst, begin, end, sorted_prefix_len, order, stats):
     ``sorted_prefix_len`` elements are known to be weakly increasing and
     are skipped.
 
-    The sorted region is built in a local list, beside a list of its keys,
-    and written back at the end.  Each element is placed with the C-level
-    ``bisect_right`` on keys, after its equals, and inserted into both
-    lists.  If anything is inserted, every element of the region is keyed
-    once; otherwise none is.  ``bisect_right`` compares with ``<``, and its
-    probe path is fixed by the position it returns, whatever the order
-    answers, so ``comparisons`` adds ``rows[i][pos]`` per insertion.
+    The sorted region is built in a local list and written back at the
+    end.  Each element is placed with the C-level ``bisect_right``, after
+    its equals.  As in the merge kernels, the loop is chosen once by ``key
+    is None``: the unkeyed loop bisects the region itself, the keyed loop a
+    list of its keys beside it, and inserts into both.  If anything is
+    inserted, every element of the region is keyed once; otherwise none
+    is.  ``bisect_right`` compares with ``<``, and its probe path is fixed
+    by the position it returns, whatever the order answers, so
+    ``comparisons`` adds ``rows[i][pos]`` per insertion.
     ``moves`` counts the writes of the in-place algorithm: each shifted
     element and each element set into its hole.
     """
@@ -204,22 +199,26 @@ def insertion_sort(lst, begin, end, sorted_prefix_len, order, stats):
     key = order.key
     vs = lst[begin:begin + start]
     rest = lst[begin + start:end]
+    rows = _insertion_rows(start, end - begin)
+    insert = vs.insert
+    comparisons = moves = 0
     if key is None:
-        ks = vs
-        rest_keys = rest
+        for row, x in zip(rows, rest):
+            pos = bisect_right(vs, x)
+            probes, shifted = row[pos]
+            comparisons += probes
+            moves += shifted
+            insert(pos, x)
     else:
         ks = list(map(key, vs))
-        rest_keys = map(key, rest)
-    comparisons = moves = 0
-    for row, x, kx in zip(_insertion_rows(start, end - begin), rest,
-                          rest_keys):
-        pos = bisect_right(ks, kx)
-        probes, shifted = row[pos]
-        comparisons += probes
-        moves += shifted
-        vs.insert(pos, x)
-        if ks is not vs:
-            ks.insert(pos, kx)
+        insert_key = ks.insert
+        for row, x, kx in zip(rows, rest, map(key, rest)):
+            pos = bisect_right(ks, kx)
+            probes, shifted = row[pos]
+            comparisons += probes
+            moves += shifted
+            insert(pos, x)
+            insert_key(pos, kx)
     if end > len(lst):
         # Shortened during the sort; writing back would lengthen it again.
         raise IndexError("insertion region past the end of the list")
@@ -228,15 +227,16 @@ def insertion_sort(lst, begin, end, sorted_prefix_len, order, stats):
     order.comparisons += comparisons
 
 
-def extend_run(lst, run, min_run_len, view_end, order, stats):
-    """Extend a short run to ``min_run_len`` elements (clamped to
-    ``view_end``) by insertion-sorting the enlarged region.
+def extend_run(lst, begin, end, min_run_len, view_end, order, stats):
+    """Extend the run [begin, end) to ``min_run_len`` elements (clamped to
+    ``view_end``) by insertion-sorting the enlarged region, and return its
+    new end.
 
-    The already-sorted prefix of length ``run.end - run.begin`` is skipped.
-    Runs that are long enough are returned unchanged.
+    The run itself is the sorted prefix and is skipped.  A run that is
+    long enough keeps its end.
     """
-    if run.end - run.begin >= min_run_len:
-        return run
-    new_end = min(view_end, run.begin + min_run_len)
-    insertion_sort(lst, run.begin, new_end, run.end - run.begin, order, stats)
-    return Run(run.begin, new_end)
+    if end - begin >= min_run_len:
+        return end
+    new_end = min(view_end, begin + min_run_len)
+    insertion_sort(lst, begin, new_end, end - begin, order, stats)
+    return new_end

@@ -12,9 +12,9 @@ def detected_runs(lst):
     runs = []
     at = 0
     while at < len(lst):
-        run = find_first_run(list(lst), at, len(lst), order, stats)
-        runs.append(run.end - run.begin)
-        at = run.end
+        end = find_first_run(list(lst), at, len(lst), order, stats)
+        runs.append(end - at)
+        at = end
     return runs
 
 

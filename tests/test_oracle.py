@@ -203,7 +203,7 @@ def test_realize_profile_round_trip():
         detected = []
         at = 0
         while at < len(lst):
-            run = find_first_run(lst, at, len(lst), order, stats)
-            detected.append(run.end - run.begin)
-            at = run.end
+            end = find_first_run(lst, at, len(lst), order, stats)
+            detected.append(end - at)
+            at = end
         assert detected == list(profile)

@@ -5,7 +5,6 @@ import pytest
 
 from powersort import oracle, policy
 from powersort.policy import (
-    RunStack,
     SortConfig,
     VARIANTS,
     merge_cost_for_profile,
@@ -528,8 +527,9 @@ def test_merge_schedule_draws_runs_lazily(k, strict):
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_policy_hooks_called_once_per_run_and_boundary(variant, monkeypatch):
     # A tracer wraps these module globals; it relies on node_power being
-    # looked up once per boundary and find_first_run once per run.
-    calls = {"node_power": 0, "find_first_run": 0}
+    # looked up once per boundary, find_first_run once per run and
+    # extend_run once per natural run shorter than min_run_len.
+    calls = {"node_power": 0, "find_first_run": 0, "extend_run": 0}
     for name in calls:
         def counting(*args, _name=name, _real=getattr(policy, name)):
             calls[_name] += 1
@@ -538,11 +538,19 @@ def test_policy_hooks_called_once_per_run_and_boundary(variant, monkeypatch):
         monkeypatch.setattr(policy, name, counting)
     rng = random.Random(7)
     lst = [rng.randint(0, 500) for _ in range(3000)]
+    # A long ascending tail: a natural run that is not extended.
+    lst += range(501, 601)
     stats = stable_sort_with(lst, config_for(variant))
     assert lst == sorted(lst)
     assert stats.runs_detected > 1
-    assert calls == {"node_power": stats.runs_detected - 1,
-                     "find_first_run": stats.runs_detected}
+    min_run_len = config_for(variant).min_run_len
+    assert calls == {
+        "node_power": stats.runs_detected - 1,
+        "find_first_run": stats.runs_detected,
+        "extend_run": sum(1 for length in stats.natural_run_lengths
+                          if length < min_run_len),
+    }
+    assert 0 < calls["extend_run"] < stats.runs_detected
 
 
 def test_executed_tree_matches_conceptual_tree_for_k2_strict():
@@ -582,19 +590,17 @@ def test_rejects_bad_configs():
         stable_sort_with([1], SortConfig(min_run_len=0))
 
 
-def test_run_stack_capacity_is_enforced():
-    stack = RunStack(2)
-    stack.push(0, 1)
-    stack.push(1, 1)
+def test_run_stack_capacity_is_enforced(monkeypatch):
+    # The boundary powers of this profile rise 1, 2, 3, 4, so the stack
+    # holds four runs when the last one is drawn.
+    bounds = list(accumulate([8, 4, 2, 1, 1], initial=0))
+    stats = SortStats()
+    list(merge_schedule(2, 16, zip(bounds, bounds[1:]), False, stats))
+    assert stats.max_stack_height == 4
+    monkeypatch.setattr(policy, "run_stack_capacity", lambda k, n: 3)
     with pytest.raises(OverflowError):
-        stack.push(2, 1)
-
-
-def test_run_stack_rejects_decreasing_powers():
-    stack = RunStack(4)
-    stack.push(0, 3)
-    with pytest.raises(AssertionError):
-        stack.push(1, 2)
+        list(merge_schedule(2, 16, zip(bounds, bounds[1:]), False,
+                            SortStats()))
 
 
 @pytest.mark.parametrize("k,variant", [(2, "2way"), (4, "4way")])

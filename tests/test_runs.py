@@ -7,7 +7,6 @@ import pytest
 from powersort.runs import (
     _SCAN_INLINE,
     _TABLE_ROWS,
-    Run,
     _insertion_rows,
     extend_run,
     find_first_run,
@@ -29,21 +28,21 @@ from conftest import (
 
 def test_single_element_is_a_run():
     order, stats = fresh_instruments()
-    assert find_first_run([5], 0, 1, order, stats) == Run(0, 1)
+    assert find_first_run([5], 0, 1, order, stats) == 1
     assert order.comparisons == 0
 
 
 def test_equal_pair_does_not_break_an_increasing_run():
     order, stats = fresh_instruments()
     lst = [1, 2, 2, 1]
-    assert find_first_run(lst, 0, 4, order, stats) == Run(0, 3)
+    assert find_first_run(lst, 0, 4, order, stats) == 3
     assert lst == [1, 2, 2, 1]
 
 
 def test_strictly_decreasing_run_is_reversed_in_place():
     order, stats = fresh_instruments()
     lst = [3, 2, 1, 9]
-    assert find_first_run(lst, 0, 4, order, stats) == Run(0, 3)
+    assert find_first_run(lst, 0, 4, order, stats) == 3
     assert lst == [1, 2, 3, 9]
     assert stats.moves == 3
 
@@ -53,7 +52,7 @@ def test_weakly_decreasing_pair_stays_an_increasing_run():
     # swap equal elements.
     order, stats = fresh_instruments()
     lst = [2, 2, 1]
-    assert find_first_run(lst, 0, 3, order, stats) == Run(0, 2)
+    assert find_first_run(lst, 0, 3, order, stats) == 2
     assert lst == [2, 2, 1]
 
 
@@ -66,7 +65,7 @@ def test_empty_view_rejected():
 def test_view_offsets_respected():
     order, stats = fresh_instruments()
     lst = [9, 0, 5, 4, 3, 7]
-    assert find_first_run(lst, 2, 6, order, stats) == Run(2, 5)
+    assert find_first_run(lst, 2, 6, order, stats) == 5
     assert lst == [9, 0, 3, 4, 5, 7]
 
 
@@ -74,9 +73,9 @@ def decompose(lst, order, stats):
     runs = []
     at = 0
     while at < len(lst):
-        run = find_first_run(lst, at, len(lst), order, stats)
-        runs.append(run)
-        at = run.end
+        end = find_first_run(lst, at, len(lst), order, stats)
+        runs.append((at, end))
+        at = end
     return runs
 
 
@@ -87,11 +86,11 @@ def test_decomposition_partitions_any_array():
         lst = [rng.randint(0, 9) for _ in range(n)]
         order, stats = fresh_instruments()
         runs = decompose(lst, order, stats)
-        assert [r.begin for r in runs] == [0] + [r.end for r in runs[:-1]]
-        assert runs[-1].end == n
-        assert sum(r.end - r.begin for r in runs) == n
-        for r in runs:
-            assert is_weakly_increasing(lst[r.begin : r.end])
+        assert [b for b, _ in runs] == [0] + [e for _, e in runs[:-1]]
+        assert runs[-1][1] == n
+        assert sum(e - b for b, e in runs) == n
+        for b, e in runs:
+            assert is_weakly_increasing(lst[b:e])
 
 
 def test_decomposition_is_deterministic():
@@ -114,8 +113,8 @@ def test_detection_never_reorders_equal_records():
         records = make_records([rng.randint(0, 3) for _ in range(n)])
         order, stats = fresh_instruments(KEY)
         lst = list(records)
-        for r in decompose(lst, order, stats):
-            region = lst[r.begin : r.end]
+        for b, e in decompose(lst, order, stats):
+            region = lst[b:e]
             assert is_weakly_increasing(region, key=KEY)
             for a, b in zip(region, region[1:]):
                 if a[0] == b[0]:
@@ -126,7 +125,7 @@ def test_detection_comparisons_on_sorted_input():
     for n in (1, 2, 10, 257):
         order, stats = fresh_instruments()
         lst = list(range(n))
-        assert find_first_run(lst, 0, n, order, stats) == Run(0, n)
+        assert find_first_run(lst, 0, n, order, stats) == n
         assert order.comparisons == n - 1
 
 
@@ -174,24 +173,21 @@ def test_insertion_sort_subrange_only():
 def test_extend_run_long_enough_is_unchanged():
     order, stats = fresh_instruments()
     lst = list(range(30))
-    run = Run(0, 30)
-    assert extend_run(lst, run, 24, 30, order, stats) == run
+    assert extend_run(lst, 0, 30, 24, 30, order, stats) == 30
     assert order.comparisons == 0
 
 
 def test_extend_run_clamps_to_view_end():
     order, stats = fresh_instruments()
     lst = [4, 7, 9, 3, 8, 1, 0, 5, 2, 6]
-    run = extend_run(lst, Run(0, 3), 24, 10, order, stats)
-    assert run == Run(0, 10)
+    assert extend_run(lst, 0, 3, 24, 10, order, stats) == 10
     assert lst == sorted([4, 7, 9, 3, 8, 1, 0, 5, 2, 6])
 
 
 def test_extend_run_skips_sorted_prefix():
     order, stats = fresh_instruments()
     lst = [1, 5, 2, 4, 3]
-    run = extend_run(lst, Run(0, 2), 4, 5, order, stats)
-    assert run == Run(0, 4)
+    assert extend_run(lst, 0, 2, 4, 5, order, stats) == 4
     assert lst[:4] == [1, 2, 4, 5]
     assert lst[4] == 3
 
@@ -213,11 +209,12 @@ def test_exhaustive_detection_comparisons_match_key_calls():
             for end in range(begin + 1, n + 1):
                 spy = LeSpyKey()
                 order, stats = fresh_instruments(spy)
-                run = find_first_run(make_records(keys), begin, end, order, stats)
+                run_end = find_first_run(make_records(keys), begin, end, order,
+                                         stats)
                 case = (keys, begin, end)
                 # Detection decides with ``<=`` only.
                 assert (order.comparisons, spy.lt_calls) == (spy.le_calls, 0), case
-                scanned = run.end - begin + (run.end < end)
+                scanned = run_end - begin + (run_end < end)
                 assert spy.calls == (scanned if scanned > 1 else 0), case
 
 
@@ -260,7 +257,7 @@ def test_unkeyed_tail_matches_the_loop(length, descending, truthy):
         got = find_first_run(lst, begin, end, order, stats)
         stop = reference_run_end(values, begin, end)
         case = (length, end, len(values))
-        assert got == Run(begin, stop), case
+        assert got == stop, case
         assert order.comparisons == tally.le_calls, case
         assert order.comparisons == stop - begin - 1 + (stop < end), case
         assert tally.lt_calls == 0, case
@@ -292,9 +289,10 @@ def test_exhaustive_insertion_comparisons_match_key_calls():
             # A prefix of 0, and the detected run (reversed in place if it
             # was decreasing) as extend_run passes it.
             detected = list(records)
-            run = find_first_run(detected, begin, n, *fresh_instruments(KEY))
+            run_end = find_first_run(detected, begin, n,
+                                     *fresh_instruments(KEY))
             for lst, prefix in ((list(records), 0),
-                                (detected, run.end - run.begin)):
+                                (detected, run_end - begin)):
                 spy = LeSpyKey()
                 order, stats = fresh_instruments(spy)
                 insertion_sort(lst, begin, n, prefix, order, stats)
