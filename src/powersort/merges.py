@@ -24,7 +24,8 @@ moves no cursor.  A run's cursor, the buffer index of its head, is
 recovered as ``len(B) - 1 - length_hint(it)`` only where it is read: for
 the 2-way tail copy and for the put-back after a failure.
 
-Five buffer strategies:
+Every kernel takes the merge group's bounds ``(b0, .., b_{w-1}, end)``: the
+w adjacent runs [b0, b1), .., [b_{w-1}, end).  Five buffer strategies:
 
 * ``merge_2way_sentinel``      -- copy both runs out, sentinel after each;
                                   a step learns that its run is exhausted
@@ -36,10 +37,9 @@ Five buffer strategies:
                                   ``merge_2way_no_sentinel`` reads the right
                                   run in place; backward, a mirrored loop,
                                   when the right run is the smaller one.
-* ``merge_3way`` / ``merge_4way_sentinel``
-                               -- one winner tournament tree over four
+* ``merge_tournament``         -- one winner tournament tree over 3 or 4
                                   runs, sentinel after each buffered run.
-* ``merge_4way_stages``        -- sentinel-free multiway merge that runs
+* ``merge_stages``             -- sentinel-free 3- or 4-way merge that runs
                                   min-remaining-length unchecked iterations
                                   per stage and narrows as runs exhaust.
 
@@ -110,17 +110,18 @@ class MergeBuffer:
         self.data = [None] * capacity
         self.sentinel = object()
 
-    @property
-    def capacity(self):
-        return len(self.data)
-
 
 def _cursor(B, it):
     """The index in B of the element that ``next(it)`` returned last."""
     return len(B) - 1 - length_hint(it)
 
 
-def _check_regions(lst, bounds, buf, need):
+def _check_regions(lst, bounds, buf, need, widths):
+    if len(bounds) - 1 not in widths:
+        raise ValueError(
+            "a %s-way kernel cannot merge the %d runs of bounds %r"
+            % ("/".join(map(str, widths)), len(bounds) - 1, bounds)
+        )
     if bounds[0] < 0 or bounds[-1] > len(lst):
         raise ValueError("merge bounds %r outside the array" % (bounds,))
     a = bounds[0]
@@ -218,11 +219,13 @@ def _merge_runs(lst, o, A, c1, e1, C, c2, e2, order):
     return c2
 
 
-def merge_2way_sentinel(lst, l, m, r, buf, order, stats):
-    """Merge sorted [l, m) and [m, r) in place; both runs buffered with a
-    sentinel appended, so a step needs no bounds check: it learns that its
-    run is exhausted from the next head it reads."""
-    _check_regions(lst, (l, m, r), buf, (r - l) + 2)
+def merge_2way_sentinel(lst, bounds, buf, order, stats):
+    """Merge sorted [l, m) and [m, r), bounds ``(l, m, r)``, in place; both
+    runs buffered with a sentinel appended, so a step needs no bounds
+    check: it learns that its run is exhausted from the next head it
+    reads."""
+    _check_regions(lst, bounds, buf, (bounds[-1] - bounds[0]) + 2, (2,))
+    l, m, r = bounds
     n = r - l
     n1 = m - l
     B = buf.data
@@ -275,10 +278,11 @@ def merge_2way_sentinel(lst, l, m, r, buf, order, stats):
     stats.merges2 += 1
 
 
-def merge_2way_no_sentinel(lst, l, m, r, buf, order, stats):
+def merge_2way_no_sentinel(lst, bounds, buf, order, stats):
     """Like merge_2way_sentinel, but with explicit bounds checks instead of
     sentinels.  Output and move counts are identical."""
-    _check_regions(lst, (l, m, r), buf, r - l)
+    _check_regions(lst, bounds, buf, bounds[-1] - bounds[0], (2,))
+    l, m, r = bounds
     n = r - l
     n1 = m - l
     B = buf.data
@@ -288,16 +292,17 @@ def merge_2way_no_sentinel(lst, l, m, r, buf, order, stats):
     stats.merges2 += 1
 
 
-def merge_2way_copy_smaller(lst, l, m, r, buf, order, stats):
+def merge_2way_copy_smaller(lst, bounds, buf, order, stats):
     """Copy only the smaller run to the buffer and merge into the gap.
 
     Left run smaller: forward merge, left wins ties.  Right run smaller:
     backward merge taking the larger element, right wins ties -- the mirror
     image of the forward rule -- so the global tie order is unchanged.
     """
+    l, m, r = bounds[0], bounds[1], bounds[-1]
     n1 = m - l
     n2 = r - m
-    _check_regions(lst, (l, m, r), buf, min(n1, n2))
+    _check_regions(lst, bounds, buf, min(n1, n2), (2,))
     n = r - l
     B = buf.data
     if n1 <= n2:
@@ -359,28 +364,14 @@ def merge_2way_copy_smaller(lst, l, m, r, buf, order, stats):
     stats.merges2 += 1
 
 
-def merge_4way_sentinel(lst, l, g1, g2, g3, r, buf, order, stats):
-    """Merge sorted [l,g1), [g1,g2), [g2,g3), [g3,r) in place via a winner
-    tournament tree, with a sentinel after each buffered run."""
-    _check_regions(lst, (l, g1, g2, g3, r), buf, (r - l) + 4)
-    _tournament(lst, (l, g1, g2, g3, r), buf, order, stats)
-    stats.merges4 += 1
-
-
-def merge_3way(lst, l, g1, g2, r, buf, order, stats):
-    """Merge sorted [l,g1), [g1,g2), [g2,r) in place: the tournament of
-    merge_4way_sentinel with an empty fourth run."""
-    _check_regions(lst, (l, g1, g2, r), buf, (r - l) + 3)
-    _tournament(lst, (l, g1, g2, r), buf, order, stats)
-    stats.merges3 += 1
-
-
-def _tournament(lst, bounds, buf, order, stats):
+def merge_tournament(lst, bounds, buf, order, stats):
     """Merge the 3 or 4 sorted regions between ``bounds`` in place through
-    the tournament tree described in the module docstring."""
+    the tournament tree described in the module docstring, with a sentinel
+    after each buffered run."""
     l = bounds[0]
     r = bounds[-1]
     n = r - l
+    _check_regions(lst, bounds, buf, n + len(bounds) - 1, (3, 4))
     B = buf.data
     sentinel = buf.sentinel
     # Each run goes to B right after the previous run's sentinel, and its
@@ -544,32 +535,25 @@ def _tournament(lst, bounds, buf, order, stats):
     # the root and, but for the last, one to refill its side.
     order.comparisons += 2 * n + 1 - met
     _count_copy_all(stats, n, len(bounds) - 1)
+    if len(bounds) == 4:
+        stats.merges3 += 1
+    else:
+        stats.merges4 += 1
 
 
-def merge_4way_stages(lst, l, g1, g2, g3, r, buf, order, stats):
-    """Sentinel-free 4-way merge, working in stages.
+def merge_stages(lst, bounds, buf, order, stats):
+    """Sentinel-free 3- or 4-way merge of the regions between ``bounds``,
+    working in stages.
 
-    All four runs are buffered, plus a guard slot.  Each stage runs
+    All runs are buffered, plus a guard slot.  Each stage runs
     ``min(remaining lengths)`` rounds without exhaustion checks; then the
     root is output, the loser rolled back into its run, exhausted runs are
     dropped, and merging continues 4- to 3- to 2-way.
     """
-    _check_regions(lst, (l, g1, g2, g3, r), buf, (r - l) + 1)
-    _merge_stages(lst, (l, g1, g2, g3, r), buf, order, stats)
-    stats.merges4 += 1
-
-
-def merge_3way_stages(lst, l, g1, g2, r, buf, order, stats):
-    """Sentinel-free 3-way merge by stages; see merge_4way_stages."""
-    _check_regions(lst, (l, g1, g2, r), buf, (r - l) + 1)
-    _merge_stages(lst, (l, g1, g2, r), buf, order, stats)
-    stats.merges3 += 1
-
-
-def _merge_stages(lst, bounds, buf, order, stats):
     l = bounds[0]
     r = bounds[-1]
     n = r - l
+    _check_regions(lst, bounds, buf, n + 1, (3, 4))
     B = buf.data
     B[0:n] = lst[l:r]
     # Guard slot: a stage reads refilled heads ahead, up to one slot past
@@ -603,6 +587,10 @@ def _merge_stages(lst, bounds, buf, order, stats):
     assert out == r
     _count_copy_all(stats, n, 1)
     stats.moves += 1  # the guard slot
+    if len(bounds) == 4:
+        stats.merges3 += 1
+    else:
+        stats.merges4 += 1
 
 
 def _stage_tournament(lst, out, r, B, cs, es, order):

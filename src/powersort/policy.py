@@ -13,12 +13,13 @@ pushed.  After the last run, the stack is collapsed top-down; for k = 4 the
 collapse first normalizes the number of remaining runs to 3j + 1 with a
 single 2- or 3-way merge so every following merge is a full 4-way merge.
 
-The engine yields each group ``(begins, end)`` and knows nothing of the
-elements.  ``stable_sort_with`` feeds it the ``(begin, end)`` runs it
-detects (and extends) in the list and runs each group through a merge
-kernel;
-``merge_cost_for_profile`` feeds it the runs of a length profile and sums
-the groups' lengths.  Both therefore execute the same merges.
+The engine yields each group as its bounds ``(b0, .., b_{w-1}, end)`` and
+knows nothing of the elements.  ``stable_sort_with`` feeds it the
+``(begin, end)`` runs it detects (and extends) in the list and passes each
+group's bounds to the merge kernel for its width; ``merge_cost_for_profile``
+feeds it the runs of a length profile and sums the groups' lengths.  Both
+therefore execute the same merges, and report the same bounds to
+``on_merge``.
 """
 
 from __future__ import annotations
@@ -32,10 +33,8 @@ from .merges import (
     merge_2way_copy_smaller,
     merge_2way_no_sentinel,
     merge_2way_sentinel,
-    merge_3way,
-    merge_3way_stages,
-    merge_4way_sentinel,
-    merge_4way_stages,
+    merge_stages,
+    merge_tournament,
 )
 from .power import node_power, run_stack_capacity, validated_profile
 from .runs import extend_run, find_first_run
@@ -63,10 +62,10 @@ VARIANTS = {
     ),
     "2way-nosentinel": _VariantKernels(2, merge_2way_no_sentinel, None, None),
     "4way": _VariantKernels(
-        4, merge_2way_sentinel, merge_3way, merge_4way_sentinel
+        4, merge_2way_sentinel, merge_tournament, merge_tournament
     ),
     "4way-nosentinel": _VariantKernels(
-        4, merge_2way_no_sentinel, merge_3way_stages, merge_4way_stages
+        4, merge_2way_no_sentinel, merge_stages, merge_stages
     ),
 }
 
@@ -82,9 +81,9 @@ class SortConfig:
     detection and the merges use.  ``strict_merge_down`` collapses the final
     stack by popping up to k-1 runs per merge instead of normalizing to
     3j + 1 first.  ``on_merge`` is called after every executed merge with
-    one ``(bounds, output_length)`` tuple, where bounds are the merged
-    segments' boundaries ``(b0, .., end)``; pass ``some_list.append`` to
-    collect a merge trace.
+    one ``(bounds, output_length)`` tuple, where bounds is the group
+    ``merge_schedule`` yielded and the kernel merged; pass
+    ``some_list.append`` to collect a merge trace.
     """
 
     k: int = 4
@@ -96,13 +95,14 @@ class SortConfig:
 
 
 def merge_schedule(k, n, runs, strict_merge_down, stats):
-    """Yield the policy's merge groups ``(begins, end)`` in execution order.
+    """Yield the policy's merge groups in execution order.
 
     ``runs`` is an iterator of adjacent ``(begin, end)`` runs covering
     [0, n), read lazily: a group is yielded as soon as the run after it has
     been drawn, so a consumer may rewrite everything left of that run before
-    the next one is read.  ``begins`` lists the begins of the 2..k merged
-    runs, left to right.  Records the peak stack height in
+    the next one is read.  A group of 2..k runs is the tuple of their
+    bounds ``(b0, .., b_{w-1}, end)``: the begins of the runs, left to
+    right, and the end of the last.  Records the peak stack height in
     ``stats.max_stack_height``.
     """
     capacity = run_stack_capacity(k, n)
@@ -124,8 +124,7 @@ def merge_schedule(k, n, runs, strict_merge_down, stats):
                 "more than k-1 equal powers were stacked"
             )
             begins.reverse()
-            begins.append(a_begin)
-            yield begins, a_end
+            yield (*begins, a_begin, a_end)
             a_begin = begins[0]
         # The pops left powers[-1] <= power, so powers weakly increase up
         # the stack by construction.
@@ -150,8 +149,7 @@ def merge_schedule(k, n, runs, strict_merge_down, stats):
             popped = height % 3
         begins = stack[height - popped:]
         del stack[height - popped:]
-        begins.append(a_begin)
-        yield begins, a_end
+        yield (*begins, a_begin, a_end)
         a_begin = begins[0]
 
 
@@ -173,8 +171,6 @@ def _detected_runs(lst, n, order, stats, min_run_len):
 
 
 def _validated(config):
-    if config.k not in (2, 4):
-        raise ValueError("k must be 2 or 4, got %r" % (config.k,))
     kernels = VARIANTS.get(config.variant)
     if kernels is None:
         raise ValueError(
@@ -211,25 +207,16 @@ def stable_sort_with(lst, config=None):
     stats.scan_reads += n    # one detection scan over the input
     stats.scan_writes += n   # buffer initialization
     on_merge = config.on_merge
-    merge2 = kernels.merge2
-    merge3 = kernels.merge3
-    merge4 = kernels.merge4
+    # The kernel for a group of bounds, by len(bounds).
+    merge = (None, None, None, kernels.merge2, kernels.merge3, kernels.merge4)
     runs = _detected_runs(lst, n, order, stats, config.min_run_len)
     try:
-        for begins, end in merge_schedule(
+        for bounds in merge_schedule(
             k, n, runs, config.strict_merge_down, stats
         ):
-            width = len(begins)
-            if width == 2:
-                merge2(lst, begins[0], begins[1], end, buf, order, stats)
-            elif width == 3:
-                merge3(lst, begins[0], begins[1], begins[2], end,
-                       buf, order, stats)
-            else:
-                merge4(lst, begins[0], begins[1], begins[2], begins[3], end,
-                       buf, order, stats)
+            merge[len(bounds)](lst, bounds, buf, order, stats)
             if on_merge is not None:
-                on_merge((tuple(begins) + (end,), end - begins[0]))
+                on_merge((bounds, bounds[-1] - bounds[0]))
     except (IndexError, ValueError) as exc:
         # Indices and merge bounds assume the length the sort started with.
         if len(lst) != n:
@@ -262,10 +249,10 @@ def merge_cost_for_profile(lengths, k, strict_merge_down=False, on_merge=None):
         raise ValueError("k must be 2 or 4, got %r" % (k,))
     bounds = list(accumulate(validated_profile(lengths), initial=0))
     cost = 0
-    for begins, end in merge_schedule(
+    for group in merge_schedule(
         k, bounds[-1], zip(bounds, bounds[1:]), strict_merge_down, SortStats()
     ):
-        cost += end - begins[0]
+        cost += group[-1] - group[0]
         if on_merge is not None:
-            on_merge((tuple(begins) + (end,), end - begins[0]))
+            on_merge((group, group[-1] - group[0]))
     return cost

@@ -15,10 +15,8 @@ from powersort.merges import (
     merge_2way_copy_smaller,
     merge_2way_no_sentinel,
     merge_2way_sentinel,
-    merge_3way,
-    merge_3way_stages,
-    merge_4way_sentinel,
-    merge_4way_stages,
+    merge_stages,
+    merge_tournament,
 )
 
 from conftest import (
@@ -35,10 +33,38 @@ from conftest import (
 
 KERNELS_BY_ARITY = {
     2: [merge_2way_sentinel, merge_2way_no_sentinel, merge_2way_copy_smaller],
-    3: [merge_3way, merge_3way_stages],
-    4: [merge_4way_sentinel, merge_4way_stages],
+    3: [merge_tournament, merge_stages],
+    4: [merge_tournament, merge_stages],
 }
-ALL_KERNELS = [(k, a) for a, ks in KERNELS_BY_ARITY.items() for k in ks]
+
+#: A multiway case's test id names its width and buffer strategy, so each
+#: case keeps one id whichever kernel function serves that width.
+MULTIWAY_IDS = {
+    (merge_tournament, 3): "merge_3way",
+    (merge_stages, 3): "merge_3way_stages",
+    (merge_tournament, 4): "merge_4way_sentinel",
+    (merge_stages, 4): "merge_4way_stages",
+}
+
+
+def case_id(kernel, arity):
+    return MULTIWAY_IDS.get((kernel, arity), kernel.__name__)
+
+
+def cases(*rows):
+    """pytest params of ``(kernel, arity, ..)`` rows, with case ids."""
+    return [pytest.param(*row, id="-".join(
+        [case_id(*row[:2]), *map(str, row[1:])])) for row in rows]
+
+
+def kernels_of(arity):
+    """pytest params of the kernels that merge ``arity`` runs."""
+    return [pytest.param(k, id=case_id(k, arity))
+            for k in KERNELS_BY_ARITY[arity]]
+
+
+ALL_KERNELS = cases(*[(k, a) for a, ks in KERNELS_BY_ARITY.items()
+                      for k in ks])
 
 
 def padded(regions, pad):
@@ -50,7 +76,7 @@ def padded(regions, pad):
         lst.extend(region)
         bounds.append(len(lst))
     lst.extend(["pad"] * pad)
-    return lst, bounds
+    return lst, tuple(bounds)
 
 
 def run_kernel(kernel, regions, key=None, pad=3):
@@ -59,7 +85,7 @@ def run_kernel(kernel, regions, key=None, pad=3):
     lst, bounds = padded(regions, pad)
     order, stats = fresh_instruments(key)
     buf = MergeBuffer((bounds[-1] - bounds[0]) + 4)
-    kernel(lst, *bounds, buf, order, stats)
+    kernel(lst, bounds, buf, order, stats)
     assert lst[:pad] == ["pad"] * pad and lst[-pad:] == ["pad"] * pad
     assert buf.sentinel not in lst
     return lst[bounds[0] : bounds[-1]], order, stats
@@ -94,14 +120,14 @@ def same_objects(a, b):
 # --- two-way kernels -------------------------------------------------------
 
 
-@pytest.mark.parametrize("kernel", KERNELS_BY_ARITY[2])
+@pytest.mark.parametrize("kernel", kernels_of(2))
 def test_merge2_plain(kernel):
     out, _, stats = run_kernel(kernel, [[1, 3, 5], [2, 4, 6]])
     assert out == [1, 2, 3, 4, 5, 6]
     assert stats.merge_cost == 6
 
 
-@pytest.mark.parametrize("kernel", KERNELS_BY_ARITY[2])
+@pytest.mark.parametrize("kernel", kernels_of(2))
 def test_merge2_left_wins_ties(kernel):
     out, _, _ = run_kernel(kernel, [[(1, "a"), (2, "b")], [(1, "c")]], key=KEY)
     assert out == [(1, "a"), (1, "c"), (2, "b")]
@@ -152,21 +178,21 @@ def test_no_sentinel_matches_sentinel_kernel():
 # --- multiway kernels ------------------------------------------------------
 
 
-@pytest.mark.parametrize("kernel", KERNELS_BY_ARITY[3])
+@pytest.mark.parametrize("kernel", kernels_of(3))
 def test_merge3_plain(kernel):
     out, _, stats = run_kernel(kernel, [[1, 4], [2, 5], [3, 6]])
     assert out == [1, 2, 3, 4, 5, 6]
     assert stats.merge_cost == 6
 
 
-@pytest.mark.parametrize("kernel", KERNELS_BY_ARITY[4])
+@pytest.mark.parametrize("kernel", kernels_of(4))
 def test_merge4_all_ties_keeps_run_order(kernel):
     regions = [[(1, "a")], [(1, "b")], [(1, "c")], [(1, "d")]]
     out, _, _ = run_kernel(kernel, regions, key=KEY)
     assert out == [(1, "a"), (1, "b"), (1, "c"), (1, "d")]
 
 
-@pytest.mark.parametrize("kernel", KERNELS_BY_ARITY[4])
+@pytest.mark.parametrize("kernel", kernels_of(4))
 def test_merge4_one_long_run(kernel):
     out, _, stats = run_kernel(kernel, [[1, 2, 3, 4], [5], [6], [7]])
     assert out == [1, 2, 3, 4, 5, 6, 7]
@@ -177,7 +203,7 @@ def test_stages_rollback_into_emptied_run():
     # Shaped so the rolled-back element's own run is the one that ran dry:
     # the merger must replay at the same width and still come out stable.
     before = merges.nasty_rebuilds
-    out, _, _ = run_kernel(merge_4way_stages, [[1, 2], [3], [3], [4]])
+    out, _, _ = run_kernel(merge_stages, [[1, 2], [3], [3], [4]])
     assert out == [1, 2, 3, 3, 4]
     assert merges.nasty_rebuilds > before
 
@@ -185,13 +211,13 @@ def test_stages_rollback_into_emptied_run():
 def test_stages_rollback_into_emptied_run_3way():
     # The 3-way tree's rollback lands in the run that ran dry, too.
     before = merges.nasty_rebuilds
-    out, _, _ = run_kernel(merge_3way_stages, [[1], [1], [0, 0]])
+    out, _, _ = run_kernel(merge_stages, [[1], [1], [0, 0]])
     assert out == [0, 0, 1, 1]
     assert merges.nasty_rebuilds > before
 
 
 def test_stages_single_elements():
-    out, _, _ = run_kernel(merge_4way_stages, [[1], [2], [3], [4]])
+    out, _, _ = run_kernel(merge_stages, [[1], [2], [3], [4]])
     assert out == [1, 2, 3, 4]
 
 
@@ -263,7 +289,7 @@ def test_exhaustive_merges_key_each_element_once(kernel, arity):
     # it holds the element.  The staged merger re-takes a rolled-back
     # loser, which keys the head after it once more per rebuild.
     max_total = {2: 10, 3: 9, 4: 8}[arity]
-    staged = kernel in (merge_3way_stages, merge_4way_stages)
+    staged = kernel is merge_stages
     for key_regions in exhaustive_cases(arity, max_total):
         regions = split_records(key_regions)
         n = sum(len(region) for region in regions)
@@ -294,7 +320,7 @@ def test_raising_key_leaves_a_permutation(kernel, arity):
             order, stats = fresh_instruments(FailingKey(fail_at))
             buf = MergeBuffer((bounds[-1] - bounds[0]) + 4)
             with pytest.raises(KeyFailure):
-                kernel(lst, *bounds, buf, order, stats)
+                kernel(lst, bounds, buf, order, stats)
             assert lst[0] == lst[-1] == "pad"
             assert sorted(lst[1:-1]) == region_input, (key_regions, fail_at)
         tally = LeTally()
@@ -314,7 +340,7 @@ def check_raising_le(kernel, key_regions, fail_at):
     order, stats = fresh_instruments()
     buf = MergeBuffer((bounds[-1] - bounds[0]) + 4)
     with pytest.raises(KeyFailure):
-        kernel(lst, *bounds, buf, order, stats)
+        kernel(lst, bounds, buf, order, stats)
     assert lst[0] == lst[-1] == "pad"
     assert sorted(map(id, lst[1:-1])) == region_input, (key_regions, fail_at)
 
@@ -343,20 +369,21 @@ def stage_counts_digest(kernel, arity, max_total, keyed):
 
 #: Recorded from the staged merger's closure-based tournament, before its
 #: heads, winners and cursors moved into locals.
+#: Keyed by (arity, keyed).
 STAGE_COUNTS_GOLDEN = {
-    ("merge_3way_stages", False): "9714d1831691e1a7",
-    ("merge_3way_stages", True): "9714d1831691e1a7",
-    ("merge_4way_stages", False): "6228df90fee6af5c",
-    ("merge_4way_stages", True): "6228df90fee6af5c",
+    (3, False): "9714d1831691e1a7",
+    (3, True): "9714d1831691e1a7",
+    (4, False): "6228df90fee6af5c",
+    (4, True): "6228df90fee6af5c",
 }
 
 
 @pytest.mark.parametrize("keyed", [False, True], ids=["plain", "keyed"])
 @pytest.mark.parametrize("kernel,arity,max_total",
-                         [(merge_3way_stages, 3, 9), (merge_4way_stages, 4, 8)])
+                         cases((merge_stages, 3, 9), (merge_stages, 4, 8)))
 def test_stage_counts_match_golden(kernel, arity, max_total, keyed):
     assert stage_counts_digest(kernel, arity, max_total, keyed) == (
-        STAGE_COUNTS_GOLDEN[kernel.__name__, keyed])
+        STAGE_COUNTS_GOLDEN[arity, keyed])
 
 
 def test_exhaustive_sweep_exercises_nasty_rollback():
@@ -364,7 +391,7 @@ def test_exhaustive_sweep_exercises_nasty_rollback():
     for key_regions in exhaustive_cases(4, 8):
         regions = [sorted(keys) for keys in key_regions]
         flat = sorted(x for r in regions for x in r)
-        out, _, _ = run_kernel(merge_4way_stages, regions, pad=1)
+        out, _, _ = run_kernel(merge_stages, regions, pad=1)
         assert out == flat
     assert merges.nasty_rebuilds > before
 
@@ -392,7 +419,7 @@ def test_randomized_large_merges_match_reference(kernel, arity):
 
 
 def stage_call_lines(key_regions):
-    """For each ``<=`` call of an unkeyed ``merge_4way_stages`` merge, the
+    """For each ``<=`` call of an unkeyed 4-way ``merge_stages`` merge, the
     line of ``_stage_tournament`` that made it, or None if another
     function made it."""
     lines = []
@@ -406,7 +433,7 @@ def stage_call_lines(key_regions):
 
     tally.at = 1
     tally.action = record
-    run_kernel(merge_4way_stages, counted_regions(key_regions, tally))
+    run_kernel(merge_stages, counted_regions(key_regions, tally))
     return lines
 
 
@@ -427,7 +454,7 @@ def test_raising_le_in_large_staged_merge_keeps_the_objects():
         picks.add(lines.index(line, len(lines) // 3) + 1)
     assert len(picks) == 4
     for fail_at in sorted(picks):
-        check_raising_le(merge_4way_stages, key_regions, fail_at)
+        check_raising_le(merge_stages, key_regions, fail_at)
 
 
 # --- accounting ------------------------------------------------------------
@@ -447,14 +474,14 @@ def test_merge_cost_is_output_size(kernel, arity):
 
 @pytest.mark.parametrize(
     "kernel,arity,slack",
-    [
+    cases(
         (merge_2way_sentinel, 2, 2),
         (merge_2way_no_sentinel, 2, 0),
-        (merge_3way, 3, 3),
-        (merge_3way_stages, 3, 1),
-        (merge_4way_sentinel, 4, 4),
-        (merge_4way_stages, 4, 1),
-    ],
+        (merge_tournament, 3, 3),
+        (merge_stages, 3, 1),
+        (merge_tournament, 4, 4),
+        (merge_stages, 4, 1),
+    ),
 )
 def test_copy_all_kernels_stream_2m_reads_2m_writes(kernel, arity, slack):
     rng = random.Random(arity + 100)
@@ -517,7 +544,7 @@ def test_empty_region_rejected(kernel, arity):
     buf = MergeBuffer(len(lst) + 4)
     order, stats = fresh_instruments()
     with pytest.raises(ValueError):
-        kernel(lst, *bounds, buf, order, stats)
+        kernel(lst, tuple(bounds), buf, order, stats)
 
 
 @pytest.mark.parametrize("kernel,arity", ALL_KERNELS)
@@ -528,12 +555,32 @@ def test_too_small_buffer_rejected(kernel, arity):
     buf = MergeBuffer(1)
     order, stats = fresh_instruments()
     with pytest.raises(ValueError):
-        kernel(lst, *bounds, buf, order, stats)
+        kernel(lst, tuple(bounds), buf, order, stats)
+
+
+@pytest.mark.parametrize(
+    "kernel,runs",
+    [(kernel, 3) for kernel in KERNELS_BY_ARITY[2]]
+    + [(kernel, runs) for kernel in (merge_tournament, merge_stages)
+       for runs in (2, 5)],
+)
+def test_wrong_width_rejected(kernel, runs):
+    # Bounds of a group the kernel cannot merge, but otherwise valid: the
+    # kernel raises before it touches the list, buffer or counts.
+    lst = list(range(2 * runs))
+    bounds = tuple(range(0, 2 * runs + 1, 2))
+    buf = MergeBuffer(len(lst) + 8)
+    order, stats = fresh_instruments()
+    with pytest.raises(ValueError, match="cannot merge"):
+        kernel(lst, bounds, buf, order, stats)
+    assert lst == list(range(2 * runs))
+    assert buf.data == [None] * len(buf.data)
+    assert order.comparisons == 0 and stats == fresh_instruments()[1]
 
 
 def test_sentinel_values_never_emitted():
     # run_kernel checks that no kernel leaks its buffer's sentinel.
-    out, _, _ = run_kernel(merge_4way_sentinel, [[1], [2, 2], [0], [3]])
+    out, _, _ = run_kernel(merge_tournament, [[1], [2, 2], [0], [3]])
     assert out == [0, 1, 2, 2, 3]
 
 

@@ -511,11 +511,15 @@ def test_merge_schedule_draws_runs_lazily(k, strict):
 
         stats = SortStats()
         trace = []
-        for begins, end in merge_schedule(k, bounds[-1], runs(), strict,
-                                          stats):
-            runs_through_group = bounds.index(end)
+        for group in merge_schedule(k, bounds[-1], runs(), strict, stats):
+            # A group is the bounds tuple the kernels take: 2..k runs.
+            assert type(group) is tuple and 3 <= len(group) <= k + 1
+            assert all(type(b) is int for b in group)
+            assert all(a < b for a, b in zip(group, group[1:]))
+            assert group[0] in bounds and group[-1] in bounds
+            runs_through_group = bounds.index(group[-1])
             assert runs_through_group <= len(drawn) <= runs_through_group + 1
-            trace.append((tuple(begins) + (end,), end - begins[0]))
+            trace.append((group, group[-1] - group[0]))
         assert len(drawn) == len(profile)
         assert stats.max_stack_height <= run_stack_capacity(k, bounds[-1])
         expected = []
