@@ -6,7 +6,6 @@ merge kernels), the reference oracle, and seeded input generators
 (``harness``).  Runs are ``(begin, end)`` index pairs of plain ints.
 """
 
-from .merges import MergeBuffer
 from .policy import (
     MIN_RUN_LEN,
     VARIANTS,
@@ -26,7 +25,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "MIN_RUN_LEN",
-    "MergeBuffer",
     "CountingOrder",
     "SortConfig",
     "SortStats",

@@ -1,31 +1,32 @@
 """Stable merge kernels.
 
-All kernels merge adjacent sorted regions of a list in place through an
-external buffer and tally costs into a SortStats.  Every decision is an
-inline ``<=`` on two held locals.  Without a key (``order.key is None``)
-they are the elements themselves.  With one, a kernel calls the key once
-on each element when it loads it into a local and keeps the key beside
-the element.  Every kernel chooses its hot loop once per merge, by ``key
-is None``: the unkeyed loop compares the elements and holds no keys, and
-the keyed loop calls the key on each element it loads, without testing
-for a key.  Each kernel adds the number of comparisons it executed to
-``order.comparisons`` once per call, derived from its loop structure.
+Every kernel takes ``(lst, bounds, B, key, stats)``.  It merges the w
+adjacent sorted runs [b0, b1), .., [b_{w-1}, end) of ``lst``, given by
+``bounds = (b0, .., b_{w-1}, end)``, in place through the scratch list
+``B``, which needs the merge's length plus a slot per run, and tallies
+costs into the SortStats ``stats``.  Every decision is an inline ``<=``
+on two held locals.  Without a key (``key is None``) they are the
+elements themselves.  With one, a kernel calls the key once on each
+element when it loads it into a local and keeps the key beside the
+element.  Every kernel chooses its hot loop once per merge, by ``key is
+None``: the unkeyed loop compares the elements and holds no keys, and the
+keyed loop calls the key on each element it loads, without testing for a
+key.  Each kernel adds the number of comparisons it executed to
+``stats.comparisons`` once per call, derived from its loop structure.
 Ties always go to the run with the lower start index -- "at or before" at
 every decision point, with the lower-indexed run on the left -- which is
 what makes each kernel stable.
 
-The sentinel kernels place their buffer's own sentinel, ``buf.sentinel``,
-after each buffered run.  It is a fresh object per ``MergeBuffer`` that no
-caller of the sort can hold, so no input value is reserved: an element
-that sorts after every other is keyed and compared like any other.  They
-read each buffered run through a list iterator placed at the run's start
-with ``__setstate__``, and load the next head with ``next()``, so a step
-moves no cursor.  A run's cursor, the buffer index of its head, is
-recovered as ``len(B) - 1 - length_hint(it)`` only where it is read: for
-the 2-way tail copy and for the put-back after a failure.
+The sentinel kernels make a fresh sentinel, ``object()``, per call and
+place it after each buffered run.  No caller can hold it, so no input
+value is reserved: an element that sorts after every other is keyed and
+compared like any other.  They read each buffered run through a list
+iterator placed at the run's start with ``__setstate__``, and load the
+next head with ``next()``, so a step moves no cursor.  A run's cursor
+(the buffer index of its head) is read only for the 2-way tail copy and
+the put-back after a failure, as ``len(B) - 1 - length_hint(it)``.
 
-Every kernel takes the merge group's bounds ``(b0, .., b_{w-1}, end)``: the
-w adjacent runs [b0, b1), .., [b_{w-1}, end).  Five buffer strategies:
+Five buffer strategies:
 
 * ``merge_2way_sentinel``      -- copy both runs out, sentinel after each;
                                   a step learns that its run is exhausted
@@ -89,38 +90,18 @@ from operator import length_hint
 nasty_rebuilds = 0
 
 
-class MergeBuffer:
-    """Scratch storage for merges.
-
-    A capacity of n + k covers the largest merge output plus one reserved
-    slot per run (sentinels, or the stage merger's guard slot).  Contents
-    are scratch: nothing is guaranteed between merges.
-
-    The buffer owns its sentinel, ``sentinel``: a fresh object that the
-    sentinel kernels write after each buffered run and recognise with
-    ``is``.  A caller that passes its own buffer to a kernel must keep
-    ``buf.sentinel`` out of the list it merges.
-    """
-
-    __slots__ = ("data", "sentinel")
-
-    def __init__(self, capacity):
-        if capacity < 1:
-            raise ValueError("buffer capacity must be positive")
-        self.data = [None] * capacity
-        self.sentinel = object()
-
-
 def _cursor(B, it):
     """The index in B of the element that ``next(it)`` returned last."""
     return len(B) - 1 - length_hint(it)
 
 
-def _check_regions(lst, bounds, buf, need, widths):
+def _check_regions(lst, bounds, widths):
+    """Reject bounds that are not ``w + 1`` increasing positions in lst, for
+    a width w in ``widths``, before a kernel indexes them."""
     if len(bounds) - 1 not in widths:
         raise ValueError(
-            "a %s-way kernel cannot merge the %d runs of bounds %r"
-            % ("/".join(map(str, widths)), len(bounds) - 1, bounds)
+            "a %s-way kernel cannot merge a group of %d bounds %r"
+            % ("/".join(map(str, widths)), len(bounds), bounds)
         )
     if bounds[0] < 0 or bounds[-1] > len(lst):
         raise ValueError("merge bounds %r outside the array" % (bounds,))
@@ -129,11 +110,11 @@ def _check_regions(lst, bounds, buf, need, widths):
         if a >= b:
             raise ValueError("empty merge region in bounds %r" % (bounds,))
         a = b
-    if len(buf.data) < need:
-        raise ValueError(
-            "merge buffer too small: capacity %d, need %d"
-            % (len(buf.data), need)
-        )
+
+
+def _check_buffer(B, need):
+    if len(B) < need:
+        raise ValueError("merge buffer has %d slots, needs %d" % (len(B), need))
 
 
 def _count_copy_all(stats, n, reserved):
@@ -162,7 +143,7 @@ def _put_back(lst, r, pieces):
         r -= len(piece)
 
 
-def _merge_runs(lst, o, A, c1, e1, C, c2, e2, order):
+def _merge_runs(lst, o, A, c1, e1, C, c2, e2, key, stats):
     """Merge the nonempty sorted runs A[c1:e1] and C[c2:e2] into lst from
     position o on, and return the second run's cursor at the end: e2 if it
     ran out first, else where its rest starts.
@@ -172,7 +153,6 @@ def _merge_runs(lst, o, A, c1, e1, C, c2, e2, order):
     place."""
     r = o + (e1 - c1) + (e2 - c2)
     start = o
-    key = order.key
     a = A[c1]
     b = C[c2]
     try:
@@ -215,26 +195,25 @@ def _merge_runs(lst, o, A, c1, e1, C, c2, e2, order):
             _put_back(lst, c2, (A[c1:e1],))
         else:
             _put_back(lst, r, (A[c1:e1], C[c2:e2]))
-    order.comparisons += o + 1 - start  # one per output before the tail copy
+    stats.comparisons += o + 1 - start  # one per output before the tail copy
     return c2
 
 
-def merge_2way_sentinel(lst, bounds, buf, order, stats):
+def merge_2way_sentinel(lst, bounds, B, key, stats):
     """Merge sorted [l, m) and [m, r), bounds ``(l, m, r)``, in place; both
     runs buffered with a sentinel appended, so a step needs no bounds
     check: it learns that its run is exhausted from the next head it
     reads."""
-    _check_regions(lst, bounds, buf, (bounds[-1] - bounds[0]) + 2, (2,))
+    _check_regions(lst, bounds, (2,))
     l, m, r = bounds
     n = r - l
+    _check_buffer(B, n + 2)
     n1 = m - l
-    B = buf.data
-    sentinel = buf.sentinel
+    sentinel = object()
     B[0:n1] = lst[l:m]
     B[n1] = sentinel
     B[n1 + 1 : n + 1] = lst[m:r]
     B[n + 1] = sentinel
-    key = order.key
     it1 = iter(B)
     it2 = iter(B)
     it2.__setstate__(n1 + 1)
@@ -273,45 +252,44 @@ def merge_2way_sentinel(lst, bounds, buf, order, stats):
         # The surviving run's rest, or after a failure both rests.
         _put_back(lst, r, (B[_cursor(B, it1):n1], B[_cursor(B, it2) : n + 1]))
     # The rounds after the break would each have met a sentinel.
-    order.comparisons += o + 1 - l
+    stats.comparisons += o + 1 - l
     _count_copy_all(stats, n, 2)
     stats.merges2 += 1
 
 
-def merge_2way_no_sentinel(lst, bounds, buf, order, stats):
+def merge_2way_no_sentinel(lst, bounds, B, key, stats):
     """Like merge_2way_sentinel, but with explicit bounds checks instead of
     sentinels.  Output and move counts are identical."""
-    _check_regions(lst, bounds, buf, bounds[-1] - bounds[0], (2,))
+    _check_regions(lst, bounds, (2,))
     l, m, r = bounds
     n = r - l
+    _check_buffer(B, n)
     n1 = m - l
-    B = buf.data
     B[0:n] = lst[l:r]
-    _merge_runs(lst, l, B, 0, n1, B, n1, n, order)
+    _merge_runs(lst, l, B, 0, n1, B, n1, n, key, stats)
     _count_copy_all(stats, n, 0)
     stats.merges2 += 1
 
 
-def merge_2way_copy_smaller(lst, bounds, buf, order, stats):
+def merge_2way_copy_smaller(lst, bounds, B, key, stats):
     """Copy only the smaller run to the buffer and merge into the gap.
 
     Left run smaller: forward merge, left wins ties.  Right run smaller:
     backward merge taking the larger element, right wins ties -- the mirror
     image of the forward rule -- so the global tie order is unchanged.
     """
-    l, m, r = bounds[0], bounds[1], bounds[-1]
+    _check_regions(lst, bounds, (2,))
+    l, m, r = bounds
     n1 = m - l
     n2 = r - m
-    _check_regions(lst, bounds, buf, min(n1, n2), (2,))
+    _check_buffer(B, min(n1, n2))
     n = r - l
-    B = buf.data
     if n1 <= n2:
         B[0:n1] = lst[l:m]
-        c2 = _merge_runs(lst, l, B, 0, n1, lst, m, r, order)
+        c2 = _merge_runs(lst, l, B, 0, n1, lst, m, r, key, stats)
         written = c2 - l  # the right run's rest stays where it is
     else:
         B[0:n2] = lst[m:r]
-        key = order.key
         c1, c2 = m - 1, n2 - 1
         a = lst[c1]
         b = B[c2]
@@ -353,7 +331,7 @@ def merge_2way_copy_smaller(lst, bounds, buf, order, stats):
             # which is already in place.
             _put_back(lst, c1 + 2 + c2, (B[0 : c2 + 1],))
         outputs = r - o
-        order.comparisons += outputs  # one per output before the tail copy
+        stats.comparisons += outputs  # one per output before the tail copy
         written = outputs + (c2 + 1)
     copied = min(n1, n2)
     stats.merge_cost += n
@@ -364,16 +342,15 @@ def merge_2way_copy_smaller(lst, bounds, buf, order, stats):
     stats.merges2 += 1
 
 
-def merge_tournament(lst, bounds, buf, order, stats):
+def merge_tournament(lst, bounds, B, key, stats):
     """Merge the 3 or 4 sorted regions between ``bounds`` in place through
     the tournament tree described in the module docstring, with a sentinel
     after each buffered run."""
-    l = bounds[0]
-    r = bounds[-1]
+    _check_regions(lst, bounds, (3, 4))
+    l, r = bounds[0], bounds[-1]
     n = r - l
-    _check_regions(lst, bounds, buf, n + len(bounds) - 1, (3, 4))
-    B = buf.data
-    sentinel = buf.sentinel
+    _check_buffer(B, n + len(bounds) - 1)
+    sentinel = object()
     # Each run goes to B right after the previous run's sentinel, and its
     # own sentinel to B[end].
     ends = []
@@ -399,7 +376,6 @@ def merge_tournament(lst, bounds, buf, order, stats):
     else:
         i3.__setstate__(ends[2] + 1)
     h0, h1, h2, h3 = next(i0), next(i1), next(i2), next(i3)
-    key = order.key
     # A sentinel winner is an exhausted side, or one not drawn yet.
     x = y = kx = ky = sentinel
     met = 0  # decisions met by a sentinel, without a comparison
@@ -533,7 +509,7 @@ def merge_tournament(lst, bounds, buf, order, stats):
         raise
     # Two decisions draw the first winners, and every output takes one at
     # the root and, but for the last, one to refill its side.
-    order.comparisons += 2 * n + 1 - met
+    stats.comparisons += 2 * n + 1 - met
     _count_copy_all(stats, n, len(bounds) - 1)
     if len(bounds) == 4:
         stats.merges3 += 1
@@ -541,7 +517,7 @@ def merge_tournament(lst, bounds, buf, order, stats):
         stats.merges4 += 1
 
 
-def merge_stages(lst, bounds, buf, order, stats):
+def merge_stages(lst, bounds, B, key, stats):
     """Sentinel-free 3- or 4-way merge of the regions between ``bounds``,
     working in stages.
 
@@ -550,11 +526,10 @@ def merge_stages(lst, bounds, buf, order, stats):
     root is output, the loser rolled back into its run, exhausted runs are
     dropped, and merging continues 4- to 3- to 2-way.
     """
-    l = bounds[0]
-    r = bounds[-1]
+    _check_regions(lst, bounds, (3, 4))
+    l, r = bounds[0], bounds[-1]
     n = r - l
-    _check_regions(lst, bounds, buf, n + 1, (3, 4))
-    B = buf.data
+    _check_buffer(B, n + 1)
     B[0:n] = lst[l:r]
     # Guard slot: a stage reads refilled heads ahead, up to one slot past
     # their run.  Past the last run it reads this copy, never compared.
@@ -580,10 +555,11 @@ def merge_stages(lst, bounds, buf, order, stats):
             out = r
             break
         if width == 2:
-            _merge_runs(lst, out, B, cs[0], es[0], B, cs[1], es[1], order)
+            _merge_runs(
+                lst, out, B, cs[0], es[0], B, cs[1], es[1], key, stats)
             out = r
             break
-        out = _stage_tournament(lst, out, r, B, cs, es, order)
+        out = _stage_tournament(lst, out, r, B, cs, es, key, stats)
     assert out == r
     _count_copy_all(stats, n, 1)
     stats.moves += 1  # the guard slot
@@ -593,7 +569,7 @@ def merge_stages(lst, bounds, buf, order, stats):
         stats.merges4 += 1
 
 
-def _stage_tournament(lst, out, r, B, cs, es, order):
+def _stage_tournament(lst, out, r, B, cs, es, key, stats):
     """Tournament stages over the 3 or 4 runs in cs/es, output from out on.
 
     Returns the output position once some run is exhausted, with the
@@ -605,7 +581,6 @@ def _stage_tournament(lst, out, r, B, cs, es, order):
     top, and one in the refill, except a 3-way refill from the right.
     """
     global nasty_rebuilds
-    key = order.key
     four = len(cs) == 4
     # A 3-way merge's run 3 never limits or ends a stage, nor is compared.
     c0, c1, c2, c3 = cs if four else cs + [0]
@@ -737,5 +712,5 @@ def _stage_tournament(lst, out, r, B, cs, es, order):
         _put_back(lst, r, (held, B[c0:e0], B[c1:e1], B[c2:e2], rest3))
         raise
     cs[:] = (c0, c1, c2, c3)[: len(cs)]
-    order.comparisons += comparisons
+    stats.comparisons += comparisons
     return out

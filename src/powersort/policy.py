@@ -29,7 +29,6 @@ from itertools import accumulate
 from typing import Callable, Optional
 
 from .merges import (
-    MergeBuffer,
     merge_2way_copy_smaller,
     merge_2way_no_sentinel,
     merge_2way_sentinel,
@@ -38,7 +37,7 @@ from .merges import (
 )
 from .power import node_power, run_stack_capacity, validated_profile
 from .runs import extend_run, find_first_run
-from .statskit import CountingOrder, SortStats
+from .statskit import SortStats
 
 #: Default minimum run length; shorter natural runs are extended to this
 #: length by binary insertion sort, which places each element with
@@ -83,7 +82,8 @@ class SortConfig:
     3j + 1 first.  ``on_merge`` is called after every executed merge with
     one ``(bounds, output_length)`` tuple, where bounds is the group
     ``merge_schedule`` yielded and the kernel merged; pass
-    ``some_list.append`` to collect a merge trace.
+    ``some_list.append`` to collect a merge trace.  The sort's SortStats
+    counters, ``comparisons`` included, are live at each call.
     """
 
     k: int = 4
@@ -153,17 +153,17 @@ def merge_schedule(k, n, runs, strict_merge_down, stats):
         a_begin = begins[0]
 
 
-def _detected_runs(lst, n, order, stats, min_run_len):
+def _detected_runs(lst, n, key, stats, min_run_len):
     """Detect runs left to right, extending each short one in place, and
     yield each as ``(begin, end)``."""
     natural_length = stats.natural_run_lengths.append
     run_length = stats.run_lengths.append
     begin = 0
     while begin < n:
-        end = find_first_run(lst, begin, n, order, stats)
+        end = find_first_run(lst, begin, n, key, stats)
         natural_length(end - begin)
         if end - begin < min_run_len:
-            end = extend_run(lst, begin, end, min_run_len, n, order, stats)
+            end = extend_run(lst, begin, end, min_run_len, n, key, stats)
         run_length(end - begin)
         yield begin, end
         begin = end
@@ -201,20 +201,20 @@ def stable_sort_with(lst, config=None):
     n = len(lst)
     if n == 0:
         return stats
-    order = CountingOrder(config.key)
     k = config.k
-    buf = MergeBuffer(n + k)
+    key = config.key
+    buf = [None] * (n + k)  # any merge's output plus a slot per run
     stats.scan_reads += n    # one detection scan over the input
     stats.scan_writes += n   # buffer initialization
     on_merge = config.on_merge
     # The kernel for a group of bounds, by len(bounds).
     merge = (None, None, None, kernels.merge2, kernels.merge3, kernels.merge4)
-    runs = _detected_runs(lst, n, order, stats, config.min_run_len)
+    runs = _detected_runs(lst, n, key, stats, config.min_run_len)
     try:
         for bounds in merge_schedule(
             k, n, runs, config.strict_merge_down, stats
         ):
-            merge[len(bounds)](lst, bounds, buf, order, stats)
+            merge[len(bounds)](lst, bounds, buf, key, stats)
             if on_merge is not None:
                 on_merge((bounds, bounds[-1] - bounds[0]))
     except (IndexError, ValueError) as exc:
@@ -224,7 +224,6 @@ def stable_sort_with(lst, config=None):
         raise
     if len(lst) != n:
         raise ValueError("list modified during sort")
-    stats.comparisons = order.comparisons
     return stats
 
 

@@ -12,11 +12,12 @@ terminates a decreasing run.
 Short runs are extended by binary insertion sort, as in CPython's
 ``list.sort`` (``binarysort`` in ``Objects/listsort.txt``).
 
-Run detection and insertion sort key each element once when they load it
-(``k = x if key is None else key(x)``, with ``key = order.key``) and add
-the number of comparisons they executed to ``order.comparisons`` once per
-call.  Detection holds the key of the previous element, so it keys each
-scanned element once, and decides with an inline ``<=`` on keys.  Without
+Run detection and insertion sort take the sort's ``key`` and SortStats.
+They key each element once when they load it (``k = x if key is None
+else key(x)``) and add the number of comparisons they executed to
+``stats.comparisons`` once per call.  Detection holds the key of the
+previous element, so it keys each scanned element once, and decides
+with an inline ``<=`` on keys.  Without
 a key, a run still going after ``_SCAN_INLINE`` elements is finished at C
 speed, by ``all`` (or ``any``) over ``map(operator.le, ...)`` of two list
 iterators one element apart; ``map`` is lazy, so the ``<=`` calls are
@@ -44,7 +45,7 @@ from operator import le, length_hint
 _SCAN_INLINE = 32
 
 
-def find_first_run(lst, begin, end, order, stats):
+def find_first_run(lst, begin, end, key, stats):
     """Return the end of the maximal run starting at ``begin`` within the
     view [begin, end), which must be nonempty.
 
@@ -59,7 +60,6 @@ def find_first_run(lst, begin, end, order, stats):
     i = begin + 1
     if i == end:
         return i
-    key = order.key
     stop = end if key is not None else min(end, begin + _SCAN_INLINE)
     x = lst[begin]
     kp = x if key is None else key(x)
@@ -89,7 +89,7 @@ def find_first_run(lst, begin, end, order, stats):
         stats.moves += i - begin
     # One comparison per pair inside the run, plus the one that ended it
     # when the run stops short of the view's end.
-    order.comparisons += i - begin - 1 + (i < end)
+    stats.comparisons += i - begin - 1 + (i < end)
     return i
 
 
@@ -176,7 +176,7 @@ def _insertion_rows(start, stop):
     return chain(rows, map(_PathRow, range(max(start, _TABLE_ROWS), stop)))
 
 
-def insertion_sort(lst, begin, end, sorted_prefix_len, order, stats):
+def insertion_sort(lst, begin, end, sorted_prefix_len, key, stats):
     """Stable binary insertion sort of [begin, end); the first
     ``sorted_prefix_len`` elements are known to be weakly increasing and
     are skipped.
@@ -196,7 +196,6 @@ def insertion_sort(lst, begin, end, sorted_prefix_len, order, stats):
     start = max(sorted_prefix_len, 1)
     if end - begin <= start:
         return
-    key = order.key
     vs = lst[begin:begin + start]
     rest = lst[begin + start:end]
     rows = _insertion_rows(start, end - begin)
@@ -224,10 +223,10 @@ def insertion_sort(lst, begin, end, sorted_prefix_len, order, stats):
         raise IndexError("insertion region past the end of the list")
     lst[begin:end] = vs
     stats.moves += moves
-    order.comparisons += comparisons
+    stats.comparisons += comparisons
 
 
-def extend_run(lst, begin, end, min_run_len, view_end, order, stats):
+def extend_run(lst, begin, end, min_run_len, view_end, key, stats):
     """Extend the run [begin, end) to ``min_run_len`` elements (clamped to
     ``view_end``) by insertion-sorting the enlarged region, and return its
     new end.
@@ -238,5 +237,5 @@ def extend_run(lst, begin, end, min_run_len, view_end, order, stats):
     if end - begin >= min_run_len:
         return end
     new_end = min(view_end, begin + min_run_len)
-    insertion_sort(lst, begin, new_end, end - begin, order, stats)
+    insertion_sort(lst, begin, new_end, end - begin, key, stats)
     return new_end

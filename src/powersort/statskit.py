@@ -1,8 +1,10 @@
-"""Instrumentation of a sort: its element order and its counters.
+"""Instrumentation of a sort: its counters.
 
-Nothing in here is global state.  A ``CountingOrder`` holds the element
-order of one sort: its ``key`` and the ``comparisons`` tally.  With a
-key, run detection, insertion sort and the merge kernels call it once on
+Nothing in here is global state.  A ``SortStats`` record belongs to
+exactly one sort call.  Run detection, insertion sort and the merge
+kernels each take the sort's ``key`` and its ``SortStats``, and add to
+the counters as they go, so every counter is live during the sort (an
+``on_merge`` hook sees them).  With a key, the layers call it once on
 each element when they load it and keep that key beside the element;
 without one, they hold and compare the elements themselves (every merge
 kernel chooses a loop without a key test for that case, once per merge).
@@ -13,17 +15,16 @@ positions ``bisect_right`` returns).  The merges decide with an inline
 run longer than 32 elements is finished by ``operator.le`` in C
 (``runs._scan_tail``); insertion sort uses ``bisect_right``, which
 compares with ``<``.  A key type needs both, as ``list.sort``'s needs
-``<``.  The counted method ``le`` is the same order one comparison at a
-time, for callers outside the sort.  A ``SortStats`` record accumulates
-every other counter and belongs to exactly one sort call.
+``<``.  ``CountingOrder`` is a counted ``<=`` the sort does not use; it is
+kept because the benchmark (``perfbench``) times its ``le``, until ROADMAP
+open item 1(b) stops that.
 
 Counter semantics:
 
 * ``comparisons`` counts comparisons between two input elements.  No
-  input value is reserved: the sentinel kernels place their buffer's own
-  sentinel (``merges.MergeBuffer``), which the caller cannot hold, and a
-  decision it meets is made by ``is``, without a comparison, and is not
-  counted.
+  input value is reserved: the sentinel kernels make a fresh sentinel
+  object per merge, which the caller cannot hold, and a decision it meets
+  is made by ``is``, without a comparison, and is not counted.
 * ``merge_cost`` is the total output size of all merges executed.
 * ``buffer_cost`` counts input elements copied into the merge buffer.
   Reserved slots written next to the buffered runs are not included.
@@ -43,14 +44,10 @@ from dataclasses import dataclass, field
 
 
 class CountingOrder:
-    """The element order of one sort: "a sorts at or before b".
+    """A counted "a sorts at or before b", which the sort does not use.
 
-    ``key`` extracts the sort key from an element (records are compared by
-    key only); ``None`` compares the elements themselves.  The sort's
-    layers key each element once per load and compare keys with ``<=``
-    (detection and merges) or ``<`` (insertion sort); they add the
-    comparisons they executed to ``comparisons`` themselves.  ``le(a, b)``
-    is the counted form: every call bumps ``comparisons``.
+    ``key`` extracts the sort key from an element; ``None`` compares the
+    elements themselves.  Every ``le(a, b)`` call bumps ``comparisons``.
     """
 
     __slots__ = ("key", "comparisons")

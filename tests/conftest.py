@@ -5,13 +5,13 @@ from __future__ import annotations
 
 from operator import itemgetter
 
-from powersort.statskit import CountingOrder, SortStats
+from powersort.statskit import SortStats
 
 KEY = itemgetter(0)
 
 
-def fresh_instruments(key=None):
-    return CountingOrder(key), SortStats()
+def fresh_instruments():
+    return SortStats()
 
 
 class SpyKey:

@@ -4,15 +4,15 @@ import pytest
 
 from powersort.harness import GeneratorSpec, generate
 from powersort.runs import find_first_run
-from powersort.statskit import CountingOrder, SortStats
+from powersort.statskit import SortStats
 
 
 def detected_runs(lst):
-    order, stats = CountingOrder(), SortStats()
+    stats = SortStats()
     runs = []
     at = 0
     while at < len(lst):
-        end = find_first_run(list(lst), at, len(lst), order, stats)
+        end = find_first_run(list(lst), at, len(lst), None, stats)
         runs.append(end - at)
         at = end
     return runs

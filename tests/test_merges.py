@@ -11,7 +11,6 @@ import pytest
 
 import powersort.merges as merges
 from powersort.merges import (
-    MergeBuffer,
     merge_2way_copy_smaller,
     merge_2way_no_sentinel,
     merge_2way_sentinel,
@@ -79,16 +78,23 @@ def padded(regions, pad):
     return lst, tuple(bounds)
 
 
+def buffer_for(bounds):
+    """A merge buffer with room for the group and a few reserved slots."""
+    return [None] * ((bounds[-1] - bounds[0]) + 4)
+
+
 def run_kernel(kernel, regions, key=None, pad=3):
     """Merge the given sorted regions in place inside noise padding, and
-    return (merged slice, order, stats)."""
+    return (merged slice, stats)."""
     lst, bounds = padded(regions, pad)
-    order, stats = fresh_instruments(key)
-    buf = MergeBuffer((bounds[-1] - bounds[0]) + 4)
-    kernel(lst, bounds, buf, order, stats)
+    stats = fresh_instruments()
+    kernel(lst, bounds, buffer_for(bounds), key, stats)
     assert lst[:pad] == ["pad"] * pad and lst[-pad:] == ["pad"] * pad
-    assert buf.sentinel not in lst
-    return lst[bounds[0] : bounds[-1]], order, stats
+    merged = lst[bounds[0] : bounds[-1]]
+    # Exactly the input's objects: no sentinel or other object leaks in.
+    assert sorted(map(id, merged)) == sorted(
+        id(x) for region in regions for x in region)
+    return merged, stats
 
 
 def split_records(keys_per_region):
@@ -122,39 +128,39 @@ def same_objects(a, b):
 
 @pytest.mark.parametrize("kernel", kernels_of(2))
 def test_merge2_plain(kernel):
-    out, _, stats = run_kernel(kernel, [[1, 3, 5], [2, 4, 6]])
+    out, stats = run_kernel(kernel, [[1, 3, 5], [2, 4, 6]])
     assert out == [1, 2, 3, 4, 5, 6]
     assert stats.merge_cost == 6
 
 
 @pytest.mark.parametrize("kernel", kernels_of(2))
 def test_merge2_left_wins_ties(kernel):
-    out, _, _ = run_kernel(kernel, [[(1, "a"), (2, "b")], [(1, "c")]], key=KEY)
+    out, _ = run_kernel(kernel, [[(1, "a"), (2, "b")], [(1, "c")]], key=KEY)
     assert out == [(1, "a"), (1, "c"), (2, "b")]
 
 
 def test_merge2_sentinel_counts_element_comparisons_only():
     # After the left run empties its sentinel loses every comparison, and
     # sentinel comparisons are not element comparisons: only 2 remain.
-    out, order, _ = run_kernel(merge_2way_sentinel, [[1, 2], [3, 4]])
+    out, stats = run_kernel(merge_2way_sentinel, [[1, 2], [3, 4]])
     assert out == [1, 2, 3, 4]
-    assert order.comparisons == 2
+    assert stats.comparisons == 2
 
 
 def test_copy_smaller_buffers_only_the_smaller_run():
-    out, _, stats = run_kernel(merge_2way_copy_smaller, [[1, 3], [2]])
+    out, stats = run_kernel(merge_2way_copy_smaller, [[1, 3], [2]])
     assert out == [1, 2, 3]
     assert stats.buffer_cost == 1
-    out, _, stats = run_kernel(merge_2way_copy_smaller, [[5], [1, 2, 3]])
+    out, stats = run_kernel(merge_2way_copy_smaller, [[5], [1, 2, 3]])
     assert out == [1, 2, 3, 5]
     assert stats.buffer_cost == 1
 
 
 def test_copy_smaller_stable_in_both_directions():
-    out, _, _ = run_kernel(merge_2way_copy_smaller, [[(1, "a")], [(1, "b")]], key=KEY)
+    out, _ = run_kernel(merge_2way_copy_smaller, [[(1, "a")], [(1, "b")]], key=KEY)
     assert out == [(1, "a"), (1, "b")]
     # right run strictly smaller forces the backward path
-    out, _, _ = run_kernel(
+    out, _ = run_kernel(
         merge_2way_copy_smaller, [[(1, "a"), (1, "b")], [(1, "c")]], key=KEY
     )
     assert out == [(1, "a"), (1, "b"), (1, "c")]
@@ -166,11 +172,11 @@ def test_no_sentinel_matches_sentinel_kernel():
         n1, n2 = rng.randint(1, 12), rng.randint(1, 12)
         left = sorted(rng.randint(0, 4) for _ in range(n1))
         right = sorted(rng.randint(0, 4) for _ in range(n2))
-        out_a, order_a, st_a = run_kernel(merge_2way_sentinel, [left, right])
-        out_b, order_b, st_b = run_kernel(merge_2way_no_sentinel, [left, right])
+        out_a, st_a = run_kernel(merge_2way_sentinel, [left, right])
+        out_b, st_b = run_kernel(merge_2way_no_sentinel, [left, right])
         assert out_a == out_b
         # Both compare once per output until a run runs dry.
-        assert order_a.comparisons == order_b.comparisons
+        assert st_a.comparisons == st_b.comparisons
         assert st_a.moves == st_b.moves
         assert st_a.merge_cost == st_b.merge_cost
 
@@ -180,7 +186,7 @@ def test_no_sentinel_matches_sentinel_kernel():
 
 @pytest.mark.parametrize("kernel", kernels_of(3))
 def test_merge3_plain(kernel):
-    out, _, stats = run_kernel(kernel, [[1, 4], [2, 5], [3, 6]])
+    out, stats = run_kernel(kernel, [[1, 4], [2, 5], [3, 6]])
     assert out == [1, 2, 3, 4, 5, 6]
     assert stats.merge_cost == 6
 
@@ -188,13 +194,13 @@ def test_merge3_plain(kernel):
 @pytest.mark.parametrize("kernel", kernels_of(4))
 def test_merge4_all_ties_keeps_run_order(kernel):
     regions = [[(1, "a")], [(1, "b")], [(1, "c")], [(1, "d")]]
-    out, _, _ = run_kernel(kernel, regions, key=KEY)
+    out, _ = run_kernel(kernel, regions, key=KEY)
     assert out == [(1, "a"), (1, "b"), (1, "c"), (1, "d")]
 
 
 @pytest.mark.parametrize("kernel", kernels_of(4))
 def test_merge4_one_long_run(kernel):
-    out, _, stats = run_kernel(kernel, [[1, 2, 3, 4], [5], [6], [7]])
+    out, stats = run_kernel(kernel, [[1, 2, 3, 4], [5], [6], [7]])
     assert out == [1, 2, 3, 4, 5, 6, 7]
     assert stats.merge_cost == 7
 
@@ -203,7 +209,7 @@ def test_stages_rollback_into_emptied_run():
     # Shaped so the rolled-back element's own run is the one that ran dry:
     # the merger must replay at the same width and still come out stable.
     before = merges.nasty_rebuilds
-    out, _, _ = run_kernel(merge_stages, [[1, 2], [3], [3], [4]])
+    out, _ = run_kernel(merge_stages, [[1, 2], [3], [3], [4]])
     assert out == [1, 2, 3, 3, 4]
     assert merges.nasty_rebuilds > before
 
@@ -211,13 +217,13 @@ def test_stages_rollback_into_emptied_run():
 def test_stages_rollback_into_emptied_run_3way():
     # The 3-way tree's rollback lands in the run that ran dry, too.
     before = merges.nasty_rebuilds
-    out, _, _ = run_kernel(merge_stages, [[1], [1], [0, 0]])
+    out, _ = run_kernel(merge_stages, [[1], [1], [0, 0]])
     assert out == [0, 0, 1, 1]
     assert merges.nasty_rebuilds > before
 
 
 def test_stages_single_elements():
-    out, _, _ = run_kernel(merge_stages, [[1], [2], [3], [4]])
+    out, _ = run_kernel(merge_stages, [[1], [2], [3], [4]])
     assert out == [1, 2, 3, 4]
 
 
@@ -247,11 +253,11 @@ def test_exhaustive_small_merges_match_reference(kernel, arity):
     for key_regions in exhaustive_cases(arity, max_total):
         regions = split_records(key_regions)
         flat = [rec for region in regions for rec in region]
-        out, _, _ = run_kernel(kernel, regions, key=KEY, pad=1)
+        out, _ = run_kernel(kernel, regions, key=KEY, pad=1)
         assert out == sorted(flat, key=KEY), (kernel.__name__, key_regions)
         regions = counted_regions(key_regions, LeTally())
         flat = [x for region in regions for x in region]
-        out, _, _ = run_kernel(kernel, regions, pad=1)
+        out, _ = run_kernel(kernel, regions, pad=1)
         assert same_objects(out, sorted(flat, key=VALUE)), (
             kernel.__name__, key_regions)
         count += 1
@@ -267,13 +273,13 @@ def test_exhaustive_derived_comparisons_match_key_calls(kernel, arity):
     for key_regions in exhaustive_cases(arity, max_total):
         regions = split_records(key_regions)
         spy = LeSpyKey()
-        _, order, _ = run_kernel(kernel, regions, key=spy, pad=1)
-        assert (order.comparisons, spy.lt_calls) == (spy.le_calls, 0), (
+        _, stats = run_kernel(kernel, regions, key=spy, pad=1)
+        assert (stats.comparisons, spy.lt_calls) == (spy.le_calls, 0), (
             kernel.__name__, key_regions)
         tally = LeTally()
-        _, order, _ = run_kernel(
+        _, stats = run_kernel(
             kernel, counted_regions(key_regions, tally), pad=1)
-        assert (order.comparisons, tally.lt_calls) == (tally.le_calls, 0), (
+        assert (stats.comparisons, tally.lt_calls) == (tally.le_calls, 0), (
             kernel.__name__, key_regions)
 
 
@@ -317,10 +323,9 @@ def test_raising_key_leaves_a_permutation(kernel, arity):
         run_kernel(kernel, regions, key=spy, pad=1)
         for fail_at in range(1, spy.calls + 1):
             lst, bounds = padded(regions, 1)
-            order, stats = fresh_instruments(FailingKey(fail_at))
-            buf = MergeBuffer((bounds[-1] - bounds[0]) + 4)
             with pytest.raises(KeyFailure):
-                kernel(lst, bounds, buf, order, stats)
+                kernel(lst, bounds, buffer_for(bounds), FailingKey(fail_at),
+                       fresh_instruments())
             assert lst[0] == lst[-1] == "pad"
             assert sorted(lst[1:-1]) == region_input, (key_regions, fail_at)
         tally = LeTally()
@@ -337,10 +342,8 @@ def check_raising_le(kernel, key_regions, fail_at):
     tally.action = raise_key_failure
     lst, bounds = padded(counted_regions(key_regions, tally), 1)
     region_input = sorted(map(id, lst[1:-1]))
-    order, stats = fresh_instruments()
-    buf = MergeBuffer((bounds[-1] - bounds[0]) + 4)
     with pytest.raises(KeyFailure):
-        kernel(lst, bounds, buf, order, stats)
+        kernel(lst, bounds, buffer_for(bounds), None, fresh_instruments())
     assert lst[0] == lst[-1] == "pad"
     assert sorted(map(id, lst[1:-1])) == region_input, (key_regions, fail_at)
 
@@ -350,8 +353,8 @@ def raise_key_failure():
 
 
 def stage_counts_digest(kernel, arity, max_total, keyed):
-    """Digest of the ``order.comparisons``, the ``nasty_rebuilds`` delta and
-    the ``SortStats`` of a staged kernel over every exhaustive case."""
+    """Digest of the comparisons, the ``nasty_rebuilds`` delta and the other
+    ``SortStats`` counters of a staged kernel over every exhaustive case."""
     digest = hashlib.sha256()
     for key_regions in exhaustive_cases(arity, max_total):
         if keyed:
@@ -359,11 +362,14 @@ def stage_counts_digest(kernel, arity, max_total, keyed):
         else:
             regions = [sorted(keys) for keys in key_regions]
         before = merges.nasty_rebuilds
-        _, order, stats = run_kernel(
+        _, stats = run_kernel(
             kernel, regions, key=KEY if keyed else None, pad=1)
+        # Recorded with the comparisons tallied apart from the SortStats,
+        # whose own field read 0.
+        counts = dataclasses.asdict(stats)
+        comparisons, counts["comparisons"] = counts["comparisons"], 0
         digest.update(json.dumps([
-            order.comparisons, merges.nasty_rebuilds - before,
-            dataclasses.asdict(stats)]).encode())
+            comparisons, merges.nasty_rebuilds - before, counts]).encode())
     return digest.hexdigest()[:16]
 
 
@@ -391,7 +397,7 @@ def test_exhaustive_sweep_exercises_nasty_rollback():
     for key_regions in exhaustive_cases(4, 8):
         regions = [sorted(keys) for keys in key_regions]
         flat = sorted(x for r in regions for x in r)
-        out, _, _ = run_kernel(merge_stages, regions, pad=1)
+        out, _ = run_kernel(merge_stages, regions, pad=1)
         assert out == flat
     assert merges.nasty_rebuilds > before
 
@@ -408,14 +414,14 @@ def test_randomized_large_merges_match_reference(kernel, arity):
         ]
         regions = split_records(key_regions)
         flat = [rec for region in regions for rec in region]
-        out, _, _ = run_kernel(kernel, regions, key=KEY)
+        out, _ = run_kernel(kernel, regions, key=KEY)
         assert out == sorted(flat, key=KEY)
         tally = LeTally()
         regions = counted_regions(key_regions, tally)
         flat = [x for region in regions for x in region]
-        out, order, _ = run_kernel(kernel, regions)
+        out, stats = run_kernel(kernel, regions)
         assert same_objects(out, sorted(flat, key=VALUE)), key_regions
-        assert order.comparisons == tally.le_calls, key_regions
+        assert stats.comparisons == tally.le_calls, key_regions
 
 
 def stage_call_lines(key_regions):
@@ -466,7 +472,7 @@ def test_merge_cost_is_output_size(kernel, arity):
     regions = [sorted(rng.randint(0, 9) for _ in range(rng.randint(1, 20)))
                for _ in range(arity)]
     n = sum(len(r) for r in regions)
-    _, _, stats = run_kernel(kernel, regions)
+    _, stats = run_kernel(kernel, regions)
     assert stats.merge_cost == n
     assert getattr(stats, "merges%d" % arity) == 1
     assert stats.merges_total == 1
@@ -488,14 +494,14 @@ def test_copy_all_kernels_stream_2m_reads_2m_writes(kernel, arity, slack):
     regions = [sorted(rng.randint(0, 9) for _ in range(rng.randint(1, 30)))
                for _ in range(arity)]
     n = sum(len(r) for r in regions)
-    _, _, stats = run_kernel(kernel, regions)
+    _, stats = run_kernel(kernel, regions)
     assert stats.buffer_cost == n
     assert stats.scan_reads == 2 * n
     assert stats.scan_writes == 2 * n + slack
 
 
 def test_copy_smaller_costs():
-    _, _, stats = run_kernel(merge_2way_copy_smaller, [[1, 2, 3, 4], [0]])
+    _, stats = run_kernel(merge_2way_copy_smaller, [[1, 2, 3, 4], [0]])
     assert stats.merge_cost == 5
     assert stats.buffer_cost == 1
     # backward path: 1 copied, and every slot rewritten
@@ -525,7 +531,7 @@ def test_copy_smaller_costs_match_closed_form():
         directions.add(len(left) <= len(right))
         for regions, key in (([left, right], None),
                              (split_records(key_regions), KEY)):
-            _, _, stats = run_kernel(
+            _, stats = run_kernel(
                 merge_2way_copy_smaller, regions, key=key, pad=1)
             costs = (stats.merge_cost, stats.buffer_cost, stats.moves,
                      stats.scan_reads, stats.scan_writes)
@@ -541,10 +547,9 @@ def test_empty_region_rejected(kernel, arity):
     # first region is empty
     bounds = [0, 0] + list(range(2, 2 * arity + 1, 2))[: arity - 1]
     assert len(bounds) == arity + 1
-    buf = MergeBuffer(len(lst) + 4)
-    order, stats = fresh_instruments()
     with pytest.raises(ValueError):
-        kernel(lst, tuple(bounds), buf, order, stats)
+        kernel(lst, tuple(bounds), [None] * (len(lst) + 4), None,
+               fresh_instruments())
 
 
 @pytest.mark.parametrize("kernel,arity", ALL_KERNELS)
@@ -552,35 +557,36 @@ def test_too_small_buffer_rejected(kernel, arity):
     regions = [[1, 2], [3, 4], [5, 6], [7, 8]][:arity]
     lst = [x for r in regions for x in r]
     bounds = list(range(0, 2 * arity + 1, 2))
-    buf = MergeBuffer(1)
-    order, stats = fresh_instruments()
     with pytest.raises(ValueError):
-        kernel(lst, tuple(bounds), buf, order, stats)
+        kernel(lst, tuple(bounds), [None], None, fresh_instruments())
 
 
 @pytest.mark.parametrize(
     "kernel,runs",
     [(kernel, 3) for kernel in KERNELS_BY_ARITY[2]]
     + [(kernel, runs) for kernel in (merge_tournament, merge_stages)
-       for runs in (2, 5)],
+       for runs in (2, 5)]
+    + [(kernel, runs) for kernel in KERNELS_BY_ARITY[2] + [
+        merge_tournament, merge_stages] for runs in (0, -1)],
 )
 def test_wrong_width_rejected(kernel, runs):
     # Bounds of a group the kernel cannot merge, but otherwise valid: the
-    # kernel raises before it touches the list, buffer or counts.
+    # kernel raises before it touches the list, buffer or counts.  0 and -1
+    # runs give the bounds (0,) and (), too short to index.
     lst = list(range(2 * runs))
     bounds = tuple(range(0, 2 * runs + 1, 2))
-    buf = MergeBuffer(len(lst) + 8)
-    order, stats = fresh_instruments()
+    buf = [None] * (len(lst) + 8)
+    stats = fresh_instruments()
     with pytest.raises(ValueError, match="cannot merge"):
-        kernel(lst, bounds, buf, order, stats)
+        kernel(lst, bounds, buf, None, stats)
     assert lst == list(range(2 * runs))
-    assert buf.data == [None] * len(buf.data)
-    assert order.comparisons == 0 and stats == fresh_instruments()[1]
+    assert buf == [None] * len(buf)
+    assert stats == fresh_instruments()
 
 
 def test_sentinel_values_never_emitted():
-    # run_kernel checks that no kernel leaks its buffer's sentinel.
-    out, _, _ = run_kernel(merge_tournament, [[1], [2, 2], [0], [3]])
+    # run_kernel checks that no kernel leaks its sentinel.
+    out, _ = run_kernel(merge_tournament, [[1], [2, 2], [0], [3]])
     assert out == [0, 1, 2, 2, 3]
 
 
@@ -597,7 +603,3 @@ def test_list_iterator_placement_and_cursor_recovery():
             # Also at j == len(B) - 1, the buffer's last slot.
             assert len(B) - 1 - length_hint(it) == j, (start, j)
 
-
-def test_each_buffer_has_its_own_sentinel():
-    # A sentinel that no caller holds cannot be in any input.
-    assert MergeBuffer(4).sentinel is not MergeBuffer(4).sentinel

@@ -27,22 +27,22 @@ from conftest import (
 
 
 def test_single_element_is_a_run():
-    order, stats = fresh_instruments()
-    assert find_first_run([5], 0, 1, order, stats) == 1
-    assert order.comparisons == 0
+    stats = fresh_instruments()
+    assert find_first_run([5], 0, 1, None, stats) == 1
+    assert stats.comparisons == 0
 
 
 def test_equal_pair_does_not_break_an_increasing_run():
-    order, stats = fresh_instruments()
+    stats = fresh_instruments()
     lst = [1, 2, 2, 1]
-    assert find_first_run(lst, 0, 4, order, stats) == 3
+    assert find_first_run(lst, 0, 4, None, stats) == 3
     assert lst == [1, 2, 2, 1]
 
 
 def test_strictly_decreasing_run_is_reversed_in_place():
-    order, stats = fresh_instruments()
+    stats = fresh_instruments()
     lst = [3, 2, 1, 9]
-    assert find_first_run(lst, 0, 4, order, stats) == 3
+    assert find_first_run(lst, 0, 4, None, stats) == 3
     assert lst == [1, 2, 3, 9]
     assert stats.moves == 3
 
@@ -50,30 +50,30 @@ def test_strictly_decreasing_run_is_reversed_in_place():
 def test_weakly_decreasing_pair_stays_an_increasing_run():
     # [2, 2] must be read as a weakly increasing run; reversing it would
     # swap equal elements.
-    order, stats = fresh_instruments()
+    stats = fresh_instruments()
     lst = [2, 2, 1]
-    assert find_first_run(lst, 0, 3, order, stats) == 2
+    assert find_first_run(lst, 0, 3, None, stats) == 2
     assert lst == [2, 2, 1]
 
 
 def test_empty_view_rejected():
-    order, stats = fresh_instruments()
+    stats = fresh_instruments()
     with pytest.raises(ValueError):
-        find_first_run([1], 1, 1, order, stats)
+        find_first_run([1], 1, 1, None, stats)
 
 
 def test_view_offsets_respected():
-    order, stats = fresh_instruments()
+    stats = fresh_instruments()
     lst = [9, 0, 5, 4, 3, 7]
-    assert find_first_run(lst, 2, 6, order, stats) == 5
+    assert find_first_run(lst, 2, 6, None, stats) == 5
     assert lst == [9, 0, 3, 4, 5, 7]
 
 
-def decompose(lst, order, stats):
+def decompose(lst, key, stats):
     runs = []
     at = 0
     while at < len(lst):
-        end = find_first_run(lst, at, len(lst), order, stats)
+        end = find_first_run(lst, at, len(lst), key, stats)
         runs.append((at, end))
         at = end
     return runs
@@ -84,8 +84,8 @@ def test_decomposition_partitions_any_array():
     for _ in range(300):
         n = rng.randint(1, 80)
         lst = [rng.randint(0, 9) for _ in range(n)]
-        order, stats = fresh_instruments()
-        runs = decompose(lst, order, stats)
+        stats = fresh_instruments()
+        runs = decompose(lst, None, stats)
         assert [b for b, _ in runs] == [0] + [e for _, e in runs[:-1]]
         assert runs[-1][1] == n
         assert sum(e - b for b, e in runs) == n
@@ -99,8 +99,8 @@ def test_decomposition_is_deterministic():
     copies = [list(lst), list(lst)]
     outcomes = []
     for copy in copies:
-        order, stats = fresh_instruments()
-        outcomes.append((decompose(copy, order, stats), copy))
+        stats = fresh_instruments()
+        outcomes.append((decompose(copy, None, stats), copy))
     assert outcomes[0] == outcomes[1]
 
 
@@ -111,9 +111,9 @@ def test_detection_never_reorders_equal_records():
     for _ in range(200):
         n = rng.randint(1, 60)
         records = make_records([rng.randint(0, 3) for _ in range(n)])
-        order, stats = fresh_instruments(KEY)
+        stats = fresh_instruments()
         lst = list(records)
-        for b, e in decompose(lst, order, stats):
+        for b, e in decompose(lst, KEY, stats):
             region = lst[b:e]
             assert is_weakly_increasing(region, key=KEY)
             for a, b in zip(region, region[1:]):
@@ -123,32 +123,32 @@ def test_detection_never_reorders_equal_records():
 
 def test_detection_comparisons_on_sorted_input():
     for n in (1, 2, 10, 257):
-        order, stats = fresh_instruments()
+        stats = fresh_instruments()
         lst = list(range(n))
-        assert find_first_run(lst, 0, n, order, stats) == n
-        assert order.comparisons == n - 1
+        assert find_first_run(lst, 0, n, None, stats) == n
+        assert stats.comparisons == n - 1
 
 
 def test_insertion_sort_basic():
-    order, stats = fresh_instruments()
+    stats = fresh_instruments()
     lst = [2, 1]
-    insertion_sort(lst, 0, 2, 1, order, stats)
+    insertion_sort(lst, 0, 2, 1, None, stats)
     assert lst == [1, 2]
 
 
 def test_insertion_sort_sorted_prefix_is_free():
-    order, stats = fresh_instruments()
+    stats = fresh_instruments()
     lst = [1, 2, 3]
-    insertion_sort(lst, 0, 3, 3, order, stats)
+    insertion_sort(lst, 0, 3, 3, None, stats)
     assert lst == [1, 2, 3]
     assert stats.moves == 0
-    assert order.comparisons == 0
+    assert stats.comparisons == 0
 
 
 def test_insertion_sort_keeps_equal_records_in_order():
-    order, stats = fresh_instruments(KEY)
+    stats = fresh_instruments()
     lst = [(1, "a"), (1, "b")]
-    insertion_sort(lst, 0, 2, 1, order, stats)
+    insertion_sort(lst, 0, 2, 1, KEY, stats)
     assert lst == [(1, "a"), (1, "b")]
 
 
@@ -158,36 +158,36 @@ def test_insertion_sort_random_against_reference():
         n = rng.randint(0, 40)
         records = make_records([rng.randint(0, 5) for _ in range(n)])
         lst = list(records)
-        order, stats = fresh_instruments(KEY)
-        insertion_sort(lst, 0, n, 0, order, stats)
+        stats = fresh_instruments()
+        insertion_sort(lst, 0, n, 0, KEY, stats)
         assert lst == sorted(records, key=KEY)
 
 
 def test_insertion_sort_subrange_only():
-    order, stats = fresh_instruments()
+    stats = fresh_instruments()
     lst = [9, 3, 1, 2, 0]
-    insertion_sort(lst, 1, 4, 0, order, stats)
+    insertion_sort(lst, 1, 4, 0, None, stats)
     assert lst == [9, 1, 2, 3, 0]
 
 
 def test_extend_run_long_enough_is_unchanged():
-    order, stats = fresh_instruments()
+    stats = fresh_instruments()
     lst = list(range(30))
-    assert extend_run(lst, 0, 30, 24, 30, order, stats) == 30
-    assert order.comparisons == 0
+    assert extend_run(lst, 0, 30, 24, 30, None, stats) == 30
+    assert stats.comparisons == 0
 
 
 def test_extend_run_clamps_to_view_end():
-    order, stats = fresh_instruments()
+    stats = fresh_instruments()
     lst = [4, 7, 9, 3, 8, 1, 0, 5, 2, 6]
-    assert extend_run(lst, 0, 3, 24, 10, order, stats) == 10
+    assert extend_run(lst, 0, 3, 24, 10, None, stats) == 10
     assert lst == sorted([4, 7, 9, 3, 8, 1, 0, 5, 2, 6])
 
 
 def test_extend_run_skips_sorted_prefix():
-    order, stats = fresh_instruments()
+    stats = fresh_instruments()
     lst = [1, 5, 2, 4, 3]
-    assert extend_run(lst, 0, 2, 4, 5, order, stats) == 4
+    assert extend_run(lst, 0, 2, 4, 5, None, stats) == 4
     assert lst[:4] == [1, 2, 4, 5]
     assert lst[4] == 3
 
@@ -208,12 +208,12 @@ def test_exhaustive_detection_comparisons_match_key_calls():
         for begin in range(n):
             for end in range(begin + 1, n + 1):
                 spy = LeSpyKey()
-                order, stats = fresh_instruments(spy)
-                run_end = find_first_run(make_records(keys), begin, end, order,
+                stats = fresh_instruments()
+                run_end = find_first_run(make_records(keys), begin, end, spy,
                                          stats)
                 case = (keys, begin, end)
                 # Detection decides with ``<=`` only.
-                assert (order.comparisons, spy.lt_calls) == (spy.le_calls, 0), case
+                assert (stats.comparisons, spy.lt_calls) == (spy.le_calls, 0), case
                 scanned = run_end - begin + (run_end < end)
                 assert spy.calls == (scanned if scanned > 1 else 0), case
 
@@ -253,13 +253,13 @@ def test_unkeyed_tail_matches_the_loop(length, descending, truthy):
     for values, end in cases:
         tally = LeTally(truthy)
         lst = tally.wrap(values)
-        order, stats = fresh_instruments()
-        got = find_first_run(lst, begin, end, order, stats)
+        stats = fresh_instruments()
+        got = find_first_run(lst, begin, end, None, stats)
         stop = reference_run_end(values, begin, end)
         case = (length, end, len(values))
         assert got == stop, case
-        assert order.comparisons == tally.le_calls, case
-        assert order.comparisons == stop - begin - 1 + (stop < end), case
+        assert stats.comparisons == tally.le_calls, case
+        assert stats.comparisons == stop - begin - 1 + (stop < end), case
         assert tally.lt_calls == 0, case
         region = values[begin:stop]
         expected = (values[:begin] + (region[::-1] if descending else region)
@@ -278,7 +278,7 @@ def test_list_modified_in_the_unkeyed_tail_raises(grow):
         tally.at = at
         tally.action = (lambda: lst.append(lst[0])) if grow else lst.pop
         with pytest.raises(ValueError, match="list modified"):
-            find_first_run(lst, 2, len(values), *fresh_instruments())
+            find_first_run(lst, 2, len(values), None, fresh_instruments())
 
 
 def test_exhaustive_insertion_comparisons_match_key_calls():
@@ -290,17 +290,17 @@ def test_exhaustive_insertion_comparisons_match_key_calls():
             # was decreasing) as extend_run passes it.
             detected = list(records)
             run_end = find_first_run(detected, begin, n,
-                                     *fresh_instruments(KEY))
+                                     KEY, fresh_instruments())
             for lst, prefix in ((list(records), 0),
                                 (detected, run_end - begin)):
                 spy = LeSpyKey()
-                order, stats = fresh_instruments(spy)
-                insertion_sort(lst, begin, n, prefix, order, stats)
+                stats = fresh_instruments()
+                insertion_sort(lst, begin, n, prefix, spy, stats)
                 case = (keys, begin, prefix)
                 assert lst[begin:] == sorted(records[begin:], key=KEY)
                 # bisect_right decides with ``<`` only, and the probe table
                 # counts every ``<`` it ran.
-                assert (order.comparisons, spy.le_calls) == (spy.lt_calls, 0), case
+                assert (stats.comparisons, spy.le_calls) == (spy.lt_calls, 0), case
                 # The whole region is keyed once if anything is inserted,
                 # and not at all otherwise.
                 inserted = n - begin > max(prefix, 1)
@@ -350,12 +350,12 @@ def test_raising_key_leaves_insertion_sort_a_permutation():
         records = make_records(keys)
         n = len(records)
         spy = SpyKey()
-        insertion_sort(list(records), 0, n, 0, *fresh_instruments(spy))
+        insertion_sort(list(records), 0, n, 0, spy, fresh_instruments())
         for fail_at in range(1, spy.calls + 1):
             lst = ["pad"] + list(records) + ["pad"]
-            order, stats = fresh_instruments(FailingKey(fail_at))
+            stats = fresh_instruments()
             with pytest.raises(KeyFailure):
-                insertion_sort(lst, 1, n + 1, 0, order, stats)
+                insertion_sort(lst, 1, n + 1, 0, FailingKey(fail_at), stats)
             assert lst[0] == lst[-1] == "pad"
             assert lst[1:-1] == records, (keys, fail_at)
 
@@ -391,11 +391,11 @@ def test_raising_lt_leaves_insertion_sort_untouched():
         records = make_records(keys)
         n = len(records)
         spy = FailingLtKey(0)
-        insertion_sort(list(records), 0, n, 0, *fresh_instruments(spy))
+        insertion_sort(list(records), 0, n, 0, spy, fresh_instruments())
         for fail_at in range(1, spy.lt_calls + 1):
             lst = list(records)
-            order, stats = fresh_instruments(FailingLtKey(fail_at))
+            stats = fresh_instruments()
             with pytest.raises(KeyFailure):
-                insertion_sort(lst, 0, n, 0, order, stats)
+                insertion_sort(lst, 0, n, 0, FailingLtKey(fail_at), stats)
             assert lst == records, (keys, fail_at)
-            assert (order.comparisons, stats.moves) == (0, 0)
+            assert (stats.comparisons, stats.moves) == (0, 0)

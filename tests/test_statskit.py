@@ -63,7 +63,7 @@ class Strict:
 
 @pytest.mark.parametrize("variant", ["2way", "4way", "2way-copy-smaller"])
 def test_admitted_sort_never_shows_a_user_key_the_sentinel(variant):
-    # The buffer's own sentinel never reaches the user's key, nor ``<=``:
+    # A merge's own sentinel never reaches the user's key, nor ``<=``:
     # keyed, the key sees only input elements and its keys meet only their
     # own kind; unkeyed, the elements themselves refuse any other type.
     rng = random.Random(15)
@@ -108,9 +108,11 @@ def test_counters_monotone_during_sort(monkeypatch):
             stats_holder["stats"] = self
 
     monkeypatch.setattr(policy, "SortStats", Spy)
-    stable_sort_with(lst, SortConfig(min_run_len=1, on_merge=watch))
+    stats = stable_sort_with(lst, SortConfig(min_run_len=1, on_merge=watch))
     assert len(seen) > 2
     assert all(a <= b for a, b in zip(seen, seen[1:]))
+    # Comparisons are live too: the last merge leaves the final tally.
+    assert seen[-1][0] == stats.comparisons > 0
 
 
 def test_merge_cost_equals_trace_total():
