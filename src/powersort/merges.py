@@ -46,7 +46,9 @@ Five buffer strategies:
 
 The 2-way kernels hold both run heads in locals and test only the run a
 step took from.  Once one run is exhausted, the rest of the other is
-copied with one slice assignment.
+put back.  Every copy-out into B and every put-back goes through
+``_copy``, ``_CHUNK`` elements per slice, so a merge's scratch memory is
+B plus a chunk or two, whatever its runs' lengths.
 
 The tournament tree holds values.  The heads h0..h3 of the four runs are
 locals; x, the winner of runs 0 and 1, and y, of runs 2 and 3, are already
@@ -89,6 +91,10 @@ from operator import length_hint
 #: behavioral effect.
 nasty_rebuilds = 0
 
+#: Elements per slice when a run moves between the list and the buffer, or
+#: per end when detection reverses one: temporaries stay a few chunks long.
+_CHUNK = 1024
+
 
 def _cursor(B, it):
     """The index in B of the element that ``next(it)`` returned last."""
@@ -127,10 +133,22 @@ def _count_copy_all(stats, n, reserved):
     stats.scan_writes += 2 * n + reserved
 
 
-def _put_back(lst, r, pieces):
-    """Write the pieces, in order, to the end of the merge region [.., r).
+def _copy(dst, at, src, begin, end):
+    """Write src[begin:end] over dst[at:], ``_CHUNK`` elements per slice; a
+    range within one chunk takes one slice.  dst must span the range."""
+    if end - begin <= _CHUNK:
+        dst[at : at + end - begin] = src[begin:end]
+        return
+    for b in range(begin, end, _CHUNK):
+        e = min(b + _CHUNK, end)
+        dst[at + b - begin : at + e - begin] = src[b:e]
 
-    After a failure, the pieces are every element taken out and not yet
+
+def _put_back(lst, r, ranges):
+    """Write the ``(source, begin, end)`` ranges, in order, to the end of the
+    merge region [.., r), through ``_copy``.
+
+    After a failure, the ranges hold every element taken out and not yet
     output, and the output so far fills the region up to them.  A region
     past the end of the list (it was shortened during the merge) raises
     IndexError: a slice write there would lengthen the list again and
@@ -138,9 +156,9 @@ def _put_back(lst, r, pieces):
     """
     if r > len(lst):
         raise IndexError("merge region past the end of the list")
-    for piece in reversed(pieces):
-        lst[r - len(piece) : r] = piece
-        r -= len(piece)
+    for src, begin, end in reversed(ranges):
+        r -= end - begin
+        _copy(lst, r, src, begin, end)
 
 
 def _merge_runs(lst, o, A, c1, e1, C, c2, e2, key, stats):
@@ -192,9 +210,9 @@ def _merge_runs(lst, o, A, c1, e1, C, c2, e2, key, stats):
         # The surviving run's rest, or after a failure both rests; in lst,
         # C's rest is already in place, from c2 to r.
         if C is lst and r <= len(lst):
-            _put_back(lst, c2, (A[c1:e1],))
+            _put_back(lst, c2, ((A, c1, e1),))
         else:
-            _put_back(lst, r, (A[c1:e1], C[c2:e2]))
+            _put_back(lst, r, ((A, c1, e1), (C, c2, e2)))
     stats.comparisons += o + 1 - start  # one per output before the tail copy
     return c2
 
@@ -210,9 +228,9 @@ def merge_2way_sentinel(lst, bounds, B, key, stats):
     _check_buffer(B, n + 2)
     n1 = m - l
     sentinel = object()
-    B[0:n1] = lst[l:m]
+    _copy(B, 0, lst, l, m)
     B[n1] = sentinel
-    B[n1 + 1 : n + 1] = lst[m:r]
+    _copy(B, n1 + 1, lst, m, r)
     B[n + 1] = sentinel
     it1 = iter(B)
     it2 = iter(B)
@@ -250,7 +268,8 @@ def merge_2way_sentinel(lst, bounds, B, key, stats):
                     kb = key(b)
     finally:
         # The surviving run's rest, or after a failure both rests.
-        _put_back(lst, r, (B[_cursor(B, it1):n1], B[_cursor(B, it2) : n + 1]))
+        _put_back(lst, r, ((B, _cursor(B, it1), n1),
+                           (B, _cursor(B, it2), n + 1)))
     # The rounds after the break would each have met a sentinel.
     stats.comparisons += o + 1 - l
     _count_copy_all(stats, n, 2)
@@ -265,7 +284,7 @@ def merge_2way_no_sentinel(lst, bounds, B, key, stats):
     n = r - l
     _check_buffer(B, n)
     n1 = m - l
-    B[0:n] = lst[l:r]
+    _copy(B, 0, lst, l, r)
     _merge_runs(lst, l, B, 0, n1, B, n1, n, key, stats)
     _count_copy_all(stats, n, 0)
     stats.merges2 += 1
@@ -285,11 +304,11 @@ def merge_2way_copy_smaller(lst, bounds, B, key, stats):
     _check_buffer(B, min(n1, n2))
     n = r - l
     if n1 <= n2:
-        B[0:n1] = lst[l:m]
+        _copy(B, 0, lst, l, m)
         c2 = _merge_runs(lst, l, B, 0, n1, lst, m, r, key, stats)
         written = c2 - l  # the right run's rest stays where it is
     else:
-        B[0:n2] = lst[m:r]
+        _copy(B, 0, lst, m, r)
         c1, c2 = m - 1, n2 - 1
         a = lst[c1]
         b = B[c2]
@@ -329,7 +348,7 @@ def merge_2way_copy_smaller(lst, bounds, B, key, stats):
         finally:
             # The right run's rest fills the gap after the left run's rest,
             # which is already in place.
-            _put_back(lst, c1 + 2 + c2, (B[0 : c2 + 1],))
+            _put_back(lst, c1 + 2 + c2, ((B, 0, c2 + 1),))
         outputs = r - o
         stats.comparisons += outputs  # one per output before the tail copy
         written = outputs + (c2 + 1)
@@ -359,7 +378,7 @@ def merge_tournament(lst, bounds, B, key, stats):
     for e in bounds[1:]:
         start = end + 1
         end = start + e - b
-        B[start:end] = lst[b:e]
+        _copy(B, start, lst, b, e)
         B[end] = sentinel
         ends.append(end)
         b = e
@@ -503,9 +522,9 @@ def merge_tournament(lst, bounds, B, key, stats):
                 break
     except BaseException:
         pending = [v for v in (x, y) if v is not sentinel]
-        rests = [B[_cursor(B, it) : end]
+        rests = [(B, _cursor(B, it), end)
                  for it, end in zip((i0, i1, i2, i3), ends)]
-        _put_back(lst, r, [pending] + rests)
+        _put_back(lst, r, [(pending, 0, len(pending))] + rests)
         raise
     # Two decisions draw the first winners, and every output takes one at
     # the root and, but for the last, one to refill its side.
@@ -530,7 +549,7 @@ def merge_stages(lst, bounds, B, key, stats):
     l, r = bounds[0], bounds[-1]
     n = r - l
     _check_buffer(B, n + 1)
-    B[0:n] = lst[l:r]
+    _copy(B, 0, lst, l, r)
     # Guard slot: a stage reads refilled heads ahead, up to one slot past
     # their run.  Past the last run it reads this copy, never compared.
     B[n] = B[n - 1]
@@ -551,7 +570,7 @@ def merge_stages(lst, bounds, B, key, stats):
         if width == 0:
             break
         if width == 1:
-            _put_back(lst, r, (B[cs[0] : es[0]],))
+            _put_back(lst, r, ((B, cs[0], es[0]),))
             out = r
             break
         if width == 2:
@@ -708,8 +727,8 @@ def _stage_tournament(lst, out, r, B, cs, es, key, stats):
             nasty_rebuilds += 1
     except BaseException:
         held = [v for v in (x, y) if v is not empty]
-        rest3 = B[c3:e3] if four else ()
-        _put_back(lst, r, (held, B[c0:e0], B[c1:e1], B[c2:e2], rest3))
+        _put_back(lst, r, ((held, 0, len(held)), (B, c0, e0), (B, c1, e1),
+                           (B, c2, e2), (B, c3, e3 if four else c3)))
         raise
     cs[:] = (c0, c1, c2, c3)[: len(cs)]
     stats.comparisons += comparisons

@@ -193,6 +193,10 @@ def stable_sort_with(lst, config=None):
     Raises ``ValueError("list modified during sort")`` if the list's length
     changed while it was sorted (by the key, say), also where the change
     made the sort fail with an ``IndexError`` or a bounds ``ValueError``.
+
+    Besides the SortStats it returns, scratch memory is the n + k-slot
+    merge buffer and a few slices of about ``merges._CHUNK`` or
+    ``min_run_len`` elements, whichever is larger, whatever the input.
     """
     if config is None:
         config = SortConfig()

@@ -3,10 +3,11 @@
 A run is an index pair [begin, end), held as two plain ints; there is no
 run type.  ``find_first_run`` and ``extend_run`` return the run's end.  A
 natural run is a maximal weakly increasing region, or a maximal strictly
-decreasing region which is reversed in place on detection.  Strictness in
-the decreasing case is what makes the reversal safe for stability: a
-strictly decreasing region cannot contain two equal elements, so reversing
-it cannot reorder equals.  A weakly decreasing pair (x, x) therefore
+decreasing region which is reversed in place on detection, a ``_CHUNK``
+from each end at a time, so no run-sized copy is made.  Strictness in the
+decreasing case is what makes the reversal safe for stability: a strictly
+decreasing region cannot contain two equal elements, so reversing it
+cannot reorder equals.  A weakly decreasing pair (x, x) therefore
 terminates a decreasing run.
 
 Short runs are extended by binary insertion sort, as in CPython's
@@ -36,6 +37,8 @@ from bisect import bisect_right
 from functools import cache
 from itertools import chain, islice
 from operator import le, length_hint
+
+from .merges import _CHUNK
 
 #: Elements of a run that detection scans with its inline loop before an
 #: unkeyed scan goes on in C (``_scan_tail``).  The tail costs a fixed set-up
@@ -85,7 +88,15 @@ def find_first_run(lst, begin, end, key, stats):
                 break
         else:
             i = stop if stop == end else _scan_tail(lst, stop, end, False)
-        lst[begin:i] = lst[begin:i][::-1]
+        if i > len(lst):
+            raise IndexError("run past the end of the list")
+        lo, hi = begin, i
+        while hi - lo >= 2 * _CHUNK:
+            hi -= _CHUNK
+            lst[lo : lo + _CHUNK], lst[hi : hi + _CHUNK] = (
+                lst[hi : hi + _CHUNK][::-1], lst[lo : lo + _CHUNK][::-1])
+            lo += _CHUNK
+        lst[lo:hi] = lst[lo:hi][::-1]
         stats.moves += i - begin
     # One comparison per pair inside the run, plus the one that ended it
     # when the run stops short of the view's end.

@@ -89,12 +89,18 @@ def run_kernel(kernel, regions, key=None, pad=3):
     lst, bounds = padded(regions, pad)
     stats = fresh_instruments()
     kernel(lst, bounds, buffer_for(bounds), key, stats)
+    return checked_region(lst, bounds, regions, pad), stats
+
+
+def checked_region(lst, bounds, regions, pad):
+    """The merge region of a ``padded`` list, once its padding is untouched
+    and it holds exactly the regions' objects."""
     assert lst[:pad] == ["pad"] * pad and lst[-pad:] == ["pad"] * pad
     merged = lst[bounds[0] : bounds[-1]]
     # Exactly the input's objects: no sentinel or other object leaks in.
     assert sorted(map(id, merged)) == sorted(
         id(x) for region in regions for x in region)
-    return merged, stats
+    return merged
 
 
 def split_records(keys_per_region):
@@ -332,6 +338,27 @@ def test_raising_key_leaves_a_permutation(kernel, arity):
         run_kernel(kernel, counted_regions(key_regions, tally), pad=1)
         for fail_at in range(1, tally.le_calls + 1):
             check_raising_le(kernel, key_regions, fail_at)
+
+
+@pytest.mark.parametrize("kernel,arity", ALL_KERNELS)
+def test_raising_key_puts_back_rests_several_chunks_long(kernel, arity):
+    # Put-backs go a chunk at a time.  Regions of four chunks, run i keyed
+    # over [0, 50 (i + 1)], so that wider runs outlast narrower ones: a key
+    # that raises early leaves every rest several chunks long, midway some,
+    # and on its last call what the merge has not yet output.
+    rng = random.Random(arity * 100 + 7)
+    size = 4 * merges._CHUNK + 5
+    regions = split_records(
+        [[rng.randint(0, 50 * (i + 1)) for _ in range(size)]
+         for i in range(arity)])
+    spy = SpyKey()
+    run_kernel(kernel, regions, key=spy)
+    for fail_at in (3, spy.calls // 2, spy.calls):
+        lst, bounds = padded(regions, 3)
+        with pytest.raises(KeyFailure):
+            kernel(lst, bounds, buffer_for(bounds), FailingKey(fail_at),
+                   fresh_instruments())
+        checked_region(lst, bounds, regions, 3)
 
 
 def check_raising_le(kernel, key_regions, fail_at):

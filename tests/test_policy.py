@@ -1,9 +1,13 @@
 import random
+import sys
+import tracemalloc
 from itertools import accumulate
 
 import pytest
 
 from powersort import oracle, policy
+from powersort.harness import GeneratorSpec, generate
+from powersort.merges import _CHUNK
 from powersort.policy import (
     SortConfig,
     VARIANTS,
@@ -444,6 +448,41 @@ def test_list_modified_in_the_unkeyed_tail_raises_value_error(variant, grow):
                            else (lambda lst: lst.pop()))
         with pytest.raises(ValueError, match="list modified during sort"):
             stable_sort_with(lst, config_for(variant))
+
+
+def long_run_inputs(n):
+    """Inputs of n elements with runs of thousands of elements, by name."""
+    m = n // 8
+    yield "reversed", list(range(n, 0, -1))
+    yield "two-disjoint-runs", list(range(n // 2, n)) + list(range(n // 2))
+    yield "descending-blocks", [
+        v for b in range(8) for v in range((b + 1) * m, b * m, -1)]
+    yield "random-runs", generate(GeneratorSpec("random-runs", n, seed=3))
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_scratch_memory_is_the_buffer_plus_a_few_chunks(variant):
+    # Copies to and from the buffer, put-backs and the reversal of a
+    # descending run go a chunk at a time, so the peak past the n + k-slot
+    # buffer stays within one allowance in chunks at n = 2^14 and at 4x that.
+    # Run-sized slices would add up to 16 B per element.
+    config = config_for(variant)
+    # Build the insertion table, cached on the first sort, before measuring.
+    stable_sort_with(generate(GeneratorSpec("random-permutation", 500)),
+                     config)
+    allowance = 6 * sys.getsizeof([None] * _CHUNK)
+    for n in (1 << 14, 1 << 16):
+        buffer = sys.getsizeof([None] * (n + VARIANTS[variant].k))
+        for name, lst in long_run_inputs(n):
+            expected = sorted(lst)
+            tracemalloc.start()
+            try:
+                stable_sort_with(lst, config)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert lst == expected, (name, n)
+            assert peak - buffer <= allowance, (name, n, peak - buffer)
 
 
 # --- profile simulation ------------------------------------------------------

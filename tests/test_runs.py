@@ -4,6 +4,7 @@ from bisect import bisect_right
 
 import pytest
 
+from powersort.merges import _CHUNK
 from powersort.runs import (
     _SCAN_INLINE,
     _TABLE_ROWS,
@@ -40,11 +41,35 @@ def test_equal_pair_does_not_break_an_increasing_run():
 
 
 def test_strictly_decreasing_run_is_reversed_in_place():
-    stats = fresh_instruments()
-    lst = [3, 2, 1, 9]
-    assert find_first_run(lst, 0, 4, None, stats) == 3
-    assert lst == [1, 2, 3, 9]
-    assert stats.moves == 3
+    # One test id for every length.  Runs shorter than two chunks reverse
+    # with one slice; longer ones swap chunks from both ends first.
+    for length in (3, 2 * _CHUNK - 1, 2 * _CHUNK, 2 * _CHUNK + 1,
+                   4 * _CHUNK + 3):
+        stats = fresh_instruments()
+        lst = list(range(length, 0, -1)) + [length + 6]
+        assert find_first_run(lst, 0, len(lst), None, stats) == length
+        assert lst == list(range(1, length + 1)) + [length + 6], length
+        assert stats.moves == length
+        assert stats.comparisons == length  # length - 1 pairs, and the end
+
+
+def test_reversal_never_lengthens_a_shortened_list():
+    # A key that pops two elements while detection scans a run longer than
+    # two chunks: the run now ends past the list, and reversing it chunk by
+    # chunk would write past the end; it raises before it writes.
+    length = 2 * _CHUNK + 5
+    lst = make_records(range(length, 0, -1)) + [(length + 1, -1)]
+    spy = SpyKey()
+
+    def popping_key(record):
+        spy(record)
+        if spy.calls == length + 1:  # the key of the element after the run
+            del lst[-2:]
+        return record[0]
+
+    with pytest.raises(IndexError, match="past the end"):
+        find_first_run(lst, 0, length + 1, popping_key, fresh_instruments())
+    assert lst == make_records(range(length, 0, -1))[:-1]
 
 
 def test_weakly_decreasing_pair_stays_an_increasing_run():
