@@ -19,7 +19,7 @@ OPTIMAL_MERGE_COST_MAX_RUNS = 14
 
 
 def kway_tree(lengths, k):
-    """Conceptual merge tree for a run-length profile.
+    """Conceptual merge tree of arity k = 2**j for a run-length profile.
 
     Computes all boundary powers, splits at every boundary attaining the
     minimal power (all of them -- this is what caps node degree at k), and

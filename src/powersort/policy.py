@@ -1,4 +1,4 @@
-"""The run-adaptive k-way merge policy.
+"""The run-adaptive k-way merge policy, for any arity k = 2**j.
 
 One engine, ``merge_schedule``, decides every merge.  It reads adjacent runs
 lazily from an iterator and computes the power of each boundary between two
@@ -7,19 +7,19 @@ power of the boundary at which each was deferred, as two local lists of
 ints (begins, and powers over a bottom power 0); powers on the stack
 weakly increase from bottom to top, and at most k-1 entries ever share a
 power.  When the next boundary's power is smaller than the power on top of
-the stack, the whole equal-power top group and the current run form one 2-,
-3- or 4-way merge group, repeating per power level until the new run can be
-pushed.  After the last run, the stack is collapsed top-down; for k = 4 the
-collapse first normalizes the number of remaining runs to 3j + 1 with a
-single 2- or 3-way merge so every following merge is a full 4-way merge.
+the stack, the whole equal-power top group and the current run form one
+merge group of 2..k runs, repeating per power level until the new run can
+be pushed.  After the last run, the stack is collapsed top-down; the
+collapse first normalizes the number of remaining runs to (k - 1)j + 1 with
+one narrower merge, so every following merge is a full k-way merge.
 
 The engine yields each group as its bounds ``(b0, .., b_{w-1}, end)`` and
 knows nothing of the elements.  ``stable_sort_with`` feeds it the
 ``(begin, end)`` runs it detects (and extends) in the list and passes each
-group's bounds to the merge kernel for its width; ``merge_cost_for_profile``
-feeds it the runs of a length profile and sums the groups' lengths.  Both
-therefore execute the same merges, and report the same bounds to
-``on_merge``.
+group's bounds to the merge kernel for its width (k is 2 or 4 there);
+``merge_cost_for_profile`` feeds it the runs of a length profile and sums
+the groups' lengths.  Both execute the same merges, and report the same
+bounds to ``on_merge``.
 """
 
 from __future__ import annotations
@@ -73,15 +73,15 @@ VARIANTS = {
 class SortConfig:
     """Configuration of one sort call.
 
-    ``k`` is the merge arity (2 or 4) and must match the kernel family named
-    by ``variant``.  ``key`` extracts the sort key from an element; records
-    are compared by key only.  Keys (or the elements, without ``key``)
-    need both ``<``, which run extension uses, and ``<=``, which run
-    detection and the merges use.  ``strict_merge_down`` collapses the final
-    stack by popping up to k-1 runs per merge instead of normalizing to
-    3j + 1 first.  ``on_merge`` is called after every executed merge with
-    one ``(bounds, output_length)`` tuple, where bounds is the group
-    ``merge_schedule`` yielded and the kernel merged; pass
+    ``k`` is the merge arity, 2 or 4, and must match the kernel family
+    named by ``variant``.  ``key`` extracts the sort key from an element;
+    records are compared by key only.  Keys (or the elements, without
+    ``key``) need both ``<``, which run extension uses, and ``<=``, which
+    run detection and the merges use.  ``strict_merge_down`` collapses the
+    final stack by popping up to k-1 runs per merge instead of normalizing
+    to (k - 1)j + 1 runs first.  ``on_merge`` is called after every
+    executed merge with one ``(bounds, output_length)`` tuple, where bounds
+    is the group ``merge_schedule`` yielded and the kernel merged; pass
     ``some_list.append`` to collect a merge trace.  The sort's SortStats
     counters, ``comparisons`` included, are live at each call.
     """
@@ -102,8 +102,9 @@ def merge_schedule(k, n, runs, strict_merge_down, stats):
     been drawn, so a consumer may rewrite everything left of that run before
     the next one is read.  A group of 2..k runs is the tuple of their
     bounds ``(b0, .., b_{w-1}, end)``: the begins of the runs, left to
-    right, and the end of the last.  Records the peak stack height in
-    ``stats.max_stack_height``.
+    right, and the end of the last.  Unless ``strict_merge_down``, the final
+    collapse first normalizes to (k - 1)j + 1 runs.  Records the peak stack
+    height in ``stats.max_stack_height``.
     """
     capacity = run_stack_capacity(k, n)
     # The run stack: stack[h] begins a pending run that was deferred at a
@@ -139,14 +140,12 @@ def merge_schedule(k, n, runs, strict_merge_down, stats):
             peak = height + 1
             stats.max_stack_height = peak
         a_begin, a_end = b_begin, b_end
-    # Collapse the remaining stack under the rightmost run.  Unless strict,
-    # k = 4 first pops height % 3 runs, so 3j + 1 runs remain for 4-way
-    # merges.
+    # Collapse the remaining stack under the rightmost run.
     while stack:
         height = len(stack)
         popped = min(k - 1, height)
-        if k == 4 and not strict_merge_down and height % 3:
-            popped = height % 3
+        if not strict_merge_down and height % (k - 1):
+            popped = height % (k - 1)
         begins = stack[height - popped:]
         del stack[height - popped:]
         yield (*begins, a_begin, a_end)
@@ -246,10 +245,8 @@ def merge_cost_for_profile(lengths, k, strict_merge_down=False, on_merge=None):
     The policy's merge decisions depend only on run boundaries, so the cost
     can be evaluated directly on the profile: this consumes the same
     ``merge_schedule`` as the real sort, with the kernels replaced by cost
-    accounting.
+    accounting, for any arity k = 2**j.
     """
-    if k not in (2, 4):
-        raise ValueError("k must be 2 or 4, got %r" % (k,))
     bounds = list(accumulate(validated_profile(lengths), initial=0))
     cost = 0
     for group in merge_schedule(

@@ -19,19 +19,21 @@ y = (B << s) // 2n.  These s bits suffice: B - A = e2 - b1 >= 2, so
 b - a >= 1/n, and 2**s > 4n puts x and y more than 4 apart; the two
 expansions therefore differ within their first s bits.  Bit p (counted
 from the binary point) is the first to differ exactly when x ^ y has bit
-length s - p + 1, so p2 = s - (x ^ y).bit_length() + 1.  A multiple of
-4**-q is a multiple of 2**-2q, so for k = 4 the power is the least q with
-2q >= p2: p4 = ceil(p2 / 2), the squish rule.
+length s - p + 1, so p2 = s - (x ^ y).bit_length() + 1.  The arity is
+k = 2**j, and a multiple of k**-q is a multiple of 2**-jq, so the power is
+the least q with jq >= p2: p_k = ceil(p2 / j), the squish rule.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
+from operator import index
 
 
 def validated_profile(lengths) -> list[int]:
-    """``lengths`` as a list, checked to be a non-empty run-length profile."""
-    lengths = list(lengths)
+    """``lengths`` as a list of ints (numpy ints pass, floats raise
+    ``TypeError``), checked to be a non-empty run-length profile."""
+    lengths = list(map(index, lengths))
     if not lengths:
         raise ValueError("a run profile has at least one run")
     if any(length < 1 for length in lengths):
@@ -39,17 +41,21 @@ def validated_profile(lengths) -> list[int]:
     return lengths
 
 
+def arity_log(k: int) -> int:
+    """j for a merge arity k = 2**j, j >= 1.  The one check of k: every
+    function taking an arity calls it, and it raises ``ValueError``."""
+    j = index(k).bit_length() - 1
+    if j < 1 or k != 1 << j:
+        raise ValueError("k must be a power of two >= 2, got %r" % (k,))
+    return j
+
+
 def ceil_log(k: int, n: int) -> int:
-    """Smallest m >= 0 with k**m >= n, computed without floating point."""
-    if k < 2:
-        raise ValueError("ceil_log needs k >= 2")
+    """Smallest m >= 0 with k**m >= n: ceil(ceil(lg n) / j) for k = 2**j."""
+    j = arity_log(k)
     if n < 1:
         raise ValueError("ceil_log needs n >= 1")
-    m, p = 0, 1
-    while p < n:
-        p *= k
-        m += 1
-    return m
+    return ((index(n) - 1).bit_length() + j - 1) // j
 
 
 def run_stack_capacity(k: int, n: int) -> int:
@@ -57,7 +63,7 @@ def run_stack_capacity(k: int, n: int) -> int:
 
     Powers of interior boundaries fall in 1..ceil(log_k n)+1 and at most k-1
     pending runs can share a power, so a sort of n elements can never stack
-    more runs than this.
+    more runs than this.  Raises ``ValueError`` for an arity other than 2**j.
     """
     return (k - 1) * (ceil_log(k, n) + 1)
 
@@ -66,10 +72,9 @@ def node_power(k: int, n: int, b1: int, e1: int, b2: int, e2: int) -> int:
     """Power of the boundary between adjacent runs [b1, e1) and [b2, e2).
 
     ``n`` is the total array length.  Exact, in O(1) big-integer operations;
-    raises ``ValueError`` for k outside {2, 4} or malformed bounds.
+    raises ``ValueError`` for k other than 2**j or malformed bounds.
     """
-    if k not in (2, 4):
-        raise ValueError("node_power supports k in {2, 4}, got %r" % (k,))
+    j = arity_log(k)
     if not (0 <= b1 < e1 == b2 < e2 <= n):
         raise ValueError(
             "malformed run bounds: need 0 <= b1 < e1 == b2 < e2 <= n, got "
@@ -80,7 +85,7 @@ def node_power(k: int, n: int, b1: int, e1: int, b2: int, e2: int) -> int:
     x = ((b1 + e1) << s) // two_n
     y = ((b2 + e2) << s) // two_n
     p2 = s - (x ^ y).bit_length() + 1
-    return p2 if k == 2 else (p2 + 1) >> 1
+    return (p2 + j - 1) // j
 
 
 def boundary_powers(lengths, k: int) -> list[int]:
@@ -89,9 +94,7 @@ def boundary_powers(lengths, k: int) -> list[int]:
     ``lengths`` is the left-to-right list of run lengths; element j of the
     result is the power of the boundary between runs j and j+1.
     """
-    if k not in (2, 4):
-        # Checked here too: a one-run profile has no boundary to check it.
-        raise ValueError("boundary_powers supports k in {2, 4}, got %r" % (k,))
+    arity_log(k)  # a one-run profile has no boundary to check k
     bounds = list(accumulate(validated_profile(lengths), initial=0))
     n = bounds[-1]
     return [

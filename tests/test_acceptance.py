@@ -11,6 +11,7 @@ import random
 import statistics
 import time
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -26,10 +27,11 @@ from powersort.policy import (
     SortConfig,
     VARIANTS,
     merge_cost_for_profile,
+    merge_schedule,
     stable_sort_with,
 )
 from powersort.power import boundary_powers, run_stack_capacity
-from powersort.statskit import scanned_elements_estimate
+from powersort.statskit import SortStats, scanned_elements_estimate
 
 from conftest import KEY, realizable_profiles_upto
 
@@ -463,4 +465,56 @@ def test_criterion_11_trivial_anchors():
     print(
         "CRITERION 11 PASS: single-run inputs cost n-1 comparisons and no "
         "merges; reversed inputs cost no merges at min_run_len=1"
+    )
+
+
+def test_criteria_02_04_06_past_k4_on_profiles():
+    # The policy serves any k = 2**j, though the sort has kernels for k <= 4
+    # only, so criteria 2, 4 and 6 are checked at k in {8, 16} on profiles:
+    # criterion 6's exhaustive and random profiles, and criterion 8's 100
+    # sampled ones.
+    rng = random.Random(66)
+    small = [list(p) for p in realizable_profiles_upto(14, 5)]
+    small += [_random_realizable_profile(rng, max_runs=12, max_total=60)
+              for _ in range(10_000)]
+    for profile in small:
+        n = sum(profile)
+        h = oracle.entropy(profile)
+        for k in (8, 16):
+            tree_cost = oracle.tree_merge_cost(
+                oracle.kway_tree(profile, k), profile
+            )
+            assert merge_cost_for_profile(profile, k) <= tree_cost
+            strict_cost = merge_cost_for_profile(profile, k,
+                                                 strict_merge_down=True)
+            assert strict_cost <= h * n / math.log2(k) + 2 * n
+    n, expected = 10**6, 1000
+    cost = {2: [], 8: [], 16: []}
+    peak = {8: 0, 16: 0}
+    for seed in range(100):
+        rng = np.random.default_rng(np.random.SeedSequence((0xC8, seed)))
+        profile = sample_run_lengths(rng, n, expected)
+        bounds = list(accumulate(profile, initial=0))
+        bound_nh = oracle.entropy(profile) * n
+        cost[2].append(merge_cost_for_profile(profile, 2))
+        for k in (8, 16):
+            for strict in (False, True):
+                stats = SortStats()
+                groups = merge_schedule(k, n, zip(bounds, bounds[1:]), strict,
+                                        stats)
+                merge_cost = sum(g[-1] - g[0] for g in groups)
+                assert merge_cost <= bound_nh / math.log2(k) + 2 * n
+                assert stats.max_stack_height <= run_stack_capacity(k, n)
+                peak[k] = max(peak[k], stats.max_stack_height)
+                if not strict:
+                    cost[k].append(merge_cost)
+    ratio = {k: statistics.mean(cost[k]) / statistics.mean(cost[2])
+             for k in (8, 16)}
+    print(
+        "CRITERIA 2, 4, 6 PASS at k in {8, 16}: policy cost <= conceptual "
+        "tree cost on %d profiles; both merge-downs <= (1/lg k) H n + 2n; "
+        "100 seeds at n=1e6: stack peaks %d, %d (bounds %d, %d), mean "
+        "k-way/2-way cost ratio %.4f, %.4f"
+        % (len(small), peak[8], peak[16], run_stack_capacity(8, n),
+           run_stack_capacity(16, n), ratio[8], ratio[16])
     )

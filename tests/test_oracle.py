@@ -51,7 +51,7 @@ def test_tree_leaves_in_order_and_degree_at_most_k():
     rng = random.Random(0)
     for _ in range(300):
         profile = random_profile(rng)
-        for k in (2, 4):
+        for k in (2, 4, 8, 16):
             tree = kway_tree(profile, k)
             assert tree_leaves(tree) == list(range(len(profile)))
             degrees = all_degrees(tree)
@@ -59,9 +59,9 @@ def test_tree_leaves_in_order_and_degree_at_most_k():
 
 
 def test_kway_tree_rejects_k3():
-    with pytest.raises(ValueError, match="k in {2, 4}"):
+    with pytest.raises(ValueError, match="power of two >= 2"):
         kway_tree([2, 2, 4, 8], 3)
-    with pytest.raises(ValueError, match="k in {2, 4}"):
+    with pytest.raises(ValueError, match="power of two >= 2"):
         kway_tree([16], 3)
 
 
@@ -89,7 +89,7 @@ def test_boundary_powers_cap_node_depths():
         profile = random_profile(rng)
         if len(profile) < 2:
             continue
-        for k in (2, 4):
+        for k in (2, 4, 8, 16):
             powers = boundary_powers(profile, k)
             tree = kway_tree(profile, k)
             for boundary, depth in boundary_node_depths(tree).items():

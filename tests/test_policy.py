@@ -194,6 +194,24 @@ def test_merge_down_strict_pops_up_to_k_minus_1(stack_runs, expected_arities):
     assert [len(bounds) - 1 for bounds, _ in trace] == expected_arities
 
 
+@pytest.mark.parametrize(
+    "stack_runs,strict,expected_arities",
+    [
+        (8, False, [8]),          # 7j + 1 already
+        (10, False, [3, 8]),      # one 3-way, then 8-way
+        (16, False, [2, 8, 8]),
+        (10, True, [8, 3]),       # strict: pop 7, then the remaining 2
+    ],
+)
+def test_merge_down_at_k8_on_profiles(stack_runs, strict, expected_arities):
+    # The profile cost serves k = 8, and its collapse first normalizes to
+    # (k - 1)j + 1 runs by the same rule as k = 4.
+    trace = []
+    merge_cost_for_profile(final_stack_profile(stack_runs - 1), 8,
+                           strict_merge_down=strict, on_merge=trace.append)
+    assert [len(bounds) - 1 for bounds, _ in trace] == expected_arities
+
+
 def test_merge_down_k2_is_repeated_2way():
     profile = final_stack_profile(3)
     lst = oracle.realize_profile(profile)
