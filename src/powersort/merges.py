@@ -31,12 +31,12 @@ Five buffer strategies:
 * ``merge_2way_sentinel``      -- copy both runs out, sentinel after each;
                                   a step learns that its run is exhausted
                                   from the head it reads next.
-* ``merge_2way_no_sentinel``   -- copy both runs out; a step checks the
-                                  cursor it moved against its run's end.
+* ``merge_2way_no_sentinel``   -- copy both runs out; a run that ends
+                                  leaves its ``for`` loop.
 * ``merge_2way_copy_smaller``  -- copy only the smaller run out and merge
                                   into the gap.  Forward, the same loop as
                                   ``merge_2way_no_sentinel`` reads the right
-                                  run in place; backward, a mirrored loop,
+                                  run in place; backward, a mirrored loop
                                   when the right run is the smaller one.
 * ``merge_tournament``         -- one winner tournament tree over 3 or 4
                                   runs, sentinel after each buffered run.
@@ -44,11 +44,16 @@ Five buffer strategies:
                                   min-remaining-length unchecked iterations
                                   per stage and narrows as runs exhaust.
 
-The 2-way kernels hold both run heads in locals and test only the run a
-step took from.  Once one run is exhausted, the rest of the other is
-put back.  Every copy-out into B and every put-back goes through
-``_copy``, ``_CHUNK`` elements per slice, so a merge's scratch memory is
-B plus a chunk or two, whatever its runs' lengths.
+The sentinel 2-way kernel holds both run heads in locals and tests only
+the run a step took from.  The sentinel-free 2-way loops are two nested
+``for`` loops over ``islice``-bounded runs, each read through such a
+placed iterator (a reverse one backward): the outer loop draws the run
+that wins ties, the inner one the other run while its held head wins.  No
+step moves a cursor or tests an end; a run that ends leaves its loop.
+Once one run is exhausted, the rest of the other is put back.  Every
+copy-out into B and every put-back goes through ``_copy``, ``_CHUNK``
+elements per slice, so a merge's scratch memory is B plus a chunk or
+two, whatever its runs' lengths.
 
 The tournament tree holds values.  The heads h0..h3 of the four runs are
 locals; x, the winner of runs 0 and 1, and y, of runs 2 and 3, are already
@@ -83,6 +88,7 @@ propagates, so the list stays a permutation of its input.
 
 from __future__ import annotations
 
+from itertools import islice
 from operator import length_hint
 
 #: Diagnostic counter: number of times the staged merger rolled an element
@@ -166,54 +172,69 @@ def _merge_runs(lst, o, A, c1, e1, C, c2, e2, key, stats):
     position o on, and return the second run's cursor at the end: e2 if it
     ran out first, else where its rest starts.
 
+    The outer loop draws A's run, the inner one C's, whose head b is held.
+
     C may be lst itself, with its run ending where the output does: the
     output stays behind that run's cursor, and its rest is already in
     place."""
     r = o + (e1 - c1) + (e2 - c2)
     start = o
-    a = A[c1]
-    b = C[c2]
+    ia, ic = iter(A), iter(C)
+    ia.__setstate__(c1)
+    ic.__setstate__(c2)
+    b = next(ic)
+    rest = islice(ic, e2 - c2 - 1)
+    dry = 0  # 1 once the second run has run out, with a pending
     try:
         if key is None:
-            for o in range(o, r):
+            for a in islice(ia, e1 - c1):
                 if a <= b:
                     lst[o] = a
-                    c1 += 1
-                    if c1 == e1:
+                    o += 1
+                    continue
+                lst[o] = b
+                o += 1
+                for b in rest:
+                    if a <= b:
                         break
-                    a = A[c1]
-                else:
                     lst[o] = b
-                    c2 += 1
-                    if c2 == e2:
-                        break
-                    b = C[c2]
+                    o += 1
+                else:
+                    dry = 1
+                    break
+                lst[o] = a
+                o += 1
         else:
-            ka = key(a)
             kb = key(b)
-            for o in range(o, r):
+            for a in islice(ia, e1 - c1):
+                ka = key(a)
                 if ka <= kb:
                     lst[o] = a
-                    c1 += 1
-                    if c1 == e1:
-                        break
-                    a = A[c1]
-                    ka = key(a)
-                else:
-                    lst[o] = b
-                    c2 += 1
-                    if c2 == e2:
-                        break
-                    b = C[c2]
+                    o += 1
+                    continue
+                lst[o] = b
+                o += 1
+                for b in rest:
                     kb = key(b)
+                    if ka <= kb:
+                        break
+                    lst[o] = b
+                    o += 1
+                else:
+                    dry = 1
+                    break
+                lst[o] = a
+                o += 1
     finally:
         # The surviving run's rest, or after a failure both rests; in lst,
         # C's rest is already in place, from c2 to r.
+        c2 = _cursor(C, ic) + dry
+        c1 = e1 + e2 - c2 - (r - o)  # r - o outputs are left
         if C is lst and r <= len(lst):
             _put_back(lst, c2, ((A, c1, e1),))
         else:
             _put_back(lst, r, ((A, c1, e1), (C, c2, e2)))
-    stats.comparisons += o + 1 - start  # one per output before the tail copy
+    stats.comparisons += o - start  # one per output before the tail copy
     return c2
 
 
@@ -294,8 +315,9 @@ def merge_2way_copy_smaller(lst, bounds, B, key, stats):
     """Copy only the smaller run to the buffer and merge into the gap.
 
     Left run smaller: forward merge, left wins ties.  Right run smaller:
-    backward merge taking the larger element, right wins ties -- the mirror
-    image of the forward rule -- so the global tie order is unchanged.
+    backward merge over reverse iterators, taking the larger element, right
+    wins ties -- the mirror image of the forward rule -- so the global tie
+    order is unchanged.
     """
     _check_regions(lst, bounds, (2,))
     l, m, r = bounds
@@ -309,49 +331,62 @@ def merge_2way_copy_smaller(lst, bounds, B, key, stats):
         written = c2 - l  # the right run's rest stays where it is
     else:
         _copy(B, 0, lst, m, r)
-        c1, c2 = m - 1, n2 - 1
-        a = lst[c1]
-        b = B[c2]
+        # _merge_runs mirrored: the inner loop draws the left run in place.
+        ia, ib = reversed(lst), reversed(B)
+        ia.__setstate__(m - 1)
+        ib.__setstate__(n2 - 1)
+        a = next(ia)
+        rest = islice(ia, n1 - 1)
+        dry = 0  # 1 once the left run has run out, with b pending
+        o = r - 1
         try:
             if key is None:
-                for o in range(r - 1, l - 1, -1):
+                for b in islice(ib, n2):
                     if a <= b:
                         lst[o] = b
-                        c2 -= 1
-                        if c2 < 0:
+                        o -= 1
+                        continue
+                    lst[o] = a
+                    o -= 1
+                    for a in rest:
+                        if a <= b:
                             break
-                        b = B[c2]
-                    else:
                         lst[o] = a
-                        c1 -= 1
-                        if c1 < l:
-                            break
-                        a = lst[c1]
+                        o -= 1
+                    else:
+                        dry = 1
+                        break
+                    lst[o] = b
+                    o -= 1
             else:
                 ka = key(a)
-                kb = key(b)
-                for o in range(r - 1, l - 1, -1):
+                for b in islice(ib, n2):
+                    kb = key(b)
                     if ka <= kb:
                         lst[o] = b
-                        c2 -= 1
-                        if c2 < 0:
-                            break
-                        b = B[c2]
-                        kb = key(b)
-                    else:
-                        lst[o] = a
-                        c1 -= 1
-                        if c1 < l:
-                            break
-                        a = lst[c1]
+                        o -= 1
+                        continue
+                    lst[o] = a
+                    o -= 1
+                    for a in rest:
                         ka = key(a)
+                        if ka <= kb:
+                            break
+                        lst[o] = a
+                        o -= 1
+                    else:
+                        dry = 1
+                        break
+                    lst[o] = b
+                    o -= 1
         finally:
-            # The right run's rest fills the gap after the left run's rest,
-            # which is already in place.
-            _put_back(lst, c1 + 2 + c2, ((B, 0, c2 + 1),))
-        outputs = r - o
+            # The right run's rest fills the gap up to o after the left
+            # run's rest, in place up to index length_hint(ia) - dry.
+            tail = o - length_hint(ia) + dry
+            _put_back(lst, o + 1, ((B, 0, tail),))
+        outputs = r - 1 - o
         stats.comparisons += outputs  # one per output before the tail copy
-        written = outputs + (c2 + 1)
+        written = outputs + tail
     copied = min(n1, n2)
     stats.merge_cost += n
     stats.buffer_cost += copied

@@ -168,16 +168,21 @@ def merge_tree_from_trace(run_intervals, trace):
 
     ``run_intervals`` are the detected runs as (begin, end) pairs, left to
     right; ``trace`` is the sequence of ``(bounds, output_length)`` entries
-    reported by the sort's merge hook, in execution order.
+    reported by the sort's merge hook, in execution order.  An entry whose
+    bounds are not adjacent current regions raises ``ValueError``.
     """
     nodes = {}
     for index, (begin, end) in enumerate(run_intervals):
         nodes[(begin, end)] = index
-    for bounds, _ in trace:
-        children = []
-        for a, b in zip(bounds, bounds[1:]):
-            children.append(nodes.pop((a, b)))
-        nodes[(bounds[0], bounds[-1])] = tuple(children)
+    for entry in trace:
+        bounds = entry[0]
+        try:
+            children = tuple(nodes.pop(ab) for ab in zip(bounds, bounds[1:]))
+        except KeyError:
+            raise ValueError(
+                "trace entry %r does not merge current regions" % (entry,)
+            ) from None
+        nodes[(bounds[0], bounds[-1])] = children
     if len(nodes) != 1:
         raise ValueError("trace does not merge the runs into a single region")
     return next(iter(nodes.values()))

@@ -289,6 +289,66 @@ def test_exhaustive_derived_comparisons_match_key_calls(kernel, arity):
             kernel.__name__, key_regions)
 
 
+class Logged:
+    """An element, or a key, ordered by ``value`` that logs the uids of the
+    left and the right side of each ``<=`` it answers."""
+
+    __slots__ = ("value", "uid", "log")
+
+    def __init__(self, value, uid, log):
+        self.value = value
+        self.uid = uid
+        self.log = log
+
+    def __le__(self, other):
+        self.log.append((self.uid, other.uid))
+        return self.value <= other.value
+
+
+def reference_2way_pairs(left, right, backward):
+    """The ``(left uid, right uid)`` pairs that an index-cursor merge of two
+    sorted ``(key, uid)`` runs compares, in order, until a run runs out.
+    Forward, the left run wins ties; backward, taking the larger, the right
+    run does."""
+    pairs = []
+    i, j = (len(left) - 1, len(right) - 1) if backward else (0, 0)
+    while 0 <= i < len(left) and 0 <= j < len(right):
+        pairs.append((left[i][1], right[j][1]))
+        if backward:
+            if left[i][0] <= right[j][0]:
+                j -= 1
+            else:
+                i -= 1
+        elif left[i][0] <= right[j][0]:
+            i += 1
+        else:
+            j += 1
+    return pairs
+
+
+@pytest.mark.parametrize(
+    "kernel", [merge_2way_no_sentinel, merge_2way_copy_smaller])
+def test_exhaustive_2way_compares_the_reference_pairs_in_order(kernel):
+    # The same comparisons, in the same order, as a plain index-cursor
+    # merge: keyed, through keys that log their partner, and unkeyed.
+    directions = set()
+    log = []
+    for key_regions in exhaustive_cases(2, 10):
+        left, right = split_records(key_regions)
+        backward = kernel is merge_2way_copy_smaller and len(left) > len(right)
+        directions.add(backward)
+        expected = reference_2way_pairs(left, right, backward)
+        log.clear()
+        run_kernel(kernel, [left, right], key=lambda rec: Logged(*rec, log),
+                   pad=1)
+        assert log == expected, ("keyed", key_regions)
+        log.clear()
+        run_kernel(kernel, [[Logged(*rec, log) for rec in run]
+                            for run in (left, right)], pad=1)
+        assert log == expected, ("unkeyed", key_regions)
+    assert directions == {False, kernel is merge_2way_copy_smaller}
+
+
 #: Key calls beyond one per element in a staged merge, rebuilds aside: the
 #: narrower trees key their heads again, and a stage may key a head read
 #: one slot past its run.  Worst case over the exhaustive cases below.
@@ -359,6 +419,29 @@ def test_raising_key_puts_back_rests_several_chunks_long(kernel, arity):
             kernel(lst, bounds, buffer_for(bounds), FailingKey(fail_at),
                    fresh_instruments())
         checked_region(lst, bounds, regions, 3)
+
+
+def test_backward_copy_smaller_puts_back_rests_several_chunks_long():
+    # The right run is the smaller one, so copy-smaller merges backward.  A
+    # key, or an unkeyed ``<=``, that raises early leaves both rests several
+    # chunks long, midway some, and on its last call what is not yet output.
+    rng = random.Random(29)
+    key_regions = [[rng.randint(0, 200) for _ in range(size)]
+                   for size in (5 * merges._CHUNK + 3, 3 * merges._CHUNK + 7)]
+    regions = split_records(key_regions)
+    spy = SpyKey()
+    _, stats = run_kernel(merge_2way_copy_smaller, regions, key=spy)
+    assert stats.buffer_cost == len(regions[1])
+    for fail_at in (3, spy.calls // 2, spy.calls):
+        lst, bounds = padded(regions, 3)
+        with pytest.raises(KeyFailure):
+            merge_2way_copy_smaller(lst, bounds, buffer_for(bounds),
+                                    FailingKey(fail_at), fresh_instruments())
+        checked_region(lst, bounds, regions, 3)
+    tally = LeTally()
+    run_kernel(merge_2way_copy_smaller, counted_regions(key_regions, tally))
+    for fail_at in (3, tally.le_calls // 2, tally.le_calls):
+        check_raising_le(merge_2way_copy_smaller, key_regions, fail_at)
 
 
 def check_raising_le(kernel, key_regions, fail_at):
@@ -618,9 +701,11 @@ def test_sentinel_values_never_emitted():
 
 
 def test_list_iterator_placement_and_cursor_recovery():
-    # The sentinel kernels and run detection place list iterators with
-    # ``__setstate__`` and recover the index of the element ``next()``
-    # returned last from ``length_hint``.  This pins that CPython behaviour.
+    # The merge kernels and run detection place list iterators, forward and
+    # reverse, with ``__setstate__``, the sentinel-free 2-way loops bound
+    # them with ``islice``, and all recover the index of the element
+    # ``next()`` returned last from ``length_hint``.  This pins that CPython
+    # behaviour.
     B = list(range(10, 16))
     for start in range(len(B)):
         it = iter(B)
@@ -629,4 +714,24 @@ def test_list_iterator_placement_and_cursor_recovery():
             assert next(it) == B[j]
             # Also at j == len(B) - 1, the buffer's last slot.
             assert len(B) - 1 - length_hint(it) == j, (start, j)
+        it = reversed(B)
+        it.__setstate__(start)
+        for j in range(start, -1, -1):
+            assert next(it) == B[j]
+            # A reverse iterator's hint is that index, down to index 0.
+            assert length_hint(it) == j, (start, j)
+    # islice(it, count) never draws item count + 1 from its source.
+    for start in range(len(B)):
+        for count in range(len(B) - start + 1):
+            it = iter(B)
+            it.__setstate__(start)
+            drawn = list(itertools.islice(it, count))
+            assert drawn == B[start : start + count]
+            assert length_hint(it) == len(B) - start - count, (start, count)
+        for count in range(start + 2):
+            it = reversed(B)
+            it.__setstate__(start)
+            drawn = list(itertools.islice(it, count))
+            assert drawn == B[start::-1][:count]
+            assert length_hint(it) == start + 1 - count, (start, count)
 

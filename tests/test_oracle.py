@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -188,6 +189,16 @@ def test_merge_tree_from_trace():
     assert merge_tree_from_trace([(0, 5)], []) == 0
     with pytest.raises(ValueError):
         merge_tree_from_trace(runs, trace[:-1])
+
+
+@pytest.mark.parametrize("trace", [
+    [((0, 3, 4), 4)],                   # bounds inside a run
+    [((0, 2, 4), 4), ((0, 2, 4), 4)],   # a group replayed
+], ids=["inside-a-run", "replayed"])
+def test_merge_tree_from_trace_rejects_entries_off_the_current_regions(trace):
+    # Not a bare KeyError: the message names the entry.
+    with pytest.raises(ValueError, match=re.escape(repr(trace[-1]))):
+        merge_tree_from_trace([(0, 2), (2, 4)], trace)
 
 
 def test_realize_profile_round_trip():
