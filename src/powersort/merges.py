@@ -40,9 +40,10 @@ Five buffer strategies:
                                   when the right run is the smaller one.
 * ``merge_tournament``         -- one winner tournament tree over 3 or 4
                                   runs, sentinel after each buffered run.
-* ``merge_stages``             -- sentinel-free 3- or 4-way merge that runs
-                                  min-remaining-length unchecked iterations
-                                  per stage and narrows as runs exhaust.
+* ``merge_stages``             -- sentinel-free 3- or 4-way tournament in
+                                  stages: each round tests only the cursor
+                                  it moved, and the merge narrows as runs
+                                  exhaust.
 
 The sentinel 2-way kernel holds both run heads in locals and tests only
 the run a step took from.  The sentinel-free 2-way loops are two nested
@@ -71,15 +72,19 @@ without a key, that key is the element itself.
 
 The staged merger's tree holds values the same way, without sentinels:
 the heads h0..h3, the winners x and y with the runs they came from, their
-keys, and the cursors are locals.  A stage runs as many rounds as the
-shortest run has elements left, so no round checks a cursor; a head read
-ahead may lie one slot past its run (it is keyed, but not compared before
-the stage ends).  Each round decides the root at its top, outputs the
-winner and refills that side; the unkeyed rounds hold no keys, and each
-held key is set to its element after them.  At the stage's end the root
-is decided once more and output, the loser, with its key, rolled back
-into its run, and the tree is rebuilt from the held heads at the same
-width, or the merge narrows and the narrower tree keys its heads again.
+keys, and the cursors are locals.  A stage builds the tree and runs
+rounds until a run is used up.  Each round decides the root at its top,
+outputs the winner and refills that side, then tests only the cursor that
+refill moved; the head it read ahead may lie one slot past its run (it is
+keyed, but not compared).  The unkeyed rounds hold no keys, and each held
+key is set to its element after them.  When a run is used up, the root is
+decided once more and output, the loser, with its key, rolled back into
+its run, and the tree is rebuilt from the held heads at the same width,
+or the merge narrows and the narrower tree keys its heads again.
+
+No kernel has a local that a comprehension or a closure captures: before
+CPython 3.12 each such local is a cell, read with ``LOAD_DEREF`` wherever
+the function uses it.
 
 If the key or ``<=`` raises, every kernel writes the elements it has taken
 out and not yet output back into the merge region before the exception
@@ -556,10 +561,14 @@ def merge_tournament(lst, bounds, B, key, stats):
             if o == r:
                 break
     except BaseException:
-        pending = [v for v in (x, y) if v is not sentinel]
-        rests = [(B, _cursor(B, it), end)
-                 for it, end in zip((i0, i1, i2, i3), ends)]
-        _put_back(lst, r, [(pending, 0, len(pending))] + rests)
+        pending = []
+        for v in (x, y):
+            if v is not sentinel:
+                pending.append(v)
+        ranges = [(pending, 0, len(pending))]
+        for it, end in zip((i0, i1, i2, i3), ends):
+            ranges.append((B, _cursor(B, it), end))
+        _put_back(lst, r, ranges)
         raise
     # Two decisions draw the first winners, and every output takes one at
     # the root and, but for the last, one to refill its side.
@@ -575,9 +584,9 @@ def merge_stages(lst, bounds, B, key, stats):
     """Sentinel-free 3- or 4-way merge of the regions between ``bounds``,
     working in stages.
 
-    All runs are buffered, plus a guard slot.  Each stage runs
-    ``min(remaining lengths)`` rounds without exhaustion checks; then the
-    root is output, the loser rolled back into its run, exhausted runs are
+    All runs are buffered, plus a guard slot.  Each stage runs rounds until
+    a run is used up, each testing the one cursor it moved.  Then the root
+    is output, the loser rolled back into its run, exhausted runs are
     dropped, and merging continues 4- to 3- to 2-way.
     """
     _check_regions(lst, bounds, (3, 4))
@@ -585,36 +594,20 @@ def merge_stages(lst, bounds, B, key, stats):
     n = r - l
     _check_buffer(B, n + 1)
     _copy(B, 0, lst, l, r)
-    # Guard slot: a stage reads refilled heads ahead, up to one slot past
-    # their run.  Past the last run it reads this copy, never compared.
+    # Guard slot: a refill reads its run's next head ahead, up to one slot
+    # past the run.  Past the last run it reads this copy, never compared.
     B[n] = B[n - 1]
-    es = [b - l for b in bounds]
-    cs = es[:-1]
-    del es[0]
+    runs = []  # each run's (cursor, end) in B
+    for b, e in zip(bounds, bounds[1:]):
+        runs.append((b - l, e - l))
     out = l
-    while True:
-        # Drop exhausted runs; several can empty at the same boundary.
-        i = 0
-        while i < len(cs):
-            if cs[i] == es[i]:
-                del cs[i]
-                del es[i]
-            else:
-                i += 1
-        width = len(cs)
-        if width == 0:
-            break
-        if width == 1:
-            _put_back(lst, r, ((B, cs[0], es[0]),))
-            out = r
-            break
-        if width == 2:
-            _merge_runs(
-                lst, out, B, cs[0], es[0], B, cs[1], es[1], key, stats)
-            out = r
-            break
-        out = _stage_tournament(lst, out, r, B, cs, es, key, stats)
-    assert out == r
+    while len(runs) > 2:
+        out, runs = _stage_tournament(lst, out, r, B, runs, key, stats)
+    if len(runs) == 2:
+        (c0, e0), (c1, e1) = runs
+        _merge_runs(lst, out, B, c0, e0, B, c1, e1, key, stats)
+    else:
+        _put_back(lst, r, ((B,) + runs[0],))
     _count_copy_all(stats, n, 1)
     stats.moves += 1  # the guard slot
     if len(bounds) == 4:
@@ -623,22 +616,25 @@ def merge_stages(lst, bounds, B, key, stats):
         stats.merges4 += 1
 
 
-def _stage_tournament(lst, out, r, B, cs, es, key, stats):
-    """Tournament stages over the 3 or 4 runs in cs/es, output from out on.
+def _stage_tournament(lst, out, r, B, runs, key, stats):
+    """Tournament stages over the 3 or 4 ``(cursor, end)`` runs in B, output
+    from out on.
 
-    Returns the output position once some run is exhausted, with the
-    cursors written back to cs; the caller drops empty runs and merges
-    narrower.  If the key or ``<=`` raises, the held winners and the runs'
-    rests go back to the end of the merge region [.., r).  A stage counts
-    one comparison per pair its build compares and one for the root it
-    decides at its end; a round counts one for the root, decided at its
-    top, and one in the refill, except a 3-way refill from the right.
+    Returns the output position once some run is exhausted, and the runs
+    left, with their cursors; several can empty at the same boundary.  The
+    caller merges those narrower.  Each round tests the one cursor its
+    refill moved, and the rounds stop at the first that uses a run up.
+    If the key or ``<=`` raises, the held winners and the runs' rests go
+    back to the end of the merge region [.., r).  A build counts one
+    comparison per pair it compares and one for the root it decides at its
+    end; a round counts one for the root, decided at its top, and one in
+    the refill, except a 3-way refill from the right.
     """
     global nasty_rebuilds
-    four = len(cs) == 4
-    # A 3-way merge's run 3 never limits or ends a stage, nor is compared.
-    c0, c1, c2, c3 = cs if four else cs + [0]
-    e0, e1, e2, e3 = es if four else es + [len(B)]
+    four = len(runs) == 4
+    # A 3-way merge's run 3 never ends a stage, nor is compared.
+    (c0, e0), (c1, e1), (c2, e2), (c3, e3) = (
+        runs if four else runs + [(0, len(B))])
     x = y = empty = object()  # a winner not held in the tree
     comparisons = 0
     try:
@@ -650,7 +646,7 @@ def _stage_tournament(lst, out, r, B, cs, es, key, stats):
             k3 = key(h3) if four else h3
         while True:
             # Build the tree: draw both winners.  The root is decided at
-            # the top of each round, and once more at the stage's end.
+            # the top of each round, and once more at the build's end.
             if k0 <= k1:
                 x, kx, xr = h0, k0, 0
                 c0 += 1
@@ -671,70 +667,89 @@ def _stage_tournament(lst, out, r, B, cs, es, key, stats):
                 c2 += 1
                 h2 = B[c2]
                 k2 = h2 if key is None else key(h2)
-            comparisons += 3 if four else 2  # with the stage-end root
-            while True:
-                safe = min(e0 - c0, e1 - c1, e2 - c2, e3 - c3)
-                if not safe:
-                    break
-                left_fetched = c0 + c1
-                # `safe` rounds keep every cursor in its run.  A winner is
-                # output after its side's refill, so x and y stay held.
-                if key is None:
-                    for out in range(out, out + safe):
-                        if x <= y:
-                            if h0 <= h1:
-                                lst[out] = x
-                                x, xr = h0, 0
-                                c0 += 1
-                                h0 = B[c0]
-                            else:
-                                lst[out] = x
-                                x, xr = h1, 1
-                                c1 += 1
-                                h1 = B[c1]
-                        elif four and not h2 <= h3:
-                            lst[out] = y
-                            y, yr = h3, 3
-                            c3 += 1
-                            h3 = B[c3]
+            start, fetched = out, c0 + c1
+            # Each round tests the one cursor its refill moved.  A winner is
+            # output after its side's refill, so x and y stay held.
+            if c0 == e0 or c1 == e1 or c2 == e2 or c3 == e3:
+                pass  # the build used a run up
+            elif key is None:
+                for out in range(out, r):
+                    if x <= y:
+                        if h0 <= h1:
+                            lst[out] = x
+                            x, xr = h0, 0
+                            c0 += 1
+                            h0 = B[c0]
+                            if c0 == e0:
+                                break
                         else:
-                            lst[out] = y
-                            y, yr = h2, 2
-                            c2 += 1
-                            h2 = B[c2]
-                    # Unkeyed, every held key is its element.
-                    kx, ky, k0, k1, k2, k3 = x, y, h0, h1, h2, h3
-                else:
-                    for out in range(out, out + safe):
-                        if kx <= ky:
-                            if k0 <= k1:
-                                lst[out] = x
-                                x, kx, xr = h0, k0, 0
-                                c0 += 1
-                                h0 = B[c0]
-                                k0 = key(h0)
-                            else:
-                                lst[out] = x
-                                x, kx, xr = h1, k1, 1
-                                c1 += 1
-                                h1 = B[c1]
-                                k1 = key(h1)
-                        elif four and not k2 <= k3:
-                            lst[out] = y
-                            y, ky, yr = h3, k3, 3
-                            c3 += 1
-                            h3 = B[c3]
-                            k3 = key(h3)
-                        else:
-                            lst[out] = y
-                            y, ky, yr = h2, k2, 2
-                            c2 += 1
-                            h2 = B[c2]
-                            k2 = key(h2)
+                            lst[out] = x
+                            x, xr = h1, 1
+                            c1 += 1
+                            h1 = B[c1]
+                            if c1 == e1:
+                                break
+                    elif four and not h2 <= h3:
+                        lst[out] = y
+                        y, yr = h3, 3
+                        c3 += 1
+                        h3 = B[c3]
+                        if c3 == e3:
+                            break
+                    else:
+                        lst[out] = y
+                        y, yr = h2, 2
+                        c2 += 1
+                        h2 = B[c2]
+                        if c2 == e2:
+                            break
                 out += 1
-                # Each left refill moved exactly one of c0, c1 on.
-                comparisons += (
-                    2 * safe if four else safe + c0 + c1 - left_fetched)
+                # Unkeyed, every held key is its element.
+                kx, ky, k0, k1, k2, k3 = x, y, h0, h1, h2, h3
+            else:
+                # The read-ahead head is keyed before its cursor is tested, as
+                # in the build.
+                for out in range(out, r):
+                    if kx <= ky:
+                        if k0 <= k1:
+                            lst[out] = x
+                            x, kx, xr = h0, k0, 0
+                            c0 += 1
+                            h0 = B[c0]
+                            k0 = key(h0)
+                            if c0 == e0:
+                                break
+                        else:
+                            lst[out] = x
+                            x, kx, xr = h1, k1, 1
+                            c1 += 1
+                            h1 = B[c1]
+                            k1 = key(h1)
+                            if c1 == e1:
+                                break
+                    elif four and not k2 <= k3:
+                        lst[out] = y
+                        y, ky, yr = h3, k3, 3
+                        c3 += 1
+                        h3 = B[c3]
+                        k3 = key(h3)
+                        if c3 == e3:
+                            break
+                    else:
+                        lst[out] = y
+                        y, ky, yr = h2, k2, 2
+                        c2 += 1
+                        h2 = B[c2]
+                        k2 = key(h2)
+                        if c2 == e2:
+                            break
+                out += 1
+            # The build's pairs and the root at its end, then per round the
+            # root and the refill; a 3-way right refill compares nothing,
+            # and each left refill moved exactly one of c0, c1 on.
+            rounds = out - start
+            comparisons += (2 * rounds + 3 if four
+                            else rounds + c0 + c1 - fetched + 2)
             # A run is used up.  Decide the root, output it and roll the
             # loser back into its run, with its key, which leaves the tree
             # empty.
@@ -761,10 +776,13 @@ def _stage_tournament(lst, out, r, B, cs, es, key, stats):
             # The loser went back into the run that ran dry: rebuild.
             nasty_rebuilds += 1
     except BaseException:
-        held = [v for v in (x, y) if v is not empty]
+        held = []
+        for v in (x, y):
+            if v is not empty:
+                held.append(v)
         _put_back(lst, r, ((held, 0, len(held)), (B, c0, e0), (B, c1, e1),
                            (B, c2, e2), (B, c3, e3 if four else c3)))
         raise
-    cs[:] = (c0, c1, c2, c3)[: len(cs)]
     stats.comparisons += comparisons
-    return out
+    runs = ((c0, e0), (c1, e1), (c2, e2), (c3, e3))[: 4 if four else 3]
+    return out, [run for run in runs if run[0] != run[1]]

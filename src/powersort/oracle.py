@@ -168,14 +168,18 @@ def merge_tree_from_trace(run_intervals, trace):
 
     ``run_intervals`` are the detected runs as (begin, end) pairs, left to
     right; ``trace`` is the sequence of ``(bounds, output_length)`` entries
-    reported by the sort's merge hook, in execution order.  An entry whose
-    bounds are not adjacent current regions raises ``ValueError``.
+    reported by the sort's merge hook, in execution order.  An entry that
+    merges fewer than two regions, whose bounds are not adjacent current
+    regions, or whose output length is not ``bounds[-1] - bounds[0]`` raises
+    ``ValueError``.
     """
     nodes = {}
     for index, (begin, end) in enumerate(run_intervals):
         nodes[(begin, end)] = index
     for entry in trace:
-        bounds = entry[0]
+        bounds, length = entry
+        if len(bounds) < 3 or length != bounds[-1] - bounds[0]:
+            raise ValueError("trace entry %r is not a merge" % (entry,))
         try:
             children = tuple(nodes.pop(ab) for ab in zip(bounds, bounds[1:]))
         except KeyError:

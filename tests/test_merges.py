@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import hashlib
+import inspect
 import itertools
 import json
 import random
@@ -573,6 +574,76 @@ def test_raising_le_in_large_staged_merge_keeps_the_objects():
         check_raising_le(merge_stages, key_regions, fail_at)
 
 
+def staged_counts(key_regions, keyed, fail_at=None):
+    """What a staged merge of the given keys leaves, with a key or ``<=``
+    that raises on call fail_at if one is given: the key or ``<=`` calls,
+    the input position of each object in the region, the SortStats and the
+    ``nasty_rebuilds`` delta."""
+    tally = LeTally()
+    if keyed:
+        regions = split_records(key_regions)
+        key = SpyKey() if fail_at is None else FailingKey(fail_at)
+    else:
+        regions = counted_regions(key_regions, tally)
+        key = None
+        if fail_at is not None:
+            tally.at, tally.action = fail_at, raise_key_failure
+    lst, bounds = padded(regions, 1)
+    position = {id(x): i for i, x in enumerate(lst)}
+    stats = fresh_instruments()
+    before = merges.nasty_rebuilds
+    try:
+        merge_stages(lst, bounds, buffer_for(bounds), key, stats)
+    except KeyFailure:
+        assert fail_at is not None
+    else:
+        assert fail_at is None
+    merged = checked_region(lst, bounds, regions, 1)
+    return [key.calls if keyed else tally.le_calls,
+            [position[id(x)] for x in merged], dataclasses.asdict(stats),
+            merges.nasty_rebuilds - before]
+
+
+#: Recorded from the staged merger while its rounds ran in unchecked
+#: stages of ``min(remaining)`` rounds.  Keyed by arity.
+LONG_STAGE_COUNTS_GOLDEN = {3: "cddaa76f418775c4", 4: "0abf1fa49d5a6807"}
+
+
+@pytest.mark.parametrize("arity", [3, 4])
+def test_long_staged_merges_match_golden(arity):
+    # Output order, counts, rebuilds and key or ``<=`` calls of random
+    # merges with runs of 1 to 3000 elements, drawn log-uniform, over key
+    # ranges from heavy ties to nearly distinct keys, keyed and unkeyed.
+    rng = random.Random(arity * 7919)
+    digest = hashlib.sha256()
+    rebuilds = 0
+    for _ in range(12):
+        span = rng.choice((3, 60, 10**6))
+        key_regions = [[rng.randint(0, span)
+                        for _ in range(int(3000 ** rng.random()))]
+                       for _ in range(arity)]
+        for keyed in (False, True):
+            counts = staged_counts(key_regions, keyed)
+            digest.update(json.dumps(counts).encode())
+            rebuilds += counts[-1]
+    assert rebuilds > 0
+    assert digest.hexdigest()[:16] == LONG_STAGE_COUNTS_GOLDEN[arity]
+
+
+@pytest.mark.parametrize("keyed", [False, True], ids=["plain", "keyed"])
+@pytest.mark.parametrize("arity", [3, 4])
+def test_raising_key_in_staged_rounds_keeps_the_objects(arity, keyed):
+    # A key, or an unkeyed ``<=``, that raises on any one call of a merge
+    # long enough for many rounds and rebuilds leaves the region holding
+    # the same objects.
+    rng = random.Random(arity * 13 + keyed)
+    key_regions = [[rng.randint(0, 20) for _ in range(size)]
+                   for size in (40, 13, 27, 31)[:arity]]
+    calls = staged_counts(key_regions, keyed)[0]
+    for fail_at in range(1, calls + 1):
+        staged_counts(key_regions, keyed, fail_at)
+
+
 # --- accounting ------------------------------------------------------------
 
 
@@ -735,3 +806,13 @@ def test_list_iterator_placement_and_cursor_recovery():
             assert drawn == B[start::-1][:count]
             assert length_hint(it) == start + 1 - count, (start, count)
 
+
+def test_kernels_hold_no_closure_cells():
+    # A local that a nested function reads, or, before CPython 3.12, a
+    # comprehension, is a cell, and each read of it a LOAD_DEREF: in the
+    # tournament, every ``is sentinel`` test of the fast loop.
+    functions = [f for f in vars(merges).values()
+                 if inspect.isfunction(f) and f.__module__ == merges.__name__]
+    assert merge_tournament in functions and merge_stages in functions
+    for f in functions:
+        assert f.__code__.co_cellvars == (), f.__name__

@@ -201,6 +201,16 @@ def test_merge_tree_from_trace_rejects_entries_off_the_current_regions(trace):
         merge_tree_from_trace([(0, 2), (2, 4)], trace)
 
 
+@pytest.mark.parametrize("runs,trace", [
+    ([(0, 4)], [((0, 4), 4)]),                                # one region
+    ([(0, 2), (2, 4)], [((0, 2, 4), 4), ((0, 4), 4)]),        # one region
+    ([(0, 2), (2, 4)], [((0, 2, 4), 3)]),                     # short output
+], ids=["unary", "unary-after-merge", "wrong-length"])
+def test_merge_tree_from_trace_rejects_entries_that_are_not_merges(runs, trace):
+    with pytest.raises(ValueError, match=re.escape(repr(trace[-1]))):
+        merge_tree_from_trace(runs, trace)
+
+
 def test_realize_profile_round_trip():
     from powersort.runs import find_first_run
     from conftest import fresh_instruments
