@@ -131,9 +131,11 @@ def _scan_tail(lst, start, end, ascending):
 
 
 #: Rows of the insertion table: ``_insertion_table()[i]`` covers insertions
-#: into ``i`` < 64 sorted keys.  CPython's ``minrun`` never exceeds 64;
-#: longer regions, reachable with a larger ``min_run_len``, use ``_PathRow``
-#: directly.
+#: into ``i`` < 64 sorted keys, so a region of up to 64 elements, the
+#: default ``policy.MIN_RUN_LEN`` and CPython's largest ``minrun``, is
+#: counted by table lookups alone.  Longer regions, reachable only with a
+#: larger ``min_run_len``, walk ``_PathRow`` in Python for each insertion
+#: past row 63, which makes those insertions several times slower.
 _TABLE_ROWS = 64
 
 

@@ -10,8 +10,10 @@ the word "sentinel": those slots once held the sort's reserved
 ``SENTINEL``.)  Both files were recorded when each comparison was still a
 counted ``CountingOrder.le`` call, and re-recorded when run extension moved
 from linear to binary insertion, which changed ``comparisons`` only (the
-``chunks`` cases; ``ties`` sorts with ``min_run_len`` 1).  Every count must
-reproduce exactly.
+``chunks`` cases; ``ties`` sorts with ``min_run_len`` 1).  The ``default``
+cases sort at ``policy.MIN_RUN_LEN``, so they pin the default: a new value
+changes their counts and needs a re-record.  Every count must reproduce
+exactly.
 
 To re-baseline on purpose (a change that alters the counts and says so)::
 
@@ -29,7 +31,12 @@ from operator import itemgetter
 
 import pytest
 
-from powersort.policy import VARIANTS, SortConfig, stable_sort_with
+from powersort.policy import (
+    MIN_RUN_LEN,
+    VARIANTS,
+    SortConfig,
+    stable_sort_with,
+)
 
 from conftest import Top
 
@@ -43,7 +50,8 @@ GOLDEN = {
 
 def _base_inputs():
     """``{name: (values, min_run_len)}``: sorted and reversed chunks with
-    ties, ``None`` marking where a ``Top`` goes."""
+    ties, a few values with many ties, and a shuffled multiset sorted at
+    the default ``MIN_RUN_LEN``; ``None`` marks where a ``Top`` goes."""
     rng = random.Random(2209)
     values = []
     while len(values) < 160:
@@ -57,7 +65,12 @@ def _base_inputs():
     ties = [rng.randint(0, 3) for _ in range(60)]
     for at in (5, 30, 31):
         ties[at] = None
-    return {"chunks": (values, 8), "ties": (ties, 1)}
+    shuffled = [i % 24 for i in range(330)]
+    rng.shuffle(shuffled)
+    for at in (0, 63, 64, 200, 329):
+        shuffled[at] = None
+    return {"chunks": (values, 8), "ties": (ties, 1),
+            "default": (shuffled, MIN_RUN_LEN)}
 
 
 def cases(with_top):

@@ -5,10 +5,11 @@ from itertools import accumulate
 
 import pytest
 
-from powersort import oracle, policy
+from powersort import oracle, policy, runs
 from powersort.harness import GeneratorSpec, generate
 from powersort.merges import _CHUNK
 from powersort.policy import (
+    MIN_RUN_LEN,
     SortConfig,
     VARIANTS,
     merge_cost_for_profile,
@@ -225,7 +226,7 @@ def test_merge_down_k2_is_repeated_2way():
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
-@pytest.mark.parametrize("min_run_len", [1, 24])
+@pytest.mark.parametrize("min_run_len", [1, 24, MIN_RUN_LEN])
 def test_random_records_sort_stably(variant, min_run_len):
     rng = random.Random(sum(map(ord, variant)) * 100 + min_run_len)
     for _ in range(60):
@@ -253,6 +254,26 @@ def test_min_run_len_past_the_insertion_table(variant):
     assert max(stats.run_lengths) == min_run_len
     assert spy.lt_calls > 0
     assert stats.comparisons == spy.le_calls + spy.lt_calls
+
+
+def test_default_min_run_len_stays_in_the_insertion_table(monkeypatch):
+    # Every insertion of a default sort is counted from the insertion
+    # table; a region past it would walk _PathRow in Python, several times
+    # slower per insertion.
+    class Unreachable:
+        def __init__(self, i):
+            raise AssertionError("_PathRow(%d) reached" % i)
+
+    runs._insertion_table()
+    monkeypatch.setattr(runs, "_PathRow", Unreachable)
+    rng = random.Random(47)
+    values = list(range(1000))
+    rng.shuffle(values)
+    for variant in ALL_VARIANTS:
+        lst = list(values)
+        stats = stable_sort_with(lst, config_for(variant))
+        assert lst == sorted(values)
+        assert max(stats.run_lengths) == MIN_RUN_LEN
 
 
 def test_stable_sort_default_entrypoint():
@@ -323,7 +344,7 @@ class RandomOrderKey:
     __lt__ = __le__
 
 
-@pytest.mark.parametrize("min_run_len", [1, 24])
+@pytest.mark.parametrize("min_run_len", [1, 24, MIN_RUN_LEN])
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_hostile_orders_terminate_with_a_permutation(variant, min_run_len):
     # NaN keys (every comparison with one is false) and keys that answer
