@@ -3,84 +3,66 @@
 Every kernel takes ``(lst, bounds, B, key, stats)``.  It merges the w
 adjacent sorted runs [b0, b1), .., [b_{w-1}, end) of ``lst``, given by
 ``bounds = (b0, .., b_{w-1}, end)``, in place through the scratch list
-``B``, which needs the merge's length plus a slot per run, and tallies
-costs into the SortStats ``stats``.  Every decision is an inline ``<=``
-on two held locals.  Without a key (``key is None``) they are the
-elements themselves.  With one, a kernel calls the key once on each
-element when it loads it into a local and keeps the key beside the
-element.  Every kernel chooses its hot loop once per merge, by ``key is
-None``: the unkeyed loop compares the elements and holds no keys, and the
-keyed loop calls the key on each element it loads, without testing for a
-key.  Each kernel adds the number of comparisons it executed to
-``stats.comparisons`` once per call, derived from its loop structure.
-Ties always go to the run with the lower start index -- "at or before" at
-every decision point, with the lower-indexed run on the left -- which is
-what makes each kernel stable.
+``B``, which needs the merge's length (plus a slot per run for a sentinel
+kernel), and tallies costs into the SortStats ``stats``.  Every decision
+is an inline ``<=`` on two held locals: the elements without a key (``key
+is None``); with one, their keys, each called once when its element is
+loaded into a local and kept beside it.  Every kernel chooses its hot loop
+once per merge, by ``key is None``, so neither loop tests for a key, and
+adds the comparisons it executed to ``stats.comparisons`` once per call,
+derived from its loop structure.  Ties always go to the run with the lower
+start index -- "at or before" at every decision point, with the
+lower-indexed run on the left -- which is what makes each kernel stable.
 
 The sentinel kernels make a fresh sentinel, ``object()``, per call and
-place it after each buffered run.  No caller can hold it, so no input
-value is reserved: an element that sorts after every other is keyed and
-compared like any other.  They read each buffered run through a list
-iterator placed at the run's start with ``__setstate__``, and load the
-next head with ``next()``, so a step moves no cursor.  A run's cursor
-(the buffer index of its head) is read only for the 2-way tail copy and
-the put-back after a failure, as ``len(B) - 1 - length_hint(it)``.
+place it after each buffered run, so no input value is reserved.  Every
+kernel reads a buffered run through a list iterator placed at the run's
+start with ``__setstate__`` (the sentinel-free ones through an ``islice``
+of it, bounded to the run), so a step moves no cursor.  A run's cursor,
+the buffer index of its head, is read only for a 2-way tail copy, a 3-way
+loop's count and a put-back, as ``len(B) - 1 - length_hint(it)``.
 
 Five buffer strategies:
 
-* ``merge_2way_sentinel``      -- copy both runs out, sentinel after each;
-                                  a step learns that its run is exhausted
-                                  from the head it reads next.
-* ``merge_2way_no_sentinel``   -- copy both runs out; a run that ends
-                                  leaves its ``for`` loop.
-* ``merge_2way_copy_smaller``  -- copy only the smaller run out and merge
-                                  into the gap.  Forward, the same loop as
-                                  ``merge_2way_no_sentinel`` reads the right
-                                  run in place; backward, a mirrored loop
-                                  when the right run is the smaller one.
-* ``merge_tournament``         -- one winner tournament tree over 3 or 4
-                                  runs, sentinel after each buffered run.
-* ``merge_stages``             -- sentinel-free 3- or 4-way tournament in
-                                  stages: each round tests only the cursor
-                                  it moved, and the merge narrows as runs
-                                  exhaust.
+* ``merge_2way_sentinel``: both runs copied out, a sentinel after each; a
+  step learns that its run is exhausted from the head it reads next.
+* ``merge_2way_no_sentinel``: both runs copied out; two nested ``for``
+  loops, the outer one over the run that wins ties, the inner one over the
+  other run while its held head wins.  A run that ends leaves its loop,
+  and the rest of the other is put back.
+* ``merge_2way_copy_smaller``: only the smaller run copied out, merged
+  into the gap.  Forward, the loops of ``merge_2way_no_sentinel`` read the
+  right run in place; backward, mirrored loops over reverse iterators.
+* ``merge_tournament``: a winner tournament tree over 3 or 4 runs, a
+  sentinel after each buffered run.
+* ``merge_tournament_no_sentinel``: the same tree and the same decisions
+  in the same order, over runs buffered back to back.
 
-The sentinel 2-way kernel holds both run heads in locals and tests only
-the run a step took from.  The sentinel-free 2-way loops are two nested
-``for`` loops over ``islice``-bounded runs, each read through such a
-placed iterator (a reverse one backward): the outer loop draws the run
-that wins ties, the inner one the other run while its held head wins.  No
-step moves a cursor or tests an end; a run that ends leaves its loop.
-Once one run is exhausted, the rest of the other is put back.  Every
-copy-out into B and every put-back goes through ``_copy``, ``_CHUNK``
-elements per slice, so a merge's scratch memory is B plus a chunk or
-two, whatever its runs' lengths.
+Every copy-out and put-back goes through ``_copy``, ``_CHUNK`` elements
+per slice, so a merge's scratch memory is B plus a chunk or two.
 
 The tournament tree holds values.  The heads h0..h3 of the four runs are
 locals; x, the winner of runs 0 and 1, and y, of runs 2 and 3, are already
 taken from their runs.  The root outputs the smaller of x and y and
-refills that side from its two heads.  A 3-way merge is the same tree with
-an empty fourth run, whose head is run 2's sentinel slot.  A sentinel sorts
-after every element and loses each decision without a comparison; such a
-decision is not counted.  A head is tested for the sentinel with ``is``
-before it is keyed, so a sentinel slot is never keyed.  While runs 0-2 are
-nonempty, only run 3's head can be a sentinel, so the fast phase tests
-only that head and the head it just refilled.  After that, every decision
-tests both its sides for the sentinel with ``is`` before it compares.
-Outside the fast phase the tree holds a key beside each head and winner;
-without a key, that key is the element itself.
+refills that side from its two heads.  A 3-way merge has an empty fourth
+run.  An exhausted run's head is a marker, tested with ``is`` before it
+would be keyed or compared; a decision it meets compares nothing and is
+not counted.  ``merge_tournament``'s marker is its sentinel: while runs
+0-2 are nonempty, only run 3's can meet one, so its fast phase tests only
+that head and the head it just refilled.  ``merge_tournament_no_sentinel``
+refills with ``try: h = next(it)`` in its hot loops, so a step tests no
+cursor and no marker, and runs in three phases:
 
-The staged merger's tree holds values the same way, without sentinels:
-the heads h0..h3, the winners x and y with the runs they came from, their
-keys, and the cursors are locals.  A stage builds the tree and runs
-rounds until a run is used up.  Each round decides the root at its top,
-outputs the winner and refills that side, then tests only the cursor that
-refill moved; the head it read ahead may lie one slot past its run (it is
-keyed, but not compared).  The unkeyed rounds hold no keys, and each held
-key is set to its element after them.  When a run is used up, the root is
-decided once more and output, the loser, with its key, rolled back into
-its run, and the tree is rebuilt from the held heads at the same width,
-or the merge narrows and the narrower tree keys its heads again.
+1. The 4-way loop, while all four runs are live.
+2. The 3-way loop: runs 0 and 1 on the left, one run on the right, whose
+   head refills y without a comparison.  It serves 3-way merges, and takes
+   over when run 3 ends, or when run 2 ends and run 3 moves into its slot.
+3. The checked phase, once run 0 or 1 ends, shared with
+   ``merge_tournament`` (``_tournament_rounds``, which also draws the first
+   winners).  Each decision tests both its sides for the marker, and each
+   refill draws with ``next(it, marker)``: a sentinel run's iterator
+   returns the sentinel, an exhausted islice the default, so one test finds
+   an exhausted run for both kernels.
 
 No kernel has a local that a comprehension or a closure captures: before
 CPython 3.12 each such local is a cell, read with ``LOAD_DEREF`` wherever
@@ -96,10 +78,8 @@ from __future__ import annotations
 from itertools import islice
 from operator import length_hint
 
-#: Diagnostic counter: number of times the staged merger rolled an element
-#: back into the run that had just run dry and had to replay a round at the
-#: same width.  Tests use this to pin coverage of that path; it has no
-#: behavioral effect.
+#: Always 0: no kernel rebuilds a tree.  Kept only because perfbench/bench.py
+#: reads it for its ``merges.nasty_rebuilds.4way-nosentinel`` metric.
 nasty_rebuilds = 0
 
 #: Elements per slice when a run moves between the list and the buffer, or
@@ -401,6 +381,103 @@ def merge_2way_copy_smaller(lst, bounds, B, key, stats):
     stats.merges2 += 1
 
 
+def _put_back_tree(lst, r, B, marker, held, heads, slots):
+    """After a failure in a tournament, write the held winners, then each
+    run from its head on (where its list iterator stands; nothing for a
+    ``marker`` head), to the end of the merge region [.., r)."""
+    pending = []
+    for v in held:
+        if v is not marker:
+            pending.append(v)
+    ranges = [(pending, 0, len(pending))]
+    for h, (_, it, end) in zip(heads, slots):
+        if h is not marker:
+            ranges.append((B, _cursor(B, it), end))
+    _put_back(lst, r, ranges)
+
+
+def _tournament_rounds(lst, o, r, B, key, marker, slots, tree=None):
+    """The tournament's checked rounds: each tests both sides of each
+    decision for ``marker``, the head of an exhausted run, before comparing.
+
+    ``slots`` holds each run's ``(iterator, list iterator, end)``, and
+    ``next(iterator, marker)`` is ``marker`` past the end of the run.
+    Without a ``tree``, draw the heads and the first two winners, and
+    return the decisions a marker met and the tree ``(x, kx, y, ky, h0, k0,
+    .., h3, k3)``.  With one, output from o on to r, and return that count.
+    """
+    (i0, _, _), (i1, _, _), (i2, _, _), (i3, _, _) = slots
+    build = tree is None
+    if build:
+        h0, h1, h2, h3 = (next(i0, marker), next(i1, marker),
+                          next(i2, marker), next(i3, marker))
+        x = y = marker  # an exhausted side, or one not drawn yet
+        z = None  # the side to refill: True left, False right, None both
+    else:
+        x, kx, y, ky, h0, k0, h1, k1, h2, k2, h3, k3 = tree
+    met = 0
+    try:
+        if build:
+            # Runs 0-2 are nonempty; run 3 is empty in a 3-way merge.
+            if key is None:
+                k0, k1, k2, k3 = h0, h1, h2, h3
+            else:
+                k0, k1, k2 = key(h0), key(h1), key(h2)
+                k3 = h3 if h3 is marker else key(h3)
+        while True:
+            if not build:
+                # The root: both sides are empty only after the last output.
+                if x is marker or y is marker:
+                    met += 1
+                    z = y is marker
+                else:
+                    z = kx <= ky
+                if z:
+                    lst[o] = x
+                    x = marker
+                else:
+                    lst[o] = y
+                    y = marker
+                o += 1
+                if o == r:
+                    return met
+            if z is not False:
+                # Refill the left winner; run 0 wins ties.
+                if h0 is marker or h1 is marker:
+                    met += 1
+                    first = h1 is marker
+                else:
+                    first = k0 <= k1
+                if not first:
+                    x, kx = h1, k1
+                    h1 = next(i1, marker)
+                    k1 = h1 if key is None or h1 is marker else key(h1)
+                elif h0 is not marker:
+                    x, kx = h0, k0
+                    h0 = next(i0, marker)
+                    k0 = h0 if key is None or h0 is marker else key(h0)
+            if z is not True:
+                # Refill the right winner; run 2 wins ties.
+                if h2 is marker or h3 is marker:
+                    met += 1
+                    first = h3 is marker
+                else:
+                    first = k2 <= k3
+                if not first:
+                    y, ky = h3, k3
+                    h3 = next(i3, marker)
+                    k3 = h3 if key is None or h3 is marker else key(h3)
+                elif h2 is not marker:
+                    y, ky = h2, k2
+                    h2 = next(i2, marker)
+                    k2 = h2 if key is None or h2 is marker else key(h2)
+            if build:
+                return met, (x, kx, y, ky, h0, k0, h1, k1, h2, k2, h3, k3)
+    except BaseException:
+        _put_back_tree(lst, r, B, marker, (x, y), (h0, h1, h2, h3), slots)
+        raise
+
+
 def merge_tournament(lst, bounds, B, key, stats):
     """Merge the 3 or 4 sorted regions between ``bounds`` in place through
     the tournament tree described in the module docstring, with a sentinel
@@ -422,154 +499,92 @@ def merge_tournament(lst, bounds, B, key, stats):
         B[end] = sentinel
         ends.append(end)
         b = e
-    i0 = iter(B)
-    i1 = iter(B)
-    i1.__setstate__(ends[0] + 1)
-    i2 = iter(B)
-    i2.__setstate__(ends[1] + 1)
-    i3 = iter(B)
-    if len(ends) == 3:
-        # The empty fourth run starts and ends at run 2's sentinel slot.
-        ends.append(end)
-        i3.__setstate__(end)
-    else:
-        i3.__setstate__(ends[2] + 1)
-    h0, h1, h2, h3 = next(i0), next(i1), next(i2), next(i3)
-    # A sentinel winner is an exhausted side, or one not drawn yet.
-    x = y = kx = ky = sentinel
-    met = 0  # decisions met by a sentinel, without a comparison
-    z = None  # the side of the last output: True left; None draws both
+    # Each run's (iterator, list iterator, end): one placed list iterator.
+    slots = []
+    start = 0
+    for end in ends:
+        it = iter(B)
+        it.__setstate__(start)
+        slots.append((it, it, end))
+        start = end + 1
+    if len(slots) == 3:
+        slots.append((iter((sentinel,)), None, 0))  # the empty fourth run
+    (i0, _, _), (i1, _, _), (i2, _, _), (i3, _, _) = slots
+    # met: decisions met by a sentinel, without a comparison.
+    met, (x, kx, y, ky, h0, k0, h1, k1, h2, k2, h3, k3) = _tournament_rounds(
+        lst, l, r, B, key, sentinel, slots)
     o = l
     try:
-        # Runs 0-2 are nonempty; run 3 is empty in a 3-way merge.
-        if key is None:
-            k0, k1, k2, k3 = h0, h1, h2, h3
-        else:
-            k0, k1, k2 = key(h0), key(h1), key(h2)
-            k3 = h3 if h3 is sentinel else key(h3)
-        while True:
-            if z is not False:
-                # Draw the left winner; run 0 wins ties.
-                if h0 is sentinel or h1 is sentinel:
-                    met += 1
-                    first = h1 is sentinel
-                else:
-                    first = k0 <= k1
-                if not first:
-                    x, kx = h1, k1
-                    h1 = next(i1)
-                    k1 = h1 if key is None or h1 is sentinel else key(h1)
-                elif h0 is not sentinel:
-                    x, kx = h0, k0
-                    h0 = next(i0)
-                    k0 = h0 if key is None or h0 is sentinel else key(h0)
-            if z is not True:
-                # Draw the right winner; run 2 wins ties.
-                if h2 is sentinel or h3 is sentinel:
-                    met += 1
-                    first = h3 is sentinel
-                else:
-                    first = k2 <= k3
-                if not first:
-                    y, ky = h3, k3
-                    h3 = next(i3)
-                    k3 = h3 if key is None or h3 is sentinel else key(h3)
-                elif h2 is not sentinel:
-                    y, ky = h2, k2
-                    h2 = next(i2)
-                    k2 = h2 if key is None or h2 is sentinel else key(h2)
-            if z is None and not (
-                h0 is sentinel or h1 is sentinel or h2 is sentinel
-            ):
-                # Fast phase, while runs 0-2 are nonempty.  A winner is
-                # output only once its side is refilled, so a raising key
-                # or comparison finds both x and y pending.
-                if key is None:
-                    for o in range(l, r):
-                        if x <= y:
-                            if h0 <= h1:
-                                lst[o] = x
-                                x = h0
-                                h0 = next(i0)
-                                if h0 is sentinel:
-                                    break
-                            else:
-                                lst[o] = x
-                                x = h1
-                                h1 = next(i1)
-                                if h1 is sentinel:
-                                    break
-                        elif h3 is not sentinel and not h2 <= h3:
-                            lst[o] = y
-                            y = h3
-                            h3 = next(i3)
-                        else:
-                            if h3 is sentinel:
-                                met += 1
-                            lst[o] = y
-                            y = h2
-                            h2 = next(i2)
-                            if h2 is sentinel:
+        if not (h0 is sentinel or h1 is sentinel or h2 is sentinel):
+            # Fast phase, while runs 0-2 are nonempty.  A winner is
+            # output only once its side is refilled, so a raising key
+            # or comparison finds both x and y pending.
+            if key is None:
+                for o in range(l, r):
+                    if x <= y:
+                        if h0 <= h1:
+                            lst[o] = x
+                            x = h0
+                            h0 = next(i0)
+                            if h0 is sentinel:
                                 break
-                    # Unkeyed, every held key is its element.
-                    kx, ky, k0, k1, k2, k3 = x, y, h0, h1, h2, h3
-                else:
-                    for o in range(l, r):
-                        if kx <= ky:
-                            if k0 <= k1:
-                                lst[o] = x
-                                x, kx = h0, k0
-                                h0 = next(i0)
-                                if h0 is sentinel:
-                                    break
-                                k0 = key(h0)
-                            else:
-                                lst[o] = x
-                                x, kx = h1, k1
-                                h1 = next(i1)
-                                if h1 is sentinel:
-                                    break
-                                k1 = key(h1)
-                        elif h3 is not sentinel and not k2 <= k3:
-                            lst[o] = y
-                            y, ky = h3, k3
-                            h3 = next(i3)
-                            k3 = h3 if h3 is sentinel else key(h3)
                         else:
-                            if h3 is sentinel:
-                                met += 1
-                            lst[o] = y
-                            y, ky = h2, k2
-                            h2 = next(i2)
-                            if h2 is sentinel:
+                            lst[o] = x
+                            x = h1
+                            h1 = next(i1)
+                            if h1 is sentinel:
                                 break
-                            k2 = key(h2)
-                o += 1
-            # The root; both sides are exhausted only after the last output.
-            if x is sentinel or y is sentinel:
-                met += 1
-                z = y is sentinel
+                    elif h3 is not sentinel and not h2 <= h3:
+                        lst[o] = y
+                        y = h3
+                        h3 = next(i3)
+                    else:
+                        if h3 is sentinel:
+                            met += 1
+                        lst[o] = y
+                        y = h2
+                        h2 = next(i2)
+                        if h2 is sentinel:
+                            break
+                # Unkeyed, every held key is its element.
+                kx, ky, k0, k1, k2, k3 = x, y, h0, h1, h2, h3
             else:
-                z = kx <= ky
-            if z:
-                lst[o] = x
-                x = sentinel
-            else:
-                lst[o] = y
-                y = sentinel
+                for o in range(l, r):
+                    if kx <= ky:
+                        if k0 <= k1:
+                            lst[o] = x
+                            x, kx = h0, k0
+                            h0 = next(i0)
+                            if h0 is sentinel:
+                                break
+                            k0 = key(h0)
+                        else:
+                            lst[o] = x
+                            x, kx = h1, k1
+                            h1 = next(i1)
+                            if h1 is sentinel:
+                                break
+                            k1 = key(h1)
+                    elif h3 is not sentinel and not k2 <= k3:
+                        lst[o] = y
+                        y, ky = h3, k3
+                        h3 = next(i3)
+                        k3 = h3 if h3 is sentinel else key(h3)
+                    else:
+                        if h3 is sentinel:
+                            met += 1
+                        lst[o] = y
+                        y, ky = h2, k2
+                        h2 = next(i2)
+                        if h2 is sentinel:
+                            break
+                        k2 = key(h2)
             o += 1
-            if o == r:
-                break
     except BaseException:
-        pending = []
-        for v in (x, y):
-            if v is not sentinel:
-                pending.append(v)
-        ranges = [(pending, 0, len(pending))]
-        for it, end in zip((i0, i1, i2, i3), ends):
-            ranges.append((B, _cursor(B, it), end))
-        _put_back(lst, r, ranges)
+        _put_back_tree(lst, r, B, sentinel, (x, y), (h0, h1, h2, h3), slots)
         raise
+    met += _tournament_rounds(lst, o, r, B, key, sentinel, slots, (
+        x, kx, y, ky, h0, k0, h1, k1, h2, k2, h3, k3))
     # Two decisions draw the first winners, and every output takes one at
     # the root and, but for the last, one to refill its side.
     stats.comparisons += 2 * n + 1 - met
@@ -580,209 +595,194 @@ def merge_tournament(lst, bounds, B, key, stats):
         stats.merges4 += 1
 
 
-def merge_stages(lst, bounds, B, key, stats):
-    """Sentinel-free 3- or 4-way merge of the regions between ``bounds``,
-    working in stages.
+def merge_tournament_no_sentinel(lst, bounds, B, key, stats):
+    """Merge the 3 or 4 sorted regions between ``bounds`` in place through
+    the sentinel-free tournament of the module docstring: the decisions of
+    ``merge_tournament``, in its order, with the runs buffered back to back.
 
-    All runs are buffered, plus a guard slot.  Each stage runs rounds until
-    a run is used up, each testing the one cursor it moved.  Then the root
-    is output, the loser rolled back into its run, exhausted runs are
-    dropped, and merging continues 4- to 3- to 2-way.
+    Each refill in the 4- and 3-way loops is ``try: h = next(it)``, whose
+    ``except StopIteration`` leaves the loop when the run ends.  From
+    CPython 3.11 on, a ``try`` costs nothing until it catches; on 3.10 each
+    refill also executes a ``SETUP_FINALLY``, so the kernel runs correctly
+    there, but more slowly.
     """
     _check_regions(lst, bounds, (3, 4))
     l, r = bounds[0], bounds[-1]
     n = r - l
-    _check_buffer(B, n + 1)
+    _check_buffer(B, n)
     _copy(B, 0, lst, l, r)
-    # Guard slot: a refill reads its run's next head ahead, up to one slot
-    # past the run.  Past the last run it reads this copy, never compared.
-    B[n] = B[n - 1]
-    runs = []  # each run's (cursor, end) in B
+    marker = object()  # the head of an exhausted run
+    # Each run's (islice, the list iterator placed under it, end) in B.
+    slots = []
     for b, e in zip(bounds, bounds[1:]):
-        runs.append((b - l, e - l))
-    out = l
-    while len(runs) > 2:
-        out, runs = _stage_tournament(lst, out, r, B, runs, key, stats)
-    if len(runs) == 2:
-        (c0, e0), (c1, e1) = runs
-        _merge_runs(lst, out, B, c0, e0, B, c1, e1, key, stats)
-    else:
-        _put_back(lst, r, ((B,) + runs[0],))
-    _count_copy_all(stats, n, 1)
-    stats.moves += 1  # the guard slot
+        it = iter(B)
+        it.__setstate__(b - l)
+        slots.append((islice(it, e - b), it, e - l))
+    if len(slots) == 3:
+        slots.append((iter(()), None, 0))  # the empty fourth run
+    (i0, _, _), (i1, _, _), (i2, u2, _), (i3, u3, _) = slots
+    # met: decisions met by an exhausted run, without a comparison.
+    met, (x, kx, y, ky, h0, k0, h1, k1, h2, k2, h3, k3) = _tournament_rounds(
+        lst, l, r, B, key, marker, slots)
+    o = l
+    try:
+        if not (h0 is marker or h1 is marker or h2 is marker or h3 is marker):
+            # The 4-way loop, while all four runs are live.  A winner stays
+            # held until its side is refilled: a raising key or comparison
+            # finds x and y pending, and the put-back overwrites lst[o].
+            if key is None:
+                for o in range(l, r):
+                    if x <= y:
+                        lst[o] = x
+                        if h0 <= h1:
+                            x = h0
+                            try:
+                                h0 = next(i0)
+                            except StopIteration:
+                                h0 = marker
+                                break
+                        else:
+                            x = h1
+                            try:
+                                h1 = next(i1)
+                            except StopIteration:
+                                h1 = marker
+                                break
+                    elif h2 <= h3:
+                        lst[o] = y
+                        y = h2
+                        try:
+                            h2 = next(i2)
+                        except StopIteration:
+                            h2 = marker
+                            break
+                    else:
+                        lst[o] = y
+                        y = h3
+                        try:
+                            h3 = next(i3)
+                        except StopIteration:
+                            h3 = marker
+                            break
+                # Unkeyed, every held key is its element.
+                kx, ky, k0, k1, k2, k3 = x, y, h0, h1, h2, h3
+            else:
+                for o in range(l, r):
+                    if kx <= ky:
+                        lst[o] = x
+                        if k0 <= k1:
+                            x, kx = h0, k0
+                            try:
+                                h0 = next(i0)
+                            except StopIteration:
+                                h0 = k0 = marker
+                                break
+                            k0 = key(h0)
+                        else:
+                            x, kx = h1, k1
+                            try:
+                                h1 = next(i1)
+                            except StopIteration:
+                                h1 = k1 = marker
+                                break
+                            k1 = key(h1)
+                    elif k2 <= k3:
+                        lst[o] = y
+                        y, ky = h2, k2
+                        try:
+                            h2 = next(i2)
+                        except StopIteration:
+                            h2 = k2 = marker
+                            break
+                        k2 = key(h2)
+                    else:
+                        lst[o] = y
+                        y, ky = h3, k3
+                        try:
+                            h3 = next(i3)
+                        except StopIteration:
+                            h3 = k3 = marker
+                            break
+                        k3 = key(h3)
+            o += 1
+        if not (h0 is marker or h1 is marker) and (
+                h2 is not marker or h3 is not marker):
+            # The 3-way loop: runs 0 and 1 on the left, one run on the
+            # right, whose head refills y without a comparison.
+            if h2 is marker:
+                # Run 2 ended before run 3, which takes its slot.
+                h2, k2, i2, u2 = h3, k3, i3, u3
+                h3 = k3 = marker
+                slots[2] = slots[3]
+            rest = length_hint(u2)
+            if key is None:
+                for o in range(o, r):
+                    if x <= y:
+                        lst[o] = x
+                        if h0 <= h1:
+                            x = h0
+                            try:
+                                h0 = next(i0)
+                            except StopIteration:
+                                h0 = marker
+                                break
+                        else:
+                            x = h1
+                            try:
+                                h1 = next(i1)
+                            except StopIteration:
+                                h1 = marker
+                                break
+                    else:
+                        lst[o] = y
+                        y = h2
+                        try:
+                            h2 = next(i2)
+                        except StopIteration:
+                            h2 = marker
+                            break
+                kx, ky, k0, k1, k2 = x, y, h0, h1, h2
+            else:
+                for o in range(o, r):
+                    if kx <= ky:
+                        lst[o] = x
+                        if k0 <= k1:
+                            x, kx = h0, k0
+                            try:
+                                h0 = next(i0)
+                            except StopIteration:
+                                h0 = k0 = marker
+                                break
+                            k0 = key(h0)
+                        else:
+                            x, kx = h1, k1
+                            try:
+                                h1 = next(i1)
+                            except StopIteration:
+                                h1 = k1 = marker
+                                break
+                            k1 = key(h1)
+                    else:
+                        lst[o] = y
+                        y, ky = h2, k2
+                        try:
+                            h2 = next(i2)
+                        except StopIteration:
+                            h2 = k2 = marker
+                            break
+                        k2 = key(h2)
+            o += 1
+            # Each output from the right took its run's head: one draw
+            # each, the last one failed if that run ended.
+            met += rest - length_hint(u2) + (h2 is marker)
+    except BaseException:
+        _put_back_tree(lst, r, B, marker, (x, y), (h0, h1, h2, h3), slots)
+        raise
+    met += _tournament_rounds(lst, o, r, B, key, marker, slots, (
+        x, kx, y, ky, h0, k0, h1, k1, h2, k2, h3, k3))
+    stats.comparisons += 2 * n + 1 - met  # as in merge_tournament
+    _count_copy_all(stats, n, 0)
     if len(bounds) == 4:
         stats.merges3 += 1
     else:
         stats.merges4 += 1
-
-
-def _stage_tournament(lst, out, r, B, runs, key, stats):
-    """Tournament stages over the 3 or 4 ``(cursor, end)`` runs in B, output
-    from out on.
-
-    Returns the output position once some run is exhausted, and the runs
-    left, with their cursors; several can empty at the same boundary.  The
-    caller merges those narrower.  Each round tests the one cursor its
-    refill moved, and the rounds stop at the first that uses a run up.
-    If the key or ``<=`` raises, the held winners and the runs' rests go
-    back to the end of the merge region [.., r).  A build counts one
-    comparison per pair it compares and one for the root it decides at its
-    end; a round counts one for the root, decided at its top, and one in
-    the refill, except a 3-way refill from the right.
-    """
-    global nasty_rebuilds
-    four = len(runs) == 4
-    # A 3-way merge's run 3 never ends a stage, nor is compared.
-    (c0, e0), (c1, e1), (c2, e2), (c3, e3) = (
-        runs if four else runs + [(0, len(B))])
-    x = y = empty = object()  # a winner not held in the tree
-    comparisons = 0
-    try:
-        h0, h1, h2, h3 = B[c0], B[c1], B[c2], B[c3]
-        if key is None:
-            k0, k1, k2, k3 = h0, h1, h2, h3
-        else:
-            k0, k1, k2 = key(h0), key(h1), key(h2)
-            k3 = key(h3) if four else h3
-        while True:
-            # Build the tree: draw both winners.  The root is decided at
-            # the top of each round, and once more at the build's end.
-            if k0 <= k1:
-                x, kx, xr = h0, k0, 0
-                c0 += 1
-                h0 = B[c0]
-                k0 = h0 if key is None else key(h0)
-            else:
-                x, kx, xr = h1, k1, 1
-                c1 += 1
-                h1 = B[c1]
-                k1 = h1 if key is None else key(h1)
-            if four and not k2 <= k3:
-                y, ky, yr = h3, k3, 3
-                c3 += 1
-                h3 = B[c3]
-                k3 = h3 if key is None else key(h3)
-            else:
-                y, ky, yr = h2, k2, 2
-                c2 += 1
-                h2 = B[c2]
-                k2 = h2 if key is None else key(h2)
-            start, fetched = out, c0 + c1
-            # Each round tests the one cursor its refill moved.  A winner is
-            # output after its side's refill, so x and y stay held.
-            if c0 == e0 or c1 == e1 or c2 == e2 or c3 == e3:
-                pass  # the build used a run up
-            elif key is None:
-                for out in range(out, r):
-                    if x <= y:
-                        if h0 <= h1:
-                            lst[out] = x
-                            x, xr = h0, 0
-                            c0 += 1
-                            h0 = B[c0]
-                            if c0 == e0:
-                                break
-                        else:
-                            lst[out] = x
-                            x, xr = h1, 1
-                            c1 += 1
-                            h1 = B[c1]
-                            if c1 == e1:
-                                break
-                    elif four and not h2 <= h3:
-                        lst[out] = y
-                        y, yr = h3, 3
-                        c3 += 1
-                        h3 = B[c3]
-                        if c3 == e3:
-                            break
-                    else:
-                        lst[out] = y
-                        y, yr = h2, 2
-                        c2 += 1
-                        h2 = B[c2]
-                        if c2 == e2:
-                            break
-                out += 1
-                # Unkeyed, every held key is its element.
-                kx, ky, k0, k1, k2, k3 = x, y, h0, h1, h2, h3
-            else:
-                # The read-ahead head is keyed before its cursor is tested, as
-                # in the build.
-                for out in range(out, r):
-                    if kx <= ky:
-                        if k0 <= k1:
-                            lst[out] = x
-                            x, kx, xr = h0, k0, 0
-                            c0 += 1
-                            h0 = B[c0]
-                            k0 = key(h0)
-                            if c0 == e0:
-                                break
-                        else:
-                            lst[out] = x
-                            x, kx, xr = h1, k1, 1
-                            c1 += 1
-                            h1 = B[c1]
-                            k1 = key(h1)
-                            if c1 == e1:
-                                break
-                    elif four and not k2 <= k3:
-                        lst[out] = y
-                        y, ky, yr = h3, k3, 3
-                        c3 += 1
-                        h3 = B[c3]
-                        k3 = key(h3)
-                        if c3 == e3:
-                            break
-                    else:
-                        lst[out] = y
-                        y, ky, yr = h2, k2, 2
-                        c2 += 1
-                        h2 = B[c2]
-                        k2 = key(h2)
-                        if c2 == e2:
-                            break
-                out += 1
-            # The build's pairs and the root at its end, then per round the
-            # root and the refill; a 3-way right refill compares nothing,
-            # and each left refill moved exactly one of c0, c1 on.
-            rounds = out - start
-            comparisons += (2 * rounds + 3 if four
-                            else rounds + c0 + c1 - fetched + 2)
-            # A run is used up.  Decide the root, output it and roll the
-            # loser back into its run, with its key, which leaves the tree
-            # empty.
-            if kx <= ky:
-                lst[out] = x
-                if yr == 2:
-                    c2 -= 1
-                    h2, k2 = y, ky
-                else:
-                    c3 -= 1
-                    h3, k3 = y, ky
-            else:
-                lst[out] = y
-                if xr == 0:
-                    c0 -= 1
-                    h0, k0 = x, kx
-                else:
-                    c1 -= 1
-                    h1, k1 = x, kx
-            out += 1
-            x = y = empty
-            if c0 == e0 or c1 == e1 or c2 == e2 or c3 == e3:
-                break
-            # The loser went back into the run that ran dry: rebuild.
-            nasty_rebuilds += 1
-    except BaseException:
-        held = []
-        for v in (x, y):
-            if v is not empty:
-                held.append(v)
-        _put_back(lst, r, ((held, 0, len(held)), (B, c0, e0), (B, c1, e1),
-                           (B, c2, e2), (B, c3, e3 if four else c3)))
-        raise
-    stats.comparisons += comparisons
-    runs = ((c0, e0), (c1, e1), (c2, e2), (c3, e3))[: 4 if four else 3]
-    return out, [run for run in runs if run[0] != run[1]]

@@ -26,14 +26,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import index
 from typing import Callable, Optional
 
 from .merges import (
     merge_2way_copy_smaller,
     merge_2way_no_sentinel,
     merge_2way_sentinel,
-    merge_stages,
     merge_tournament,
+    merge_tournament_no_sentinel,
 )
 from .power import node_power, run_stack_capacity, validated_profile
 from .runs import extend_run, find_first_run
@@ -63,7 +64,10 @@ class _VariantKernels:
     merge4: Optional[Callable]
 
 
-#: Merge-kernel families selectable per sort.
+#: Merge-kernel families selectable per sort.  ``4way-nosentinel``'s
+#: tournament makes ``4way``'s decisions in ``4way``'s order, so the two
+#: count the same comparisons and key calls, and differ in ``moves`` and
+#: ``scan_writes`` by the sentinel slots.
 VARIANTS = {
     "2way": _VariantKernels(2, merge_2way_sentinel, None, None),
     "2way-copy-smaller": _VariantKernels(
@@ -74,7 +78,10 @@ VARIANTS = {
         4, merge_2way_sentinel, merge_tournament, merge_tournament
     ),
     "4way-nosentinel": _VariantKernels(
-        4, merge_2way_no_sentinel, merge_stages, merge_stages
+        4,
+        merge_2way_no_sentinel,
+        merge_tournament_no_sentinel,
+        merge_tournament_no_sentinel,
     ),
 }
 
@@ -96,7 +103,8 @@ class SortConfig:
     executed merge with one ``(bounds, output_length)`` tuple, where bounds
     is the group ``merge_schedule`` yielded and the kernel merged; pass
     ``some_list.append`` to collect a merge trace.  The sort's SortStats
-    counters, ``comparisons`` included, are live at each call.
+    counters, ``comparisons`` included, are live at each call.  ``k`` and
+    ``min_run_len`` must be integers.
     """
 
     k: int = 4
@@ -183,20 +191,32 @@ def _detected_runs(lst, n, key, stats, min_run_len):
 
 
 def _validated(config):
+    """The variant's kernels and ``min_run_len`` as an int, once the
+    config is checked: ``k`` and ``min_run_len`` must be integers
+    (``TypeError``), and valid for the variant (``ValueError``)."""
+    ints = []
+    for field in ("k", "min_run_len"):
+        value = getattr(config, field)
+        try:
+            ints.append(index(value))
+        except TypeError:
+            raise TypeError(
+                "%s must be an integer, got %r" % (field, value)) from None
+    k, min_run_len = ints
     kernels = VARIANTS.get(config.variant)
     if kernels is None:
         raise ValueError(
             "unknown merge variant %r (choose from %s)"
             % (config.variant, ", ".join(sorted(VARIANTS)))
         )
-    if kernels.k != config.k:
+    if kernels.k != k:
         raise ValueError(
             "variant %r implements k=%d, but config asks for k=%d"
-            % (config.variant, kernels.k, config.k)
+            % (config.variant, kernels.k, k)
         )
-    if config.min_run_len < 1:
+    if min_run_len < 1:
         raise ValueError("min_run_len must be >= 1")
-    return kernels
+    return kernels, min_run_len
 
 
 def stable_sort_with(lst, config=None):
@@ -206,26 +226,28 @@ def stable_sort_with(lst, config=None):
     changed while it was sorted (by the key, say), also where the change
     made the sort fail with an ``IndexError`` or a bounds ``ValueError``.
 
-    Besides the SortStats it returns, scratch memory is the n + k-slot
-    merge buffer and a few slices of about ``merges._CHUNK`` or
-    ``min_run_len`` elements, whichever is larger, whatever the input.
+    Besides the SortStats it returns, scratch memory is the merge buffer,
+    of n + k slots (the sentinel kernels put a sentinel after each run; the
+    sentinel-free ones need n), and a few slices of about
+    ``merges._CHUNK`` or ``min_run_len`` elements, whichever is larger,
+    whatever the input.
     """
     if config is None:
         config = SortConfig()
-    kernels = _validated(config)
+    kernels, min_run_len = _validated(config)
     stats = SortStats()
     n = len(lst)
     if n == 0:
         return stats
-    k = config.k
+    k = kernels.k
     key = config.key
-    buf = [None] * (n + k)  # any merge's output plus a slot per run
+    buf = [None] * (n + k)  # any merge's output plus a sentinel per run
     stats.scan_reads += n    # one detection scan over the input
     stats.scan_writes += n   # buffer initialization
     on_merge = config.on_merge
     # The kernel for a group of bounds, by len(bounds).
     merge = (None, None, None, kernels.merge2, kernels.merge3, kernels.merge4)
-    runs = _detected_runs(lst, n, key, stats, config.min_run_len)
+    runs = _detected_runs(lst, n, key, stats, min_run_len)
     try:
         for bounds in merge_schedule(
             k, n, runs, config.strict_merge_down, stats

@@ -1,10 +1,8 @@
-import collections
-import dataclasses
-import hashlib
 import inspect
 import itertools
-import json
+import linecache
 import random
+import re
 import sys
 from operator import attrgetter, length_hint
 
@@ -15,8 +13,8 @@ from powersort.merges import (
     merge_2way_copy_smaller,
     merge_2way_no_sentinel,
     merge_2way_sentinel,
-    merge_stages,
     merge_tournament,
+    merge_tournament_no_sentinel,
 )
 
 from conftest import (
@@ -33,17 +31,17 @@ from conftest import (
 
 KERNELS_BY_ARITY = {
     2: [merge_2way_sentinel, merge_2way_no_sentinel, merge_2way_copy_smaller],
-    3: [merge_tournament, merge_stages],
-    4: [merge_tournament, merge_stages],
+    3: [merge_tournament, merge_tournament_no_sentinel],
+    4: [merge_tournament, merge_tournament_no_sentinel],
 }
 
 #: A multiway case's test id names its width and buffer strategy, so each
 #: case keeps one id whichever kernel function serves that width.
 MULTIWAY_IDS = {
     (merge_tournament, 3): "merge_3way",
-    (merge_stages, 3): "merge_3way_stages",
+    (merge_tournament_no_sentinel, 3): "merge_3way_no_sentinel",
     (merge_tournament, 4): "merge_4way_sentinel",
-    (merge_stages, 4): "merge_4way_stages",
+    (merge_tournament_no_sentinel, 4): "merge_4way_no_sentinel",
 }
 
 
@@ -212,28 +210,6 @@ def test_merge4_one_long_run(kernel):
     assert stats.merge_cost == 7
 
 
-def test_stages_rollback_into_emptied_run():
-    # Shaped so the rolled-back element's own run is the one that ran dry:
-    # the merger must replay at the same width and still come out stable.
-    before = merges.nasty_rebuilds
-    out, _ = run_kernel(merge_stages, [[1, 2], [3], [3], [4]])
-    assert out == [1, 2, 3, 3, 4]
-    assert merges.nasty_rebuilds > before
-
-
-def test_stages_rollback_into_emptied_run_3way():
-    # The 3-way tree's rollback lands in the run that ran dry, too.
-    before = merges.nasty_rebuilds
-    out, _ = run_kernel(merge_stages, [[1], [1], [0, 0]])
-    assert out == [0, 0, 1, 1]
-    assert merges.nasty_rebuilds > before
-
-
-def test_stages_single_elements():
-    out, _ = run_kernel(merge_stages, [[1], [2], [3], [4]])
-    assert out == [1, 2, 3, 4]
-
-
 # --- exhaustive oracle equivalence ----------------------------------------
 
 
@@ -350,30 +326,17 @@ def test_exhaustive_2way_compares_the_reference_pairs_in_order(kernel):
     assert directions == {False, kernel is merge_2way_copy_smaller}
 
 
-#: Key calls beyond one per element in a staged merge, rebuilds aside: the
-#: narrower trees key their heads again, and a stage may key a head read
-#: one slot past its run.  Worst case over the exhaustive cases below.
-STAGE_EXTRA_KEY_CALLS = {3: 4, 4: 9}
-
-
 @pytest.mark.parametrize("kernel,arity", ALL_KERNELS)
 def test_exhaustive_merges_key_each_element_once(kernel, arity):
     # A kernel keys an element when it loads it, and holds the key while
-    # it holds the element.  The staged merger re-takes a rolled-back
-    # loser, which keys the head after it once more per rebuild.
+    # it holds the element.
     max_total = {2: 10, 3: 9, 4: 8}[arity]
-    staged = kernel is merge_stages
     for key_regions in exhaustive_cases(arity, max_total):
         regions = split_records(key_regions)
-        n = sum(len(region) for region in regions)
         spy = SpyKey()
-        before = merges.nasty_rebuilds
         run_kernel(kernel, regions, key=spy, pad=1)
-        bound = n
-        if staged:
-            bound += (STAGE_EXTRA_KEY_CALLS[arity]
-                      + merges.nasty_rebuilds - before)
-        assert spy.calls <= bound, (kernel.__name__, key_regions)
+        assert spy.calls <= sum(map(len, regions)), (
+            kernel.__name__, key_regions)
 
 
 @pytest.mark.parametrize("kernel,arity", ALL_KERNELS)
@@ -384,21 +347,27 @@ def test_raising_key_leaves_a_permutation(kernel, arity):
     # region must hold the same objects.
     max_total = {2: 8, 3: 7, 4: 7}[arity]
     for key_regions in exhaustive_cases(arity, max_total):
-        regions = split_records(key_regions)
-        region_input = sorted(rec for region in regions for rec in region)
-        spy = SpyKey()
-        run_kernel(kernel, regions, key=spy, pad=1)
-        for fail_at in range(1, spy.calls + 1):
-            lst, bounds = padded(regions, 1)
-            with pytest.raises(KeyFailure):
-                kernel(lst, bounds, buffer_for(bounds), FailingKey(fail_at),
-                       fresh_instruments())
-            assert lst[0] == lst[-1] == "pad"
-            assert sorted(lst[1:-1]) == region_input, (key_regions, fail_at)
-        tally = LeTally()
-        run_kernel(kernel, counted_regions(key_regions, tally), pad=1)
-        for fail_at in range(1, tally.le_calls + 1):
-            check_raising_le(kernel, key_regions, fail_at)
+        check_every_failure(kernel, key_regions)
+
+
+def check_every_failure(kernel, key_regions):
+    """Merge the keys with a key that raises on call j, and unkeyed with a
+    ``<=`` that does, for every j the merge reaches."""
+    regions = split_records(key_regions)
+    region_input = sorted(rec for region in regions for rec in region)
+    spy = SpyKey()
+    run_kernel(kernel, regions, key=spy, pad=1)
+    for fail_at in range(1, spy.calls + 1):
+        lst, bounds = padded(regions, 1)
+        with pytest.raises(KeyFailure):
+            kernel(lst, bounds, buffer_for(bounds), FailingKey(fail_at),
+                   fresh_instruments())
+        assert lst[0] == lst[-1] == "pad"
+        assert sorted(lst[1:-1]) == region_input, (key_regions, fail_at)
+    tally = LeTally()
+    run_kernel(kernel, counted_regions(key_regions, tally), pad=1)
+    for fail_at in range(1, tally.le_calls + 1):
+        check_raising_le(kernel, key_regions, fail_at)
 
 
 @pytest.mark.parametrize("kernel,arity", ALL_KERNELS)
@@ -463,60 +432,10 @@ def raise_key_failure():
     raise KeyFailure("<=")
 
 
-def stage_counts_digest(kernel, arity, max_total, keyed):
-    """Digest of the comparisons, the ``nasty_rebuilds`` delta and the other
-    ``SortStats`` counters of a staged kernel over every exhaustive case."""
-    digest = hashlib.sha256()
-    for key_regions in exhaustive_cases(arity, max_total):
-        if keyed:
-            regions = split_records(key_regions)
-        else:
-            regions = [sorted(keys) for keys in key_regions]
-        before = merges.nasty_rebuilds
-        _, stats = run_kernel(
-            kernel, regions, key=KEY if keyed else None, pad=1)
-        # Recorded with the comparisons tallied apart from the SortStats,
-        # whose own field read 0.
-        counts = dataclasses.asdict(stats)
-        comparisons, counts["comparisons"] = counts["comparisons"], 0
-        digest.update(json.dumps([
-            comparisons, merges.nasty_rebuilds - before, counts]).encode())
-    return digest.hexdigest()[:16]
-
-
-#: Recorded from the staged merger's closure-based tournament, before its
-#: heads, winners and cursors moved into locals.
-#: Keyed by (arity, keyed).
-STAGE_COUNTS_GOLDEN = {
-    (3, False): "9714d1831691e1a7",
-    (3, True): "9714d1831691e1a7",
-    (4, False): "6228df90fee6af5c",
-    (4, True): "6228df90fee6af5c",
-}
-
-
-@pytest.mark.parametrize("keyed", [False, True], ids=["plain", "keyed"])
-@pytest.mark.parametrize("kernel,arity,max_total",
-                         cases((merge_stages, 3, 9), (merge_stages, 4, 8)))
-def test_stage_counts_match_golden(kernel, arity, max_total, keyed):
-    assert stage_counts_digest(kernel, arity, max_total, keyed) == (
-        STAGE_COUNTS_GOLDEN[arity, keyed])
-
-
-def test_exhaustive_sweep_exercises_nasty_rollback():
-    before = merges.nasty_rebuilds
-    for key_regions in exhaustive_cases(4, 8):
-        regions = [sorted(keys) for keys in key_regions]
-        flat = sorted(x for r in regions for x in r)
-        out, _ = run_kernel(merge_stages, regions, pad=1)
-        assert out == flat
-    assert merges.nasty_rebuilds > before
-
-
 @pytest.mark.parametrize("kernel,arity", ALL_KERNELS)
 def test_randomized_large_merges_match_reference(kernel, arity):
-    # Keyed records, and unkeyed elements checked by identity.  The runs
-    # are long enough for many stages and rebuilds of the staged merger.
+    # Keyed records, and unkeyed elements checked by identity, in runs
+    # long enough for every phase of each tournament.
     rng = random.Random(arity * 1000 + 17)
     for _ in range(30):
         key_regions = [
@@ -535,114 +454,139 @@ def test_randomized_large_merges_match_reference(kernel, arity):
         assert stats.comparisons == tally.le_calls, key_regions
 
 
-def stage_call_lines(key_regions):
-    """For each ``<=`` call of an unkeyed 4-way ``merge_stages`` merge, the
-    line of ``_stage_tournament`` that made it, or None if another
-    function made it."""
-    lines = []
-    code = merges._stage_tournament.__code__
-    tally = LeTally()
-
-    def record():
-        caller = sys._getframe(2)
-        lines.append(caller.f_lineno if caller.f_code is code else None)
-        tally.at += 1
-
-    tally.at = 1
-    tally.action = record
-    run_kernel(merge_stages, counted_regions(key_regions, tally))
-    return lines
-
-
-def test_raising_le_in_large_staged_merge_keeps_the_objects():
-    # A ``<=`` that raises in the unkeyed rounds, or at the root decided at
-    # a stage's end, leaves the region holding the same objects.  The last
-    # comparison in the tournament's source is that stage-end root; a
-    # round's root and refills are the lines called most often.
-    rng = random.Random(4017)
-    key_regions = [[rng.randint(0, 6) for _ in range(rng.randint(200, 400))]
-                   for _ in range(4)]
-    lines = stage_call_lines(key_regions)
-    stage_end = max(line for line in lines if line is not None)
-    in_rounds = collections.Counter(lines).most_common(3)
-    picks = {lines.index(stage_end, len(lines) // 2) + 1}
-    for line, _ in in_rounds:
-        assert line is not None and line < stage_end
-        picks.add(lines.index(line, len(lines) // 3) + 1)
-    assert len(picks) == 4
-    for fail_at in sorted(picks):
-        check_raising_le(merge_stages, key_regions, fail_at)
-
-
-def staged_counts(key_regions, keyed, fail_at=None):
-    """What a staged merge of the given keys leaves, with a key or ``<=``
-    that raises on call fail_at if one is given: the key or ``<=`` calls,
-    the input position of each object in the region, the SortStats and the
-    ``nasty_rebuilds`` delta."""
-    tally = LeTally()
+def merge_log(kernel, key_regions, keyed):
+    """The ``(left uid, right uid)`` pairs of each ``<=`` a merge of the
+    given keys made, in order, the uids in output order and the counted
+    comparisons.  Keyed, the keys log their ``<=``; unkeyed, the elements."""
+    log = []
+    regions = split_records(key_regions)
     if keyed:
-        regions = split_records(key_regions)
-        key = SpyKey() if fail_at is None else FailingKey(fail_at)
+        out, stats = run_kernel(kernel, regions, pad=1,
+                                key=lambda rec: Logged(*rec, log))
+        uids = [uid for _, uid in out]
     else:
-        regions = counted_regions(key_regions, tally)
-        key = None
-        if fail_at is not None:
-            tally.at, tally.action = fail_at, raise_key_failure
-    lst, bounds = padded(regions, 1)
-    position = {id(x): i for i, x in enumerate(lst)}
-    stats = fresh_instruments()
-    before = merges.nasty_rebuilds
-    try:
-        merge_stages(lst, bounds, buffer_for(bounds), key, stats)
-    except KeyFailure:
-        assert fail_at is not None
-    else:
-        assert fail_at is None
-    merged = checked_region(lst, bounds, regions, 1)
-    return [key.calls if keyed else tally.le_calls,
-            [position[id(x)] for x in merged], dataclasses.asdict(stats),
-            merges.nasty_rebuilds - before]
+        out, stats = run_kernel(kernel, [[Logged(*rec, log) for rec in run]
+                                         for run in regions], pad=1)
+        uids = [x.uid for x in out]
+    return log, uids, stats.comparisons
 
 
-#: Recorded from the staged merger while its rounds ran in unchecked
-#: stages of ``min(remaining)`` rounds.  Keyed by arity.
-LONG_STAGE_COUNTS_GOLDEN = {3: "cddaa76f418775c4", 4: "0abf1fa49d5a6807"}
+def long_key_regions(rng, arity, span):
+    """Runs of 1 to 3000 keys in [0, span], lengths drawn log-uniform."""
+    return [[rng.randint(0, span) for _ in range(int(3000 ** rng.random()))]
+            for _ in range(arity)]
 
 
 @pytest.mark.parametrize("arity", [3, 4])
-def test_long_staged_merges_match_golden(arity):
-    # Output order, counts, rebuilds and key or ``<=`` calls of random
-    # merges with runs of 1 to 3000 elements, drawn log-uniform, over key
-    # ranges from heavy ties to nearly distinct keys, keyed and unkeyed.
+def test_sentinel_free_tournament_compares_the_same_pairs_as_4way(arity):
+    # Every split of up to 9 keys over {0, 1}, then long random merges over
+    # key ranges from heavy ties to nearly distinct keys, keyed and
+    # unkeyed: the same ``<=`` calls in the same order, the same output and
+    # the same count as the sentinel tournament's.
     rng = random.Random(arity * 7919)
-    digest = hashlib.sha256()
-    rebuilds = 0
-    for _ in range(12):
-        span = rng.choice((3, 60, 10**6))
-        key_regions = [[rng.randint(0, span)
-                        for _ in range(int(3000 ** rng.random()))]
-                       for _ in range(arity)]
+    cases = list(exhaustive_cases(arity, 9))
+    for span in (3, 60, 10**6):
+        cases += [long_key_regions(rng, arity, span) for _ in range(4)]
+    for key_regions in cases:
         for keyed in (False, True):
-            counts = staged_counts(key_regions, keyed)
-            digest.update(json.dumps(counts).encode())
-            rebuilds += counts[-1]
-    assert rebuilds > 0
-    assert digest.hexdigest()[:16] == LONG_STAGE_COUNTS_GOLDEN[arity]
+            assert merge_log(
+                merge_tournament_no_sentinel, key_regions, keyed) == merge_log(
+                merge_tournament, key_regions, keyed), (keyed, key_regions)
 
 
-@pytest.mark.parametrize("keyed", [False, True], ids=["plain", "keyed"])
-@pytest.mark.parametrize("arity", [3, 4])
-def test_raising_key_in_staged_rounds_keeps_the_objects(arity, keyed):
-    # A key, or an unkeyed ``<=``, that raises on any one call of a merge
-    # long enough for many rounds and rebuilds leaves the region holding
-    # the same objects.
-    rng = random.Random(arity * 13 + keyed)
-    key_regions = [[rng.randint(0, 20) for _ in range(size)]
-                   for size in (40, 13, 27, 31)[:arity]]
-    calls = staged_counts(key_regions, keyed)[0]
-    for fail_at in range(1, calls + 1):
-        staged_counts(key_regions, keyed, fail_at)
+#: Merges that leave the sentinel-free tournament's hot loops by each exit,
+#: with lines of ``merge_tournament_no_sentinel`` each must run, keyed and
+#: unkeyed (``hN = kN = marker`` read as ``hN = marker``).
+THREE_WAY = "rest = length_hint(u2)"
+EXITS = {
+    "run0-ends-first": ([[1, 2], [3, 9, 10, 11], [4, 12, 13], [5, 14, 15]],
+                        {"h0 = marker"}),
+    "run1-ends-first": ([[3, 9, 10, 11], [1, 2], [4, 12, 13], [5, 14, 15]],
+                        {"h1 = marker"}),
+    "run2-ends-before-run3": (
+        [[3, 6, 9, 20], [4, 7, 10, 21], [1, 2], [5, 8, 11, 22]],
+        {"h2 = marker", "h2, k2, i2, u2 = h3, k3, i3, u3", THREE_WAY}),
+    "run3-ends-first": (
+        [[3, 6, 9, 20], [4, 7, 10, 21], [5, 8, 11, 22], [1, 2]],
+        {"h3 = marker", THREE_WAY}),
+    "3way-run0-ends-first": ([[1, 2], [4, 7, 10, 21], [3, 6, 9, 20]],
+                             {"h0 = marker", THREE_WAY}),
+    "3way-run2-ends-first": ([[3, 6, 9, 20], [4, 7, 10, 21], [1, 2, 5]],
+                             {"h2 = marker", THREE_WAY}),
+    "runs-of-one": ([[2], [1], [4], [3]], set()),
+    "3way-runs-of-one": ([[3], [2], [1]], set()),
+}
 
+
+def executed_lines(kernel, regions, key):
+    """The source lines of ``kernel`` that a merge of the regions ran."""
+    code = kernel.__code__
+    lines = set()
+
+    def trace_lines(frame, event, arg):
+        if event == "line":
+            lines.add(linecache.getline(code.co_filename, frame.f_lineno))
+        return trace_lines
+
+    def trace_calls(frame, event, arg):
+        return trace_lines if frame.f_code is code else None
+
+    previous = sys.gettrace()
+    sys.settrace(trace_calls)
+    try:
+        run_kernel(kernel, regions, key=key)
+    finally:
+        sys.settrace(previous)
+    return {re.sub(r"= k\d = marker$", "= marker", line.strip())
+            for line in lines}
+
+
+@pytest.mark.parametrize("case", sorted(EXITS))
+def test_sentinel_free_tournament_exits_keep_a_permutation(case):
+    # A key, or an unkeyed ``<=``, that raises on call j, for every j, of a
+    # merge that leaves the hot loops by each exit leaves the region holding
+    # its input.
+    key_regions, exits = EXITS[case]
+    kernel = merge_tournament_no_sentinel
+    assert exits <= executed_lines(kernel, split_records(key_regions), KEY)
+    assert exits <= executed_lines(
+        kernel, counted_regions(key_regions, LeTally()), None)
+    check_every_failure(kernel, key_regions)
+
+
+class Poison:
+    """A buffer slot past the merge's n: reading it is an error."""
+
+    def __le__(self, other):
+        raise AssertionError("compared a slot past the buffer's n")
+
+    __ge__ = __le__
+
+
+@pytest.mark.parametrize("case", sorted(EXITS) + ["random"])
+def test_sentinel_free_tournament_needs_n_buffer_slots(case):
+    # A buffer of exactly n slots suffices, and slots past n are never read
+    # or written.
+    if case == "random":
+        key_regions = long_key_regions(random.Random(5), 4, 60)
+    else:
+        key_regions = EXITS[case][0]
+    regions = split_records(key_regions)
+    n = sum(map(len, regions))
+    poison = [Poison() for _ in range(4)]
+
+    def key(rec):
+        assert not isinstance(rec, Poison)
+        return rec[0]
+
+    for B in ([None] * n, [None] * n + poison):
+        for keyed in (False, True):
+            lst, bounds = padded(regions, 1)
+            merge_tournament_no_sentinel(
+                lst, bounds, B, key if keyed else None, fresh_instruments())
+            assert lst[1:-1] == sorted(lst[1:-1], key=KEY)
+            checked_region(lst, bounds, regions, 1)
+            assert B[n:] == poison[: len(B) - n]
 
 # --- accounting ------------------------------------------------------------
 
@@ -665,9 +609,9 @@ def test_merge_cost_is_output_size(kernel, arity):
         (merge_2way_sentinel, 2, 2),
         (merge_2way_no_sentinel, 2, 0),
         (merge_tournament, 3, 3),
-        (merge_stages, 3, 1),
+        (merge_tournament_no_sentinel, 3, 0),
         (merge_tournament, 4, 4),
-        (merge_stages, 4, 1),
+        (merge_tournament_no_sentinel, 4, 0),
     ),
 )
 def test_copy_all_kernels_stream_2m_reads_2m_writes(kernel, arity, slack):
@@ -745,10 +689,9 @@ def test_too_small_buffer_rejected(kernel, arity):
 @pytest.mark.parametrize(
     "kernel,runs",
     [(kernel, 3) for kernel in KERNELS_BY_ARITY[2]]
-    + [(kernel, runs) for kernel in (merge_tournament, merge_stages)
-       for runs in (2, 5)]
-    + [(kernel, runs) for kernel in KERNELS_BY_ARITY[2] + [
-        merge_tournament, merge_stages] for runs in (0, -1)],
+    + [(kernel, runs) for kernel in KERNELS_BY_ARITY[4] for runs in (2, 5)]
+    + [(kernel, runs) for kernel in KERNELS_BY_ARITY[2] + KERNELS_BY_ARITY[4]
+       for runs in (0, -1)],
 )
 def test_wrong_width_rejected(kernel, runs):
     # Bounds of a group the kernel cannot merge, but otherwise valid: the
@@ -773,10 +716,9 @@ def test_sentinel_values_never_emitted():
 
 def test_list_iterator_placement_and_cursor_recovery():
     # The merge kernels and run detection place list iterators, forward and
-    # reverse, with ``__setstate__``, the sentinel-free 2-way loops bound
-    # them with ``islice``, and all recover the index of the element
-    # ``next()`` returned last from ``length_hint``.  This pins that CPython
-    # behaviour.
+    # reverse, with ``__setstate__``, the sentinel-free kernels bound them
+    # with ``islice``, and all recover the index of the element ``next()``
+    # returned last from ``length_hint``.  This pins that CPython behaviour.
     B = list(range(10, 16))
     for start in range(len(B)):
         it = iter(B)
@@ -791,13 +733,22 @@ def test_list_iterator_placement_and_cursor_recovery():
             assert next(it) == B[j]
             # A reverse iterator's hint is that index, down to index 0.
             assert length_hint(it) == j, (start, j)
-    # islice(it, count) never draws item count + 1 from its source.
+    # islice(it, count) raises StopIteration at its count without drawing
+    # item count + 1 from its source, so the source's length_hint still
+    # gives the index after the run, and the cursor of each element drawn
+    # before; ``next`` with a default then returns the default.
     for start in range(len(B)):
         for count in range(len(B) - start + 1):
             it = iter(B)
             it.__setstate__(start)
-            drawn = list(itertools.islice(it, count))
-            assert drawn == B[start : start + count]
+            run = itertools.islice(it, count)
+            for j in range(start, start + count):
+                assert next(run) == B[j]
+                assert len(B) - 1 - length_hint(it) == j, (start, j)
+            with pytest.raises(StopIteration):
+                next(run)
+            assert length_hint(it) == len(B) - start - count, (start, count)
+            assert next(run, "end") == "end"
             assert length_hint(it) == len(B) - start - count, (start, count)
         for count in range(start + 2):
             it = reversed(B)
@@ -813,6 +764,7 @@ def test_kernels_hold_no_closure_cells():
     # tournament, every ``is sentinel`` test of the fast loop.
     functions = [f for f in vars(merges).values()
                  if inspect.isfunction(f) and f.__module__ == merges.__name__]
-    assert merge_tournament in functions and merge_stages in functions
+    assert merge_tournament in functions
+    assert merge_tournament_no_sentinel in functions
     for f in functions:
         assert f.__code__.co_cellvars == (), f.__name__

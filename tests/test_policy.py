@@ -3,6 +3,7 @@ import sys
 import tracemalloc
 from itertools import accumulate
 
+import numpy as np
 import pytest
 
 from powersort import oracle, policy, runs
@@ -670,6 +671,25 @@ def test_rejects_bad_configs():
         stable_sort_with([1], SortConfig(k=4, variant="no-such-kernel"))
     with pytest.raises(ValueError):
         stable_sort_with([1], SortConfig(min_run_len=0))
+    # A non-integral k or min_run_len is rejected before the list is
+    # touched, not deep inside the sort.
+    for config in (SortConfig(k=4.0), SortConfig(min_run_len=64.0),
+                   SortConfig(k=2.0, variant="2way", min_run_len=8)):
+        lst = [3, 1, 2]
+        with pytest.raises(TypeError, match="must be an integer"):
+            stable_sort_with(lst, config)
+        assert lst == [3, 1, 2]
+
+
+def test_numpy_integer_configs_sort_like_ints():
+    # k and min_run_len pass operator.index, and the sort runs on plain
+    # ints: a numpy k once failed in node_power, on ``bit_length``.
+    values = [random.Random(3).randint(0, 50) for _ in range(500)]
+    expected = stable_sort_with(list(values), SortConfig(min_run_len=8))
+    lst = list(values)
+    stats = stable_sort_with(
+        lst, SortConfig(k=np.int64(4), min_run_len=np.int64(8)))
+    assert lst == sorted(values) and stats == expected
 
 
 def test_run_stack_capacity_is_enforced(monkeypatch):
