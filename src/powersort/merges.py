@@ -5,14 +5,14 @@ adjacent sorted runs [b0, b1), .., [b_{w-1}, end) of ``lst``, given by
 ``bounds = (b0, .., b_{w-1}, end)``, in place through the scratch list
 ``B``, which needs the merge's length (plus a slot per run for a sentinel
 kernel), and tallies costs into the SortStats ``stats``.  Every decision
-is an inline ``<=`` on two held locals: the elements without a key (``key
-is None``); with one, their keys, each called once when its element is
-loaded into a local and kept beside it.  Every kernel chooses its hot loop
-once per merge, by ``key is None``, so neither loop tests for a key, and
-adds the comparisons it executed to ``stats.comparisons`` once per call,
-derived from its loop structure.  Ties always go to the run with the lower
-start index -- "at or before" at every decision point, with the
-lower-indexed run on the left -- which is what makes each kernel stable.
+is an inline ``<`` on two held locals, as in ``list.sort``: the elements
+without a key (``key is None``); with one, their keys, each called once
+when its element is loaded into a local and kept beside it.  Every kernel
+chooses its hot loop once per merge, by ``key is None``, so neither loop
+tests for a key, and adds the comparisons it executed to
+``stats.comparisons`` once per call, derived from its loop structure.  A
+decision takes the left head unless the right one is ``<`` it, so ties go
+to the run with the lower start index, which makes each kernel stable.
 
 The sentinel kernels make a fresh sentinel, ``object()``, per call and
 place it after each buffered run, so no input value is reserved.  Every
@@ -68,7 +68,7 @@ No kernel has a local that a comprehension or a closure captures: before
 CPython 3.12 each such local is a cell, read with ``LOAD_DEREF`` wherever
 the function uses it.
 
-If the key or ``<=`` raises, every kernel writes the elements it has taken
+If the key or ``<`` raises, every kernel writes the elements it has taken
 out and not yet output back into the merge region before the exception
 propagates, so the list stays a permutation of its input.
 """
@@ -173,14 +173,14 @@ def _merge_runs(lst, o, A, c1, e1, C, c2, e2, key, stats):
     try:
         if key is None:
             for a in islice(ia, e1 - c1):
-                if a <= b:
+                if not b < a:
                     lst[o] = a
                     o += 1
                     continue
                 lst[o] = b
                 o += 1
                 for b in rest:
-                    if a <= b:
+                    if not b < a:
                         break
                     lst[o] = b
                     o += 1
@@ -193,7 +193,7 @@ def _merge_runs(lst, o, A, c1, e1, C, c2, e2, key, stats):
             kb = key(b)
             for a in islice(ia, e1 - c1):
                 ka = key(a)
-                if ka <= kb:
+                if not kb < ka:
                     lst[o] = a
                     o += 1
                     continue
@@ -201,7 +201,7 @@ def _merge_runs(lst, o, A, c1, e1, C, c2, e2, key, stats):
                 o += 1
                 for b in rest:
                     kb = key(b)
-                    if ka <= kb:
+                    if not kb < ka:
                         break
                     lst[o] = b
                     o += 1
@@ -246,7 +246,7 @@ def merge_2way_sentinel(lst, bounds, B, key, stats):
     try:
         if key is None:
             for o in range(l, r):
-                if a <= b:
+                if not b < a:
                     lst[o] = a
                     a = next(it1)
                     if a is sentinel:
@@ -260,7 +260,7 @@ def merge_2way_sentinel(lst, bounds, B, key, stats):
             ka = key(a)
             kb = key(b)
             for o in range(l, r):
-                if ka <= kb:
+                if not kb < ka:
                     lst[o] = a
                     a = next(it1)
                     if a is sentinel:
@@ -327,14 +327,14 @@ def merge_2way_copy_smaller(lst, bounds, B, key, stats):
         try:
             if key is None:
                 for b in islice(ib, n2):
-                    if a <= b:
+                    if not b < a:
                         lst[o] = b
                         o -= 1
                         continue
                     lst[o] = a
                     o -= 1
                     for a in rest:
-                        if a <= b:
+                        if not b < a:
                             break
                         lst[o] = a
                         o -= 1
@@ -347,7 +347,7 @@ def merge_2way_copy_smaller(lst, bounds, B, key, stats):
                 ka = key(a)
                 for b in islice(ib, n2):
                     kb = key(b)
-                    if ka <= kb:
+                    if not kb < ka:
                         lst[o] = b
                         o -= 1
                         continue
@@ -355,7 +355,7 @@ def merge_2way_copy_smaller(lst, bounds, B, key, stats):
                     o -= 1
                     for a in rest:
                         ka = key(a)
-                        if ka <= kb:
+                        if not kb < ka:
                             break
                         lst[o] = a
                         o -= 1
@@ -431,7 +431,7 @@ def _tournament_rounds(lst, o, r, B, key, marker, slots, tree=None):
                     met += 1
                     z = y is marker
                 else:
-                    z = kx <= ky
+                    z = not ky < kx
                 if z:
                     lst[o] = x
                     x = marker
@@ -447,7 +447,7 @@ def _tournament_rounds(lst, o, r, B, key, marker, slots, tree=None):
                     met += 1
                     first = h1 is marker
                 else:
-                    first = k0 <= k1
+                    first = not k1 < k0
                 if not first:
                     x, kx = h1, k1
                     h1 = next(i1, marker)
@@ -462,7 +462,7 @@ def _tournament_rounds(lst, o, r, B, key, marker, slots, tree=None):
                     met += 1
                     first = h3 is marker
                 else:
-                    first = k2 <= k3
+                    first = not k3 < k2
                 if not first:
                     y, ky = h3, k3
                     h3 = next(i3, marker)
@@ -521,8 +521,8 @@ def merge_tournament(lst, bounds, B, key, stats):
             # or comparison finds both x and y pending.
             if key is None:
                 for o in range(l, r):
-                    if x <= y:
-                        if h0 <= h1:
+                    if not y < x:
+                        if not h1 < h0:
                             lst[o] = x
                             x = h0
                             h0 = next(i0)
@@ -534,7 +534,7 @@ def merge_tournament(lst, bounds, B, key, stats):
                             h1 = next(i1)
                             if h1 is sentinel:
                                 break
-                    elif h3 is not sentinel and not h2 <= h3:
+                    elif h3 is not sentinel and h3 < h2:
                         lst[o] = y
                         y = h3
                         h3 = next(i3)
@@ -550,8 +550,8 @@ def merge_tournament(lst, bounds, B, key, stats):
                 kx, ky, k0, k1, k2, k3 = x, y, h0, h1, h2, h3
             else:
                 for o in range(l, r):
-                    if kx <= ky:
-                        if k0 <= k1:
+                    if not ky < kx:
+                        if not k1 < k0:
                             lst[o] = x
                             x, kx = h0, k0
                             h0 = next(i0)
@@ -565,7 +565,7 @@ def merge_tournament(lst, bounds, B, key, stats):
                             if h1 is sentinel:
                                 break
                             k1 = key(h1)
-                    elif h3 is not sentinel and not k2 <= k3:
+                    elif h3 is not sentinel and k3 < k2:
                         lst[o] = y
                         y, ky = h3, k3
                         h3 = next(i3)
@@ -632,9 +632,9 @@ def merge_tournament_no_sentinel(lst, bounds, B, key, stats):
             # finds x and y pending, and the put-back overwrites lst[o].
             if key is None:
                 for o in range(l, r):
-                    if x <= y:
+                    if not y < x:
                         lst[o] = x
-                        if h0 <= h1:
+                        if not h1 < h0:
                             x = h0
                             try:
                                 h0 = next(i0)
@@ -648,7 +648,7 @@ def merge_tournament_no_sentinel(lst, bounds, B, key, stats):
                             except StopIteration:
                                 h1 = marker
                                 break
-                    elif h2 <= h3:
+                    elif not h3 < h2:
                         lst[o] = y
                         y = h2
                         try:
@@ -668,9 +668,9 @@ def merge_tournament_no_sentinel(lst, bounds, B, key, stats):
                 kx, ky, k0, k1, k2, k3 = x, y, h0, h1, h2, h3
             else:
                 for o in range(l, r):
-                    if kx <= ky:
+                    if not ky < kx:
                         lst[o] = x
-                        if k0 <= k1:
+                        if not k1 < k0:
                             x, kx = h0, k0
                             try:
                                 h0 = next(i0)
@@ -686,7 +686,7 @@ def merge_tournament_no_sentinel(lst, bounds, B, key, stats):
                                 h1 = k1 = marker
                                 break
                             k1 = key(h1)
-                    elif k2 <= k3:
+                    elif not k3 < k2:
                         lst[o] = y
                         y, ky = h2, k2
                         try:
@@ -717,9 +717,9 @@ def merge_tournament_no_sentinel(lst, bounds, B, key, stats):
             rest = length_hint(u2)
             if key is None:
                 for o in range(o, r):
-                    if x <= y:
+                    if not y < x:
                         lst[o] = x
-                        if h0 <= h1:
+                        if not h1 < h0:
                             x = h0
                             try:
                                 h0 = next(i0)
@@ -744,9 +744,9 @@ def merge_tournament_no_sentinel(lst, bounds, B, key, stats):
                 kx, ky, k0, k1, k2 = x, y, h0, h1, h2
             else:
                 for o in range(o, r):
-                    if kx <= ky:
+                    if not ky < kx:
                         lst[o] = x
-                        if k0 <= k1:
+                        if not k1 < k0:
                             x, kx = h0, k0
                             try:
                                 h0 = next(i0)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from operator import index
 
 from .power import boundary_powers, validated_profile
 
@@ -126,6 +127,7 @@ def optimal_merge_cost(lengths, k):
     small profiles; raises ``ValueError`` beyond OPTIMAL_MERGE_COST_MAX_RUNS.
     """
     lengths = validated_profile(lengths)
+    k = index(k)
     if k < 2:
         raise ValueError("optimal_merge_cost needs k >= 2")
     r = len(lengths)
@@ -174,8 +176,8 @@ def merge_tree_from_trace(run_intervals, trace):
     ``ValueError``.
     """
     nodes = {}
-    for index, (begin, end) in enumerate(run_intervals):
-        nodes[(begin, end)] = index
+    for leaf, (begin, end) in enumerate(run_intervals):
+        nodes[(begin, end)] = leaf
     for entry in trace:
         bounds, length = entry
         if len(bounds) < 3 or length != bounds[-1] - bounds[0]:
@@ -198,10 +200,11 @@ def realize_profile(lengths):
     Each run is strictly increasing and starts below the previous run's last
     element, so adjacent runs cannot fuse.  A non-final run of length 1
     cannot be realized under the run rule (the descent after it reads as a
-    strictly decreasing pair and is absorbed), so callers enumerate profiles
-    whose non-final lengths are >= 2.
+    strictly decreasing pair and is absorbed) and raises ``ValueError``.
     """
     lengths = validated_profile(lengths)
+    if 1 in lengths[:-1]:
+        raise ValueError("non-final run of length 1 in %r" % (lengths,))
     out = []
     for i, length in enumerate(lengths):
         out.extend(x - i for x in range(length))

@@ -41,18 +41,16 @@ from .runs import extend_run, find_first_run
 from .statskit import SortStats
 
 #: Default minimum run length; shorter natural runs are extended to this
-#: length by binary insertion sort, which places each element with
-#: ``bisect_right`` and so compares keys with ``<``.  1 disables extension.
-#: 64 is CPython's largest ``minrun`` and the longest region that the
-#: insertion table (``runs._TABLE_ROWS``) counts.  Longer runs mean fewer
-#: runs, each with a fixed Python cost in detection, the run stack and
-#: ``node_power``, and fewer merge set-ups: against 24, a random
-#: permutation of 25 000 records has 391 runs instead of 1042 and its
-#: ``4way`` sort ran 12.9% faster (CPython 3.11, 2 vCPUs).  The price is
-#: on inputs with natural runs of 16 to 128: extension binary-inserts
-#: elements that the next natural run already held in order, so random
-#: runs of mean 32 take 8.9% more comparisons and of mean 64 to 128 sort
-#: about 2% slower.
+#: length by binary insertion sort.  1 disables extension.  64 is CPython's
+#: largest ``minrun`` and the longest region that the insertion table
+#: (``runs._TABLE_ROWS``) counts.  Longer runs mean fewer runs, each with a
+#: fixed Python cost in detection, the run stack and ``node_power``, and
+#: fewer merge set-ups: against 24, a random permutation of 25 000 records
+#: has 391 runs instead of 1042 and its ``4way`` sort ran 12.9% faster
+#: (CPython 3.11, 2 vCPUs).  The price is on inputs with natural runs of 16
+#: to 128: extension binary-inserts elements that the next natural run
+#: already held in order, so random runs of mean 32 take 8.9% more
+#: comparisons and of mean 64 to 128 sort about 2% slower.
 MIN_RUN_LEN = 64
 
 
@@ -95,13 +93,12 @@ class SortConfig:
     shorter natural run is extended by binary insertion sort, clamped to
     the end of the list; 1 disables extension, and the default is
     ``MIN_RUN_LEN``, 64.  ``key`` extracts the sort key from an element;
-    records are compared by key only.  Keys (or the elements, without
-    ``key``) need both ``<``, which run extension uses, and ``<=``, which
-    run detection and the merges use.  ``strict_merge_down`` collapses the
-    final stack by popping up to k-1 runs per merge instead of normalizing
-    to (k - 1)j + 1 runs first.  ``on_merge`` is called after every
-    executed merge with one ``(bounds, output_length)`` tuple, where bounds
-    is the group ``merge_schedule`` yielded and the kernel merged; pass
+    records are compared by key only, with ``<`` alone, as in
+    ``list.sort``.  ``strict_merge_down`` collapses the final stack by
+    popping up to k-1 runs per merge instead of normalizing to (k - 1)j + 1
+    runs first.  ``on_merge`` is called after every executed merge with one
+    ``(bounds, output_length)`` tuple, where bounds is the group
+    ``merge_schedule`` yielded and the kernel merged; pass
     ``some_list.append`` to collect a merge trace.  The sort's SortStats
     counters, ``comparisons`` included, are live at each call.  ``k`` and
     ``min_run_len`` must be integers.
@@ -222,9 +219,11 @@ def _validated(config):
 def stable_sort_with(lst, config=None):
     """Sort ``lst`` in place, stably, and return the populated SortStats.
 
-    Raises ``ValueError("list modified during sort")`` if the list's length
-    changed while it was sorted (by the key, say), also where the change
-    made the sort fail with an ``IndexError`` or a bounds ``ValueError``.
+    Raises ``TypeError`` if ``lst`` is not a list (only lists have
+    ``list.sort``), and ``ValueError("list modified during sort")`` if its
+    length changed while it was sorted (by the key, say), also where the
+    change made the sort fail with an ``IndexError`` or a bounds
+    ``ValueError``.
 
     Besides the SortStats it returns, scratch memory is the merge buffer,
     of n + k slots (the sentinel kernels put a sentinel after each run; the
@@ -232,6 +231,8 @@ def stable_sort_with(lst, config=None):
     ``merges._CHUNK`` or ``min_run_len`` elements, whichever is larger,
     whatever the input.
     """
+    if not isinstance(lst, list):
+        raise TypeError("can only sort a list, not %s" % type(lst).__name__)
     if config is None:
         config = SortConfig()
     kernels, min_run_len = _validated(config)
@@ -266,10 +267,8 @@ def stable_sort_with(lst, config=None):
 
 
 def stable_sort(lst, key=None):
-    """Sort ``lst`` in place, stably, with the default configuration.
-
-    Keys (or the elements, without ``key``) must support ``<`` and ``<=``.
-    """
+    """Sort ``lst`` in place, stably, with the default configuration; keys
+    (or the elements, without ``key``) need only ``<``."""
     stable_sort_with(lst, SortConfig(key=key))
 
 

@@ -15,20 +15,20 @@ Short runs are extended by binary insertion sort, as in CPython's
 
 Run detection and insertion sort take the sort's ``key`` and SortStats.
 They key each element once when they load it (``k = x if key is None
-else key(x)``) and add the number of comparisons they executed to
-``stats.comparisons`` once per call.  Detection holds the key of the
-previous element, so it keys each scanned element once, and decides
-with an inline ``<=`` on keys.  Without
-a key, a run still going after ``_SCAN_INLINE`` elements is finished at C
-speed, by ``all`` (or ``any``) over ``map(operator.le, ...)`` of two list
-iterators one element apart; ``map`` is lazy, so the ``<=`` calls are
-exactly the loop's.  Insertion sort holds a local copy of its region,
-with a key also a local list of its keys, and places each element with
-the C-level ``bisect_right``, which decides with ``<``; it counts the
-probes from a table, since their number is fixed by the position
-``bisect_right`` returns.  If the key, ``<`` or ``<=`` raises, the list is
-still a permutation of its input: detection reverses a run only after its
-scan, and insertion sort writes its copy back only when it is done.
+else key(x)``), decide with ``<`` only, as ``list.sort`` does, and add the
+number of comparisons they executed to ``stats.comparisons`` once per
+call.  Detection holds the key of the previous element, so it keys each
+scanned element once, and compares inline.  Without a key, a run still
+going after ``_SCAN_INLINE`` elements is finished at C speed, by ``any``
+(or ``all``) over ``map(operator.lt, ...)`` of two list iterators one
+element apart; ``map`` is lazy, so the ``<`` calls are exactly the loop's.
+Insertion sort holds a local copy of its region, with a key also a local
+list of its keys, and places each element with the C-level
+``bisect_right``; it counts the probes from a table, since their number is
+fixed by the position ``bisect_right`` returns.  If the key or ``<``
+raises, the list is still a permutation of its input: detection reverses a
+run only after its scan, and insertion sort writes its copy back only when
+it is done.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from functools import cache
 from itertools import chain, islice
-from operator import le, length_hint
+from operator import length_hint, lt
 
 from .merges import _CHUNK
 
@@ -56,7 +56,7 @@ def find_first_run(lst, begin, end, key, stats):
     before returning, so the returned region is always weakly increasing.
     The first ``_SCAN_INLINE`` elements are scanned by a Python loop; an
     unkeyed run that reaches past them is finished by ``_scan_tail``, which
-    runs the same ``<=`` calls in C.
+    runs the same ``<`` calls in C.
     """
     if not begin < end:
         raise ValueError("find_first_run requires a nonempty view")
@@ -69,12 +69,12 @@ def find_first_run(lst, begin, end, key, stats):
     x = lst[i]
     k = x if key is None else key(x)
     # kp is the key of lst[i - 1], k of lst[i].
-    if kp <= k:
+    if not k < kp:
         for i in range(i + 1, stop):
             kp = k
             x = lst[i]
             k = x if key is None else key(x)
-            if not kp <= k:
+            if k < kp:
                 break
         else:
             i = stop if stop == end else _scan_tail(lst, stop, end, True)
@@ -84,7 +84,7 @@ def find_first_run(lst, begin, end, key, stats):
             kp = k
             x = lst[i]
             k = x if key is None else key(x)
-            if kp <= k:
+            if not k < kp:
                 break
         else:
             i = stop if stop == end else _scan_tail(lst, stop, end, False)
@@ -106,16 +106,16 @@ def find_first_run(lst, begin, end, key, stats):
 
 def _scan_tail(lst, start, end, ascending):
     """Return the first ``i`` in [start, end) at which the pair
-    ``(lst[i - 1], lst[i])`` ends the run, or ``end``: weakly increasing
-    pairs continue an ascending run, strictly decreasing ones a descending
-    run.  Elements are compared unkeyed, in C.
+    ``(lst[i - 1], lst[i])`` ends the run, or ``end``: a pair with
+    ``lst[i] < lst[i - 1]`` ends an ascending run, any other a descending
+    one.  Elements are compared unkeyed, in C.
 
-    ``prev`` and ``cur`` are list iterators placed at ``start - 1`` and
-    ``start`` in O(1).  ``all``/``any`` stop at the pair that decides, so
-    ``cur`` then sits one past ``i``, which ``length_hint`` gives back.
+    ``cur`` and ``prev`` are list iterators placed at ``start`` and
+    ``start - 1`` in O(1).  ``any``/``all`` stop at the pair that decides,
+    so ``cur`` then sits one past ``i``, which ``length_hint`` gives back.
     ``cur`` is cut at ``end`` by ``islice`` only when the view ends before
     the list, since that layer slows the scan.  Raises ``ValueError`` if a
-    ``<=`` changed the list's length, since the iterators then read past
+    ``<`` changed the list's length, since the iterators then read past
     the view or stop short of it.
     """
     n = len(lst)
@@ -123,8 +123,8 @@ def _scan_tail(lst, start, end, ascending):
     prev.__setstate__(start - 1)
     cur = iter(lst)
     cur.__setstate__(start)
-    pairs = map(le, prev, cur if end == n else islice(cur, end - start))
-    whole = all(pairs) if ascending else not any(pairs)
+    pairs = map(lt, cur if end == n else islice(cur, end - start), prev)
+    whole = not any(pairs) if ascending else all(pairs)
     if len(lst) != n:
         raise ValueError("list modified during run detection")
     return end if whole else n - length_hint(cur) - 1

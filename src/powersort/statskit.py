@@ -10,14 +10,11 @@ without one, they hold and compare the elements themselves (every merge
 kernel chooses a loop without a key test for that case, once per merge).
 Each adds the number of comparisons it executed to ``comparisons`` once
 per call, derived from its loop structure (for insertion sort, from the
-positions ``bisect_right`` returns).  The merges decide with an inline
-``<=`` on what they hold, and so does detection, except that an unkeyed
-run longer than 32 elements is finished by ``operator.le`` in C
-(``runs._scan_tail``); insertion sort uses ``bisect_right``, which
-compares with ``<``.  A key type needs both, as ``list.sort``'s needs
-``<``.  ``CountingOrder`` is a counted ``<=`` the sort does not use; it is
-kept because the benchmark (``perfbench``) times its ``le``, until ROADMAP
-open item 1(b) stops that.
+positions ``bisect_right`` returns).  Every layer decides with ``<``
+only, as ``list.sort`` does, so a key type needs nothing else.
+``CountingOrder`` is a counted ``<=`` the sort does not use; it is kept
+because the benchmark (``perfbench``) times its ``le``, until ROADMAP open
+item 1(b) stops that.
 
 Counter semantics:
 

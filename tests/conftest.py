@@ -25,14 +25,13 @@ class SpyKey:
         return record[0]
 
 
-class LeSpyKey(SpyKey):
-    """``SpyKey`` whose keys count their own ``<=`` calls in ``le_calls``
-    and their ``<`` calls in ``lt_calls``: the comparisons that ran,
-    whatever the number of key calls."""
+class LtSpyKey(SpyKey):
+    """``SpyKey`` whose keys count their own ``<`` calls in ``lt_calls``: the
+    comparisons that ran, whatever the number of key calls.  The keys define
+    only ``<``, so any other comparison raises ``TypeError``."""
 
     def __init__(self):
         super().__init__()
-        self.le_calls = 0
         self.lt_calls = 0
 
     def __call__(self, record):
@@ -46,23 +45,18 @@ class _SpiedKey:
         self.key = key
         self.spy = spy
 
-    def __le__(self, other):
-        self.spy.le_calls += 1
-        return self.key <= other.key
-
     def __lt__(self, other):
         self.spy.lt_calls += 1
         return self.key < other.key
 
 
-class LeTally:
-    """Counts the ``<=`` and ``<`` calls of the ``Counted`` elements it
-    makes (``wrap``).  With ``truthy``, ``<=`` answers with a non-empty or
-    an empty string instead of a bool.  Once ``at`` and ``action`` are set,
-    the ``at``-th ``<=`` call runs ``action()`` first."""
+class LtTally:
+    """Counts the ``<`` calls of the ``Counted`` elements it makes
+    (``wrap``).  With ``truthy``, ``<`` answers with a non-empty or an empty
+    string instead of a bool.  Once ``at`` and ``action`` are set, the
+    ``at``-th ``<`` call runs ``action()`` first."""
 
     def __init__(self, truthy=False):
-        self.le_calls = 0
         self.lt_calls = 0
         self.truthy = truthy
         self.at = 0
@@ -74,8 +68,8 @@ class LeTally:
 
 class Counted:
     """An element ordered by ``value`` that counts its own comparisons in
-    its ``LeTally``, so a test sees the ``<=`` calls an unkeyed sort made,
-    whatever the sort counted."""
+    its ``LtTally``, so a test sees the ``<`` calls an unkeyed sort made,
+    whatever the sort counted.  It defines only ``<``."""
 
     __slots__ = ("value", "tally")
 
@@ -83,37 +77,27 @@ class Counted:
         self.value = value
         self.tally = tally
 
-    def __le__(self, other):
+    def __lt__(self, other):
         tally = self.tally
-        tally.le_calls += 1
-        if tally.le_calls == tally.at:
+        tally.lt_calls += 1
+        if tally.lt_calls == tally.at:
             tally.action()
-        if self.value <= other.value:
+        if self.value < other.value:
             return "yes" if tally.truthy else True
         return "" if tally.truthy else False
-
-    def __lt__(self, other):
-        self.tally.lt_calls += 1
-        return self.value < other.value
 
 
 class _Top:
     """A value that sorts after every other and ties only with itself.
 
-    Other values' comparisons with it decline (``NotImplemented``), so it
-    answers through its reflected ``__ge__`` or ``__gt__``.
+    Other values' ``<`` with it declines (``NotImplemented``), so it answers
+    through its reflected ``__gt__``.
     """
 
     __slots__ = ()
 
-    def __le__(self, other):
-        return other is self
-
     def __lt__(self, other):
         return False
-
-    def __ge__(self, other):
-        return True
 
     def __gt__(self, other):
         return other is not self

@@ -21,8 +21,8 @@ from conftest import (
     KEY,
     FailingKey,
     KeyFailure,
-    LeSpyKey,
-    LeTally,
+    LtSpyKey,
+    LtTally,
     SpyKey,
     compositions,
     fresh_instruments,
@@ -238,7 +238,7 @@ def test_exhaustive_small_merges_match_reference(kernel, arity):
         flat = [rec for region in regions for rec in region]
         out, _ = run_kernel(kernel, regions, key=KEY, pad=1)
         assert out == sorted(flat, key=KEY), (kernel.__name__, key_regions)
-        regions = counted_regions(key_regions, LeTally())
+        regions = counted_regions(key_regions, LtTally())
         flat = [x for region in regions for x in region]
         out, _ = run_kernel(kernel, regions, pad=1)
         assert same_objects(out, sorted(flat, key=VALUE)), (
@@ -250,25 +250,26 @@ def test_exhaustive_small_merges_match_reference(kernel, arity):
 @pytest.mark.parametrize("kernel,arity", ALL_KERNELS)
 def test_exhaustive_derived_comparisons_match_key_calls(kernel, arity):
     # The kernels count their comparisons from loop structure instead of
-    # per call; keys, or unkeyed elements, that count their own ``<=`` see
-    # the comparisons that ran.  Merges never use ``<``.
+    # per call; keys, or unkeyed elements, that count their own ``<`` see
+    # the comparisons that ran.
     max_total = {2: 10, 3: 9, 4: 8}[arity]
     for key_regions in exhaustive_cases(arity, max_total):
         regions = split_records(key_regions)
-        spy = LeSpyKey()
+        spy = LtSpyKey()
         _, stats = run_kernel(kernel, regions, key=spy, pad=1)
-        assert (stats.comparisons, spy.lt_calls) == (spy.le_calls, 0), (
+        assert stats.comparisons == spy.lt_calls, (
             kernel.__name__, key_regions)
-        tally = LeTally()
+        tally = LtTally()
         _, stats = run_kernel(
             kernel, counted_regions(key_regions, tally), pad=1)
-        assert (stats.comparisons, tally.lt_calls) == (tally.le_calls, 0), (
+        assert stats.comparisons == tally.lt_calls, (
             kernel.__name__, key_regions)
 
 
 class Logged:
     """An element, or a key, ordered by ``value`` that logs the uids of the
-    left and the right side of each ``<=`` it answers."""
+    left and the right side of each decision it answers.  A decision asks
+    ``right < left``, so the ``other`` side of ``<`` is the left one."""
 
     __slots__ = ("value", "uid", "log")
 
@@ -277,9 +278,9 @@ class Logged:
         self.uid = uid
         self.log = log
 
-    def __le__(self, other):
-        self.log.append((self.uid, other.uid))
-        return self.value <= other.value
+    def __lt__(self, other):
+        self.log.append((other.uid, self.uid))
+        return self.value < other.value
 
 
 def reference_2way_pairs(left, right, backward):
@@ -343,7 +344,7 @@ def test_exhaustive_merges_key_each_element_once(kernel, arity):
 def test_raising_key_leaves_a_permutation(kernel, arity):
     # A key that raises on its j-th call, for every j the merge reaches:
     # the error propagates and the merged region still holds its input.
-    # Unkeyed, an element's ``<=`` raises on its j-th call instead, and the
+    # Unkeyed, an element's ``<`` raises on its j-th call instead, and the
     # region must hold the same objects.
     max_total = {2: 8, 3: 7, 4: 7}[arity]
     for key_regions in exhaustive_cases(arity, max_total):
@@ -352,7 +353,7 @@ def test_raising_key_leaves_a_permutation(kernel, arity):
 
 def check_every_failure(kernel, key_regions):
     """Merge the keys with a key that raises on call j, and unkeyed with a
-    ``<=`` that does, for every j the merge reaches."""
+    ``<`` that does, for every j the merge reaches."""
     regions = split_records(key_regions)
     region_input = sorted(rec for region in regions for rec in region)
     spy = SpyKey()
@@ -364,10 +365,10 @@ def check_every_failure(kernel, key_regions):
                    fresh_instruments())
         assert lst[0] == lst[-1] == "pad"
         assert sorted(lst[1:-1]) == region_input, (key_regions, fail_at)
-    tally = LeTally()
+    tally = LtTally()
     run_kernel(kernel, counted_regions(key_regions, tally), pad=1)
-    for fail_at in range(1, tally.le_calls + 1):
-        check_raising_le(kernel, key_regions, fail_at)
+    for fail_at in range(1, tally.lt_calls + 1):
+        check_raising_lt(kernel, key_regions, fail_at)
 
 
 @pytest.mark.parametrize("kernel,arity", ALL_KERNELS)
@@ -393,7 +394,7 @@ def test_raising_key_puts_back_rests_several_chunks_long(kernel, arity):
 
 def test_backward_copy_smaller_puts_back_rests_several_chunks_long():
     # The right run is the smaller one, so copy-smaller merges backward.  A
-    # key, or an unkeyed ``<=``, that raises early leaves both rests several
+    # key, or an unkeyed ``<``, that raises early leaves both rests several
     # chunks long, midway some, and on its last call what is not yet output.
     rng = random.Random(29)
     key_regions = [[rng.randint(0, 200) for _ in range(size)]
@@ -408,16 +409,16 @@ def test_backward_copy_smaller_puts_back_rests_several_chunks_long():
             merge_2way_copy_smaller(lst, bounds, buffer_for(bounds),
                                     FailingKey(fail_at), fresh_instruments())
         checked_region(lst, bounds, regions, 3)
-    tally = LeTally()
+    tally = LtTally()
     run_kernel(merge_2way_copy_smaller, counted_regions(key_regions, tally))
-    for fail_at in (3, tally.le_calls // 2, tally.le_calls):
-        check_raising_le(merge_2way_copy_smaller, key_regions, fail_at)
+    for fail_at in (3, tally.lt_calls // 2, tally.lt_calls):
+        check_raising_lt(merge_2way_copy_smaller, key_regions, fail_at)
 
 
-def check_raising_le(kernel, key_regions, fail_at):
-    """Merge unkeyed elements whose ``<=`` raises on its fail_at-th call:
+def check_raising_lt(kernel, key_regions, fail_at):
+    """Merge unkeyed elements whose ``<`` raises on its fail_at-th call:
     the error propagates and the region holds the same objects."""
-    tally = LeTally()
+    tally = LtTally()
     tally.at = fail_at
     tally.action = raise_key_failure
     lst, bounds = padded(counted_regions(key_regions, tally), 1)
@@ -429,7 +430,7 @@ def check_raising_le(kernel, key_regions, fail_at):
 
 
 def raise_key_failure():
-    raise KeyFailure("<=")
+    raise KeyFailure("<")
 
 
 @pytest.mark.parametrize("kernel,arity", ALL_KERNELS)
@@ -446,18 +447,18 @@ def test_randomized_large_merges_match_reference(kernel, arity):
         flat = [rec for region in regions for rec in region]
         out, _ = run_kernel(kernel, regions, key=KEY)
         assert out == sorted(flat, key=KEY)
-        tally = LeTally()
+        tally = LtTally()
         regions = counted_regions(key_regions, tally)
         flat = [x for region in regions for x in region]
         out, stats = run_kernel(kernel, regions)
         assert same_objects(out, sorted(flat, key=VALUE)), key_regions
-        assert stats.comparisons == tally.le_calls, key_regions
+        assert stats.comparisons == tally.lt_calls, key_regions
 
 
 def merge_log(kernel, key_regions, keyed):
-    """The ``(left uid, right uid)`` pairs of each ``<=`` a merge of the
+    """The ``(left uid, right uid)`` pairs of each decision a merge of the
     given keys made, in order, the uids in output order and the counted
-    comparisons.  Keyed, the keys log their ``<=``; unkeyed, the elements."""
+    comparisons.  Keyed, the keys log their ``<``; unkeyed, the elements."""
     log = []
     regions = split_records(key_regions)
     if keyed:
@@ -481,7 +482,7 @@ def long_key_regions(rng, arity, span):
 def test_sentinel_free_tournament_compares_the_same_pairs_as_4way(arity):
     # Every split of up to 9 keys over {0, 1}, then long random merges over
     # key ranges from heavy ties to nearly distinct keys, keyed and
-    # unkeyed: the same ``<=`` calls in the same order, the same output and
+    # unkeyed: the same ``<`` calls in the same order, the same output and
     # the same count as the sentinel tournament's.
     rng = random.Random(arity * 7919)
     cases = list(exhaustive_cases(arity, 9))
@@ -543,24 +544,24 @@ def executed_lines(kernel, regions, key):
 
 @pytest.mark.parametrize("case", sorted(EXITS))
 def test_sentinel_free_tournament_exits_keep_a_permutation(case):
-    # A key, or an unkeyed ``<=``, that raises on call j, for every j, of a
+    # A key, or an unkeyed ``<``, that raises on call j, for every j, of a
     # merge that leaves the hot loops by each exit leaves the region holding
     # its input.
     key_regions, exits = EXITS[case]
     kernel = merge_tournament_no_sentinel
     assert exits <= executed_lines(kernel, split_records(key_regions), KEY)
     assert exits <= executed_lines(
-        kernel, counted_regions(key_regions, LeTally()), None)
+        kernel, counted_regions(key_regions, LtTally()), None)
     check_every_failure(kernel, key_regions)
 
 
 class Poison:
     """A buffer slot past the merge's n: reading it is an error."""
 
-    def __le__(self, other):
+    def __lt__(self, other):
         raise AssertionError("compared a slot past the buffer's n")
 
-    __ge__ = __le__
+    __gt__ = __lt__
 
 
 @pytest.mark.parametrize("case", sorted(EXITS) + ["random"])

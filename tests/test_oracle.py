@@ -120,6 +120,10 @@ def test_optimal_merge_cost_examples():
 def test_optimal_merge_cost_guard():
     with pytest.raises(ValueError):
         optimal_merge_cost([1] * 15, 2)
+    # The arity passes operator.index, as in kway_tree and the policy.
+    for k in (4.0, 2.5):
+        with pytest.raises(TypeError):
+            optimal_merge_cost([3, 4, 5], k)
 
 
 def exhaustive_trees(lo, hi, k):
@@ -228,3 +232,12 @@ def test_realize_profile_round_trip():
             detected.append(end - at)
             at = end
         assert detected == list(profile)
+
+
+def test_realize_profile_rejects_a_non_final_run_of_one():
+    # The descent after such a run would be absorbed into a decreasing run,
+    # so the array's natural runs would not be the profile.
+    for profile in ([1, 2], [3, 1, 4], [2, 1, 1]):
+        with pytest.raises(ValueError, match="length 1"):
+            realize_profile(profile)
+    assert realize_profile([2, 1]) == [0, 1, -1]

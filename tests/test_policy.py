@@ -1,3 +1,4 @@
+import array
 import random
 import sys
 import tracemalloc
@@ -26,8 +27,8 @@ from conftest import (
     KEY,
     FailingKey,
     KeyFailure,
-    LeSpyKey,
-    LeTally,
+    LtSpyKey,
+    LtTally,
     SpyKey,
     Top,
     assert_stable_sorted,
@@ -248,13 +249,12 @@ def test_min_run_len_past_the_insertion_table(variant):
     rng = random.Random(41)
     records = make_records([rng.randint(0, 50) for _ in range(700)])
     lst = list(records)
-    spy = LeSpyKey()
+    spy = LtSpyKey()
     stats = stable_sort_with(
         lst, config_for(variant, min_run_len=min_run_len, key=spy))
     assert_stable_sorted(lst, records)
     assert max(stats.run_lengths) == min_run_len
-    assert spy.lt_calls > 0
-    assert stats.comparisons == spy.le_calls + spy.lt_calls
+    assert stats.comparisons == spy.lt_calls
 
 
 def test_default_min_run_len_stays_in_the_insertion_table(monkeypatch):
@@ -331,18 +331,15 @@ def test_raising_key_leaves_a_permutation_of_the_input(variant):
 
 
 class RandomOrderKey:
-    """A key whose ``<=`` and ``<`` answer from a seeded RNG: no order at
-    all."""
+    """A key whose ``<`` answers from a seeded RNG: no order at all."""
 
     __slots__ = ("rng",)
 
     def __init__(self, rng):
         self.rng = rng
 
-    def __le__(self, other):
+    def __lt__(self, other):
         return self.rng.random() < 0.5
-
-    __lt__ = __le__
 
 
 @pytest.mark.parametrize("min_run_len", [1, 24, MIN_RUN_LEN])
@@ -388,8 +385,8 @@ class LeOnlyKey:
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_key_without_lt_raises_type_error(variant):
-    # Run extension places elements with bisect_right, which compares with
-    # ``<``, as list.sort does: a key type needs both operators.
+    # Every layer compares with ``<``, as list.sort does, so keys, or
+    # unkeyed elements, with only ``<=`` fail at their first comparison.
     rng = random.Random(43)
     records = make_records([rng.randint(0, 9) for _ in range(100)])
     lst = list(records)
@@ -397,6 +394,41 @@ def test_key_without_lt_raises_type_error(variant):
         stable_sort_with(
             lst, config_for(variant, key=LeOnlyKey, min_run_len=24))
     assert sorted(lst) == sorted(records)
+    values = list(map(LeOnlyKey, records))
+    lst = list(values)
+    with pytest.raises(TypeError):
+        stable_sort_with(lst, config_for(variant, min_run_len=24))
+    assert sorted(map(id, lst)) == sorted(map(id, values))
+
+
+def lt_only_values():
+    """Keys with ties: an ascending run and a strictly descending one, both
+    long enough for detection's C tail, then random keys."""
+    rng = random.Random(47)
+    return ([i // 3 for i in range(150)] + list(range(400, 300, -1))
+            + [rng.randint(0, 40) for _ in range(1500)])
+
+
+@pytest.mark.parametrize("min_run_len", [1, MIN_RUN_LEN])
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_types_with_only_lt_sort_stably(variant, min_run_len):
+    # Keys, and unkeyed elements, that define only ``<`` (any other
+    # comparison raises TypeError) sort stably, and ``comparisons`` is the
+    # number of ``<`` calls that ran.
+    records = make_records(lt_only_values())
+    lst = list(records)
+    spy = LtSpyKey()
+    stats = stable_sort_with(
+        lst, config_for(variant, key=spy, min_run_len=min_run_len))
+    assert_stable_sorted(lst, records)
+    assert stats.comparisons == spy.lt_calls
+    tally = LtTally()
+    values = tally.wrap(lt_only_values())
+    lst = list(values)
+    stats = stable_sort_with(lst, config_for(variant, min_run_len=min_run_len))
+    expected = sorted(values, key=lambda x: x.value)
+    assert all(x is y for x, y in zip(lst, expected))
+    assert stats.comparisons == tally.lt_calls
 
 
 class MutatingKey:
@@ -441,16 +473,16 @@ def test_list_modified_during_sort_raises_value_error(variant, grow):
 def tail_values():
     """An ascending run of 70 (equal pairs included) and a strictly
     descending run of 60 to the list's end.  Unkeyed, detection's inline
-    loop runs ``<=`` calls 1-31 and 71-101, its C tail calls 32-70 and
+    loop runs ``<`` calls 1-31 and 71-101, its C tail calls 32-70 and
     102-129, and the merge the calls after them."""
     return [100 + i // 2 for i in range(70)] + list(range(99, 39, -1))
 
 
 def tail_trap(at, action):
-    """A fresh unkeyed ``tail_values`` list whose ``<=`` runs
+    """A fresh unkeyed ``tail_values`` list whose ``<`` runs
     ``action(lst)`` on its ``at``-th call, and the tally of its
     comparisons."""
-    tally = LeTally()
+    tally = LtTally()
     lst = tally.wrap(tail_values())
     tally.at = at
     tally.action = lambda: action(lst)
@@ -458,7 +490,7 @@ def tail_trap(at, action):
 
 
 def raise_key_failure(lst):
-    raise KeyFailure("<=")
+    raise KeyFailure("<")
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
@@ -466,8 +498,8 @@ def test_raising_le_in_the_unkeyed_tail_leaves_a_permutation(variant):
     lst, tally = tail_trap(0, None)
     stable_sort_with(lst, config_for(variant))
     assert [x.value for x in lst] == sorted(tail_values())
-    assert tally.le_calls > 129
-    for at in range(1, tally.le_calls + 1):
+    assert tally.lt_calls > 129
+    for at in range(1, tally.lt_calls + 1):
         lst, _ = tail_trap(at, raise_key_failure)
         before = sorted(map(id, lst))
         with pytest.raises(KeyFailure):
@@ -483,7 +515,7 @@ def test_list_modified_in_the_unkeyed_tail_raises_value_error(variant, grow):
     # past the list.
     lst, tally = tail_trap(0, None)
     stable_sort_with(lst, config_for(variant))
-    for at in range(1, tally.le_calls + 1):
+    for at in range(1, tally.lt_calls + 1):
         lst, _ = tail_trap(at, (lambda lst: lst.append(lst[0])) if grow
                            else (lambda lst: lst.pop()))
         with pytest.raises(ValueError, match="list modified during sort"):
@@ -679,6 +711,27 @@ def test_rejects_bad_configs():
         with pytest.raises(TypeError, match="must be an integer"):
             stable_sort_with(lst, config)
         assert lst == [3, 1, 2]
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_non_list_input_raises_type_error(variant):
+    # list.sort exists only on lists: anything else is refused before the
+    # sort touches it, a sorted tuple included, and a list subclass sorts.
+    rng = random.Random(53)
+    values = [rng.randint(0, 99) for _ in range(3000)]
+    for seq in (np.array(values), tuple(values), tuple(sorted(values)),
+                array.array("q", values)):
+        before = list(seq)
+        with pytest.raises(TypeError, match="can only sort a list"):
+            stable_sort_with(seq, config_for(variant))
+        assert list(seq) == before
+
+    class Sub(list):
+        pass
+
+    lst = Sub(values)
+    stable_sort_with(lst, config_for(variant))
+    assert type(lst) is Sub and lst == sorted(values)
 
 
 def test_numpy_integer_configs_sort_like_ints():

@@ -18,8 +18,8 @@ from conftest import (
     KEY,
     FailingKey,
     KeyFailure,
-    LeSpyKey,
-    LeTally,
+    LtSpyKey,
+    LtTally,
     SpyKey,
     fresh_instruments,
     is_weakly_increasing,
@@ -232,13 +232,12 @@ def test_exhaustive_detection_comparisons_match_key_calls():
         n = len(keys)
         for begin in range(n):
             for end in range(begin + 1, n + 1):
-                spy = LeSpyKey()
+                spy = LtSpyKey()
                 stats = fresh_instruments()
                 run_end = find_first_run(make_records(keys), begin, end, spy,
                                          stats)
                 case = (keys, begin, end)
-                # Detection decides with ``<=`` only.
-                assert (stats.comparisons, spy.lt_calls) == (spy.le_calls, 0), case
+                assert stats.comparisons == spy.lt_calls, case
                 scanned = run_end - begin + (run_end < end)
                 assert spy.calls == (scanned if scanned > 1 else 0), case
 
@@ -261,8 +260,8 @@ def reference_run_end(values, begin, end):
 @pytest.mark.parametrize("length", [31, 32, 33, 100, 1000])
 def test_unkeyed_tail_matches_the_loop(length, descending, truthy):
     # Past _SCAN_INLINE elements an unkeyed run is finished in C: the run
-    # end, the reversal and the ``<=`` calls are the loop's, and no ``<``
-    # runs.  Ascending runs hold equal pairs; descending ones end at one.
+    # end, the reversal and the ``<`` calls are the loop's.  Ascending runs
+    # hold equal pairs; descending ones end at one.
     # Views end inside the run, at it, one past it and at the list's end.
     assert _SCAN_INLINE == 32
     if descending:
@@ -276,16 +275,15 @@ def test_unkeyed_tail_matches_the_loop(length, descending, truthy):
         begin + length + len(after))]
     cases.append((pad + run, begin + length))
     for values, end in cases:
-        tally = LeTally(truthy)
+        tally = LtTally(truthy)
         lst = tally.wrap(values)
         stats = fresh_instruments()
         got = find_first_run(lst, begin, end, None, stats)
         stop = reference_run_end(values, begin, end)
         case = (length, end, len(values))
         assert got == stop, case
-        assert stats.comparisons == tally.le_calls, case
+        assert stats.comparisons == tally.lt_calls, case
         assert stats.comparisons == stop - begin - 1 + (stop < end), case
-        assert tally.lt_calls == 0, case
         region = values[begin:stop]
         expected = (values[:begin] + (region[::-1] if descending else region)
                     + values[stop:])
@@ -298,7 +296,7 @@ def test_list_modified_in_the_unkeyed_tail_raises(grow):
     # to the old end, past the list's; after an append they read on.
     values = [0, 0] + list(range(100)) + [-1]
     for at in range(_SCAN_INLINE, 101):
-        tally = LeTally()
+        tally = LtTally()
         lst = tally.wrap(values)
         tally.at = at
         tally.action = (lambda: lst.append(lst[0])) if grow else lst.pop
@@ -318,14 +316,13 @@ def test_exhaustive_insertion_comparisons_match_key_calls():
                                      KEY, fresh_instruments())
             for lst, prefix in ((list(records), 0),
                                 (detected, run_end - begin)):
-                spy = LeSpyKey()
+                spy = LtSpyKey()
                 stats = fresh_instruments()
                 insertion_sort(lst, begin, n, prefix, spy, stats)
                 case = (keys, begin, prefix)
                 assert lst[begin:] == sorted(records[begin:], key=KEY)
-                # bisect_right decides with ``<`` only, and the probe table
-                # counts every ``<`` it ran.
-                assert (stats.comparisons, spy.le_calls) == (spy.lt_calls, 0), case
+                # The probe table counts every ``<`` bisect_right ran.
+                assert stats.comparisons == spy.lt_calls, case
                 # The whole region is keyed once if anything is inserted,
                 # and not at all otherwise.
                 inserted = n - begin > max(prefix, 1)
@@ -351,7 +348,7 @@ def test_insertion_rows_match_a_counting_bisect():
     stop = _TABLE_ROWS + 40
     for i, row in zip(range(stop), _insertion_rows(0, stop)):
         for pos in range(i + 1):
-            spy = LeSpyKey()
+            spy = LtSpyKey()
             keys = [spy((0,))] * pos + [spy((2,))] * (i - pos)
             assert bisect_right(keys, spy((1,))) == pos
             assert row[pos] == (spy.lt_calls, i - pos + 1 if pos != i else 0)
