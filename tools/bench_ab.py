@@ -1,17 +1,20 @@
 """A/B run of the benchmark: a parent revision against the working tree.
 
-    python3 tools/bench_ab.py --base HEAD --pairs 10
+    python3 tools/bench_ab.py --base HEAD
 
 Extracts ``git archive <base> src`` and a copy of the working tree's
 ``src`` into two temporary trees, each with a copy of the working tree's
 ``perfbench/``, so both sides run the same benchmark code.  For every
-workload and seed 1..``--pairs`` it runs ``perfbench/run.py --trace 0`` on
-both trees, alternating which side runs first, then prints one row per
-workload and end-to-end metric of ``BENCHMARK.json``: the parent's and the
-change's median, the pairs the change won (by the metric's ``better``;
-ties win for neither), the parent's interquartile range, and ``WORSE``
-where the change's median is worse than the parent's by more than the
-metric's relative ``bound``.  Standard library only.
+workload and seed 1..10 it runs ``perfbench/run.py --trace 0`` for
+``BENCHMARK.json``'s ``run_seconds`` on both trees, alternating which side
+runs first, then prints one row per workload and end-to-end metric of
+``BENCHMARK.json``: the parent's and the change's median, the pairs the
+change won (by the metric's ``better``; ties win for neither), the
+parent's interquartile range, and ``WORSE`` where the change's median is
+worse than the parent's by more than the metric's relative ``bound``.  A
+metric absent from some run gets a ``MISSING`` row instead, and each
+workload a row counting the runs whose checks failed (``correct`` false)
+on each side.  Standard library only.
 """
 
 from __future__ import annotations
@@ -29,16 +32,20 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
+PAIRS = 10
 
 
 def parse_result(stdout):
-    """The metrics of one ``perfbench/run.py`` run, ``{name: value}``, from
-    its last line of standard output."""
+    """One ``perfbench/run.py`` run, from its last line of standard output:
+    its metrics, ``{name: value}``, and ``"correct"``, whether its checks
+    passed."""
     lines = stdout.strip().splitlines()
     if not lines:
         raise ValueError("the benchmark printed no result")
     result = json.loads(lines[-1])
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    values = {name: m["value"] for name, m in result["metrics"].items()}
+    values["correct"] = result["correct"]
+    return values
 
 
 def quartiles(values):
@@ -50,47 +57,57 @@ def quartiles(values):
 
 
 def summarize(end_to_end, samples):
-    """One row per workload and end-to-end metric.
+    """Rows per workload: one counting the runs whose checks failed, then
+    one per end-to-end metric.
 
     ``end_to_end`` is ``BENCHMARK.json``'s list of metric specs (``name``,
-    ``better``, ``bound``); ``samples[workload]`` a list of ``(parent,
-    change)`` metric dicts, one per pair.  A metric missing from any run
-    of a workload gets no row.
+    ``better``, ``bound``); ``samples[workload]`` a non-empty list of
+    ``(parent, change)`` results of ``parse_result``, one per pair.  A
+    row's ``flag`` is ``"WORSE"``, ``"MISSING"`` (the metric is absent from
+    some run; ``parent`` and ``change`` then count the runs that have it)
+    or empty.
     """
     rows = []
     for workload, pairs in samples.items():
+        sides = list(zip(*pairs))
+        failed = [sum(not run["correct"] for run in side) for side in sides]
+        rows.append({
+            "workload": workload, "metric": "runs failing checks",
+            "parent": failed[0], "change": failed[1], "wins": None,
+            "pairs": len(pairs), "parent_iqr": None,
+            "flag": "WORSE" if failed[1] > failed[0] else ""})
         for spec in end_to_end:
             name = spec["name"]
-            if not pairs or any(name not in side for p in pairs for side in p):
+            row = {"workload": workload, "metric": name, "pairs": len(pairs)}
+            rows.append(row)
+            have = [sum(name in run for run in side) for side in sides]
+            if min(have) < len(pairs):
+                row.update(parent=have[0], change=have[1], wins=None,
+                           parent_iqr=None, flag="MISSING")
                 continue
-            parent = [p[name] for p, _ in pairs]
-            change = [c[name] for _, c in pairs]
+            parent, change = ([run[name] for run in side] for side in sides)
             sign = 1 if spec["better"] == "lower" else -1
-            wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
             base, head = statistics.median(parent), statistics.median(change)
             q1, q3 = quartiles(parent)
-            rows.append({
-                "workload": workload,
-                "metric": name,
-                "parent": base,
-                "change": head,
-                "wins": wins,
-                "pairs": len(pairs),
-                "parent_iqr": q3 - q1,
-                "worse": sign * (head - base) > spec["bound"] * abs(base),
-            })
+            worse = sign * (head - base) > spec["bound"] * abs(base)
+            row.update(
+                parent=base, change=head,
+                wins=sum(sign * (c - p) < 0 for p, c in zip(parent, change)),
+                parent_iqr=q3 - q1, flag="WORSE" if worse else "")
     return rows
 
 
 def render(rows):
-    """The rows as a Markdown table."""
+    """The rows as a Markdown table; ``-`` where a row has no value."""
     out = ["| workload | metric | parent median | change median "
            "| change wins | parent IQR | flag |",
            "|---|---|---|---|---|---|---|"]
     for r in rows:
-        out.append("| %s | %s | %.6g | %.6g | %d/%d | %.3g | %s |" % (
-            r["workload"], r["metric"], r["parent"], r["change"], r["wins"],
-            r["pairs"], r["parent_iqr"], "WORSE" if r["worse"] else ""))
+        wins = "-" if r["wins"] is None else "%d/%d" % (r["wins"], r["pairs"])
+        iqr = "-" if r["parent_iqr"] is None else "%.3g" % r["parent_iqr"]
+        out.append("| %s | %s | %.6g | %.6g | %s | %s | %s |" % (
+            r["workload"], r["metric"], r["parent"], r["change"], wins, iqr,
+            r["flag"]))
     return "\n".join(out)
 
 
@@ -119,8 +136,9 @@ def make_trees(base, workdir):
 
 
 def run_one(tree, workload, seed, seconds):
-    """The metrics of one ``--trace 0`` run in ``tree``; a run whose checks
-    failed (exit code 1) still counts, through ``ok_frac``."""
+    """``parse_result`` of one ``--trace 0`` run in ``tree``; a run whose
+    checks failed (exit code 1) still counts, through ``correct`` and
+    ``ok_frac``."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
@@ -141,9 +159,6 @@ def main(argv=None):
         prog="tools/bench_ab.py", description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True,
                         help="the parent revision, as git names it")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float,
-                        default=benchmark["run_seconds"])
     parser.add_argument("--workload", action="append", choices=workloads,
                         help="repeatable; default: every workload")
     args = parser.parse_args(argv)
@@ -151,10 +166,11 @@ def main(argv=None):
     with tempfile.TemporaryDirectory(prefix="bench_ab-") as workdir:
         trees = make_trees(args.base, workdir)
         for workload, pairs in samples.items():
-            for seed in range(1, args.pairs + 1):
+            for seed in range(1, PAIRS + 1):
                 order = SIDES if seed % 2 else SIDES[::-1]
                 got = {side: run_one(trees[side], workload, seed,
-                                     args.seconds) for side in order}
+                                     benchmark["run_seconds"])
+                       for side in order}
                 pairs.append((got["parent"], got["change"]))
                 print("%s seed %d done (%s first)" % (
                     workload, seed, order[0]), file=sys.stderr)
