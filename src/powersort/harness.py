@@ -4,9 +4,12 @@
 of n ints, the same list for the same spec.  The kinds are sorted and
 reverse inputs, random permutations and random-runs inputs: runs of
 geometric length (mean ``expected_run_len``, default sqrt n) of 32-bit
-keys, with a strict descent forced at each run boundary so adjacent runs
-cannot fuse.  Randomness comes from numpy's PCG64, seeded by
-``SeedSequence(seed)``.
+keys, with a strict descent forced at each run boundary so no two runs
+fuse into one ascending run.  A sampled run of length 1 still forms a
+strictly descending run with the next run's first element, which
+detection reverses, so the detected runs are not always the sampled ones
+(at the default E[L] = sqrt n, about once per input).  Randomness comes
+from numpy's PCG64, seeded by ``SeedSequence(seed)``.
 
 The benchmark (``perfbench/``) draws its workloads from these generators,
 and the acceptance suite (``tests/test_acceptance.py``) its trials.
@@ -85,7 +88,7 @@ def generate(spec: GeneratorSpec):
             segment = np.sort(keys[pos : pos + length])
             if prev_tail is not None and int(segment[0]) >= prev_tail:
                 # Force a strict descent at the run boundary so adjacent
-                # sampled runs cannot fuse into one detected run.
+                # sampled runs cannot fuse into one ascending run.
                 segment = segment - (int(segment[0]) - prev_tail + 1)
             arr[pos : pos + length] = segment
             prev_tail = int(segment[-1])

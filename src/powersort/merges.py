@@ -47,22 +47,20 @@ taken from their runs.  The root outputs the smaller of x and y and
 refills that side from its two heads.  A 3-way merge has an empty fourth
 run.  An exhausted run's head is a marker, tested with ``is`` before it
 would be keyed or compared; a decision it meets compares nothing and is
-not counted.  ``merge_tournament``'s marker is its sentinel: while runs
-0-2 are nonempty, only run 3's can meet one, so its fast phase tests only
-that head and the head it just refilled.  ``merge_tournament_no_sentinel``
-refills with ``try: h = next(it)`` in its hot loops, so a step tests no
-cursor and no marker, and runs in three phases:
+not counted.  ``merge_tournament``'s marker is its sentinel, which a
+refill draws as its run's next head and tests with one ``is``;
+``merge_tournament_no_sentinel`` refills with ``try: h = next(it)``, so a
+step tests no cursor and no marker.  Both kernels run in three phases:
 
 1. The 4-way loop, while all four runs are live.
 2. The 3-way loop: runs 0 and 1 on the left, one run on the right, whose
    head refills y without a comparison.  It serves 3-way merges, and takes
    over when run 3 ends, or when run 2 ends and run 3 moves into its slot.
-3. The checked phase, once run 0 or 1 ends, shared with
-   ``merge_tournament`` (``_tournament_rounds``, which also draws the first
-   winners).  Each decision tests both its sides for the marker, and each
-   refill draws with ``next(it, marker)``: a sentinel run's iterator
-   returns the sentinel, an exhausted islice the default, so one test finds
-   an exhausted run for both kernels.
+3. The checked phase, once run 0 or 1 ends (``_tournament_rounds``, which
+   also draws the first winners).  Each decision tests both its sides for
+   the marker, and each refill draws with ``next(it, marker)``: a sentinel
+   run's iterator returns the sentinel, an exhausted islice the default,
+   so one test finds an exhausted run for both kernels.
 
 No kernel has a local that a comprehension or a closure captures: before
 CPython 3.12 each such local is a cell, read with ``LOAD_DEREF`` wherever
@@ -509,70 +507,123 @@ def merge_tournament(lst, bounds, B, key, stats):
         start = end + 1
     if len(slots) == 3:
         slots.append((iter((sentinel,)), None, 0))  # the empty fourth run
-    (i0, _, _), (i1, _, _), (i2, _, _), (i3, _, _) = slots
+    (i0, _, _), (i1, _, _), (i2, u2, _), (i3, u3, _) = slots
     # met: decisions met by a sentinel, without a comparison.
     met, (x, kx, y, ky, h0, k0, h1, k1, h2, k2, h3, k3) = _tournament_rounds(
         lst, l, r, B, key, sentinel, slots)
     o = l
     try:
-        if not (h0 is sentinel or h1 is sentinel or h2 is sentinel):
-            # Fast phase, while runs 0-2 are nonempty.  A winner is
-            # output only once its side is refilled, so a raising key
-            # or comparison finds both x and y pending.
+        if not (h0 is sentinel or h1 is sentinel or h2 is sentinel
+                or h3 is sentinel):
+            # The 4-way loop, while all four runs are live.  A winner stays
+            # held until its side is refilled: a raising key or comparison
+            # finds x and y pending, and the put-back overwrites lst[o].
             if key is None:
                 for o in range(l, r):
                     if not y < x:
+                        lst[o] = x
                         if not h1 < h0:
-                            lst[o] = x
                             x = h0
                             h0 = next(i0)
                             if h0 is sentinel:
                                 break
                         else:
-                            lst[o] = x
                             x = h1
                             h1 = next(i1)
                             if h1 is sentinel:
                                 break
-                    elif h3 is not sentinel and h3 < h2:
-                        lst[o] = y
-                        y = h3
-                        h3 = next(i3)
-                    else:
-                        if h3 is sentinel:
-                            met += 1
+                    elif not h3 < h2:
                         lst[o] = y
                         y = h2
                         h2 = next(i2)
                         if h2 is sentinel:
+                            break
+                    else:
+                        lst[o] = y
+                        y = h3
+                        h3 = next(i3)
+                        if h3 is sentinel:
                             break
                 # Unkeyed, every held key is its element.
                 kx, ky, k0, k1, k2, k3 = x, y, h0, h1, h2, h3
             else:
                 for o in range(l, r):
                     if not ky < kx:
+                        lst[o] = x
                         if not k1 < k0:
-                            lst[o] = x
                             x, kx = h0, k0
                             h0 = next(i0)
                             if h0 is sentinel:
                                 break
                             k0 = key(h0)
                         else:
-                            lst[o] = x
                             x, kx = h1, k1
                             h1 = next(i1)
                             if h1 is sentinel:
                                 break
                             k1 = key(h1)
-                    elif h3 is not sentinel and k3 < k2:
+                    elif not k3 < k2:
+                        lst[o] = y
+                        y, ky = h2, k2
+                        h2 = next(i2)
+                        if h2 is sentinel:
+                            break
+                        k2 = key(h2)
+                    else:
                         lst[o] = y
                         y, ky = h3, k3
                         h3 = next(i3)
-                        k3 = h3 if h3 is sentinel else key(h3)
-                    else:
                         if h3 is sentinel:
-                            met += 1
+                            break
+                        k3 = key(h3)
+            o += 1
+        if not (h0 is sentinel or h1 is sentinel) and (
+                h2 is not sentinel or h3 is not sentinel):
+            # The 3-way loop, as in merge_tournament_no_sentinel.
+            if h2 is sentinel:
+                # Run 2 ended before run 3, which takes its slot.
+                h2, k2, i2, u2 = h3, k3, i3, u3
+                h3 = k3 = sentinel
+                slots[2] = slots[3]
+            rest = length_hint(u2)
+            if key is None:
+                for o in range(o, r):
+                    if not y < x:
+                        lst[o] = x
+                        if not h1 < h0:
+                            x = h0
+                            h0 = next(i0)
+                            if h0 is sentinel:
+                                break
+                        else:
+                            x = h1
+                            h1 = next(i1)
+                            if h1 is sentinel:
+                                break
+                    else:
+                        lst[o] = y
+                        y = h2
+                        h2 = next(i2)
+                        if h2 is sentinel:
+                            break
+                kx, ky, k0, k1, k2 = x, y, h0, h1, h2
+            else:
+                for o in range(o, r):
+                    if not ky < kx:
+                        lst[o] = x
+                        if not k1 < k0:
+                            x, kx = h0, k0
+                            h0 = next(i0)
+                            if h0 is sentinel:
+                                break
+                            k0 = key(h0)
+                        else:
+                            x, kx = h1, k1
+                            h1 = next(i1)
+                            if h1 is sentinel:
+                                break
+                            k1 = key(h1)
+                    else:
                         lst[o] = y
                         y, ky = h2, k2
                         h2 = next(i2)
@@ -580,6 +631,9 @@ def merge_tournament(lst, bounds, B, key, stats):
                             break
                         k2 = key(h2)
             o += 1
+            # Each output from the right met the other right run's
+            # sentinel and drew one head, the sentinel included.
+            met += rest - length_hint(u2)
     except BaseException:
         _put_back_tree(lst, r, B, sentinel, (x, y), (h0, h1, h2, h3), slots)
         raise

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from functools import cache
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from operator import length_hint, lt
 
 from .merges import _CHUNK
@@ -139,20 +139,34 @@ def _scan_tail(lst, start, end, ascending):
 _TABLE_ROWS = 64
 
 
+def _probe_bits(m):
+    """Width of the probe field of a packed entry, for a region of m
+    elements: the same for every m up to ``_TABLE_ROWS``.
+
+    Inserting into i keys runs at most ``i.bit_length()`` probes, so a
+    region's insertions run fewer than ``m * m.bit_length()`` in total,
+    and their sum never carries into the moves field above it."""
+    m = max(m, _TABLE_ROWS)
+    return (m * m.bit_length()).bit_length()
+
+
 class _PathRow:
-    """Row ``i``: ``row[pos]`` is ``(probes, moves)`` of inserting an
-    element into ``i`` sorted keys when ``bisect_right`` returns ``pos``.
+    """Row ``i``: ``row[pos]`` packs ``probes | moves << bits`` of inserting
+    an element into ``i`` sorted keys when ``bisect_right`` returns ``pos``.
 
     ``probes`` is the number of ``<`` that ``bisect_right`` runs: its path
     is fixed by ``pos``, so walking it to ``pos`` counts them.  ``moves`` is
     the in-place algorithm's writes: ``i - pos`` shifts plus the element set
-    into its hole, or none if it stays where it is.
+    into its hole, or none if it stays where it is.  ``bits`` is
+    ``_probe_bits`` of the region, so a region's entries add up to its
+    total probes and moves, packed the same way.
     """
 
-    __slots__ = ("i",)
+    __slots__ = ("i", "bits")
 
-    def __init__(self, i):
+    def __init__(self, i, bits):
         self.i = i
+        self.bits = bits
 
     def __getitem__(self, pos):
         i = self.i
@@ -165,28 +179,32 @@ class _PathRow:
                 hi = mid
             else:
                 lo = mid + 1
-        return probes, (i - pos + 1 if pos != i else 0)
+        return probes | (i - pos + 1 if pos != i else 0) << self.bits
 
 
 @cache
-def _insertion_table():
+def _insertion_table(bits=_probe_bits(_TABLE_ROWS)):
     """The ``_PathRow`` rows below ``_TABLE_ROWS`` as tuples; built on the
-    first insertion sort, not at import."""
-    return tuple(tuple(_PathRow(i)[pos] for pos in range(i + 1))
+    first insertion sort, not at import, and once more per ``bits`` of a
+    region past the table."""
+    return tuple(tuple(_PathRow(i, bits)[pos] for pos in range(i + 1))
                  for i in range(_TABLE_ROWS))
 
 
 def _insertion_rows(start, stop):
-    """Insertion-table rows ``start`` to ``stop - 1``, in order.
+    """Insertion-table rows ``start`` to ``stop - 1``, in order, packed
+    with ``_probe_bits(stop)``.
 
     An iterator, not a slice: a slice is a new tuple, and CPython keeps
     freed short tuples on a free list, so slices would stay allocated after
     the sort and add to its peak memory.
     """
-    rows = islice(_insertion_table(), start, stop)
     if stop <= _TABLE_ROWS:
-        return rows
-    return chain(rows, map(_PathRow, range(max(start, _TABLE_ROWS), stop)))
+        return islice(_insertion_table(), start, stop)
+    bits = _probe_bits(stop)
+    return chain(islice(_insertion_table(bits), start, stop),
+                 map(_PathRow, range(max(start, _TABLE_ROWS), stop),
+                     repeat(bits)))
 
 
 def insertion_sort(lst, begin, end, sorted_prefix_len, key, stats):
@@ -201,10 +219,11 @@ def insertion_sort(lst, begin, end, sorted_prefix_len, key, stats):
     list of its keys beside it, and inserts into both.  If anything is
     inserted, every element of the region is keyed once; otherwise none
     is.  ``bisect_right`` compares with ``<``, and its probe path is fixed
-    by the position it returns, whatever the order answers, so
-    ``comparisons`` adds ``rows[i][pos]`` per insertion.
-    ``moves`` counts the writes of the in-place algorithm: each shifted
-    element and each element set into its hole.
+    by the position it returns, whatever the order answers, so one add of
+    ``rows[i][pos]`` per insertion tallies its probes and its moves, packed
+    in one int (``_PathRow``); the total is split once, after the loop.
+    ``comparisons`` gets the probes, ``moves`` the writes of the in-place
+    algorithm: each shifted element and each element set into its hole.
     """
     start = max(sorted_prefix_len, 1)
     if end - begin <= start:
@@ -213,30 +232,27 @@ def insertion_sort(lst, begin, end, sorted_prefix_len, key, stats):
     rest = lst[begin + start:end]
     rows = _insertion_rows(start, end - begin)
     insert = vs.insert
-    comparisons = moves = 0
+    packed = 0
     if key is None:
         for row, x in zip(rows, rest):
             pos = bisect_right(vs, x)
-            probes, shifted = row[pos]
-            comparisons += probes
-            moves += shifted
+            packed += row[pos]
             insert(pos, x)
     else:
         ks = list(map(key, vs))
         insert_key = ks.insert
         for row, x, kx in zip(rows, rest, map(key, rest)):
             pos = bisect_right(ks, kx)
-            probes, shifted = row[pos]
-            comparisons += probes
-            moves += shifted
+            packed += row[pos]
             insert(pos, x)
             insert_key(pos, kx)
     if end > len(lst):
         # Shortened during the sort; writing back would lengthen it again.
         raise IndexError("insertion region past the end of the list")
     lst[begin:end] = vs
-    stats.moves += moves
-    stats.comparisons += comparisons
+    bits = _probe_bits(end - begin)
+    stats.moves += packed >> bits
+    stats.comparisons += packed & ((1 << bits) - 1)
 
 
 def extend_run(lst, begin, end, min_run_len, view_end, key, stats):

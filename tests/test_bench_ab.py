@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import subprocess
 
 import pytest
 
@@ -100,3 +101,42 @@ def test_render_prints_one_row_per_workload_and_metric():
     assert lines[2] == "| a | runs failing checks | 0 | 0 | - | - |  |"
     assert lines[3] == "| a | x_ref.4way | 1 | 2 | 0/1 | 0 | WORSE |"
     assert lines[4] == "| a | ok_frac | 0 | 0 | - | - | MISSING |"
+
+
+def test_a_run_that_prints_no_result_fails_its_checks(capsys):
+    # An exception in the package (here a SyntaxError) exits 1 with an
+    # empty standard output: the run counts as failing its checks, its
+    # metrics as missing, and the A/B goes on.
+    crashed = subprocess.CompletedProcess(
+        ["run.py"], 1, stdout="", stderr="SyntaxError: invalid syntax")
+    assert bench_ab.read_run(crashed, "change w seed 1") == {"correct": False}
+    assert "SyntaxError: invalid syntax" in capsys.readouterr().err
+    ok = bench_ab.read_run(
+        subprocess.CompletedProcess(["run.py"], 0, stdout(1.0), ""), "p")
+    rows = {r["metric"]: r for r in bench_ab.summarize(
+        END_TO_END, {"w": [(ok, ok), (ok, {"correct": False})]})}
+    failing = rows["runs failing checks"]
+    assert (failing["parent"], failing["change"], failing["flag"]) == (
+        0, 1, "WORSE")
+    for name in ("x_ref.4way", "ok_frac"):
+        assert (rows[name]["parent"], rows[name]["change"],
+                rows[name]["flag"]) == (2, 1, "MISSING")
+    # Any other exit code is not a benchmark result at all.
+    with pytest.raises(RuntimeError):
+        bench_ab.read_run(
+            subprocess.CompletedProcess(["run.py"], 2, "", "no src"), "p")
+
+
+def test_write_json_holds_the_rows_and_the_settings(tmp_path):
+    samples = {"w": [(bench_ab.parse_result(stdout(1.0)),
+                      bench_ab.parse_result(stdout(0.9)))]}
+    rows = bench_ab.summarize(END_TO_END, samples)
+    meta = {"base": "a" * 40, "head": "b" * 40, "seeds": [1],
+            "run_seconds": 35, "python": "3.11.7"}
+    path = tmp_path / "BENCH.json"
+    bench_ab.write_json(str(path), rows, meta)
+    written = json.loads(path.read_text())
+    assert written == dict(meta, rows=rows)
+    assert [r["metric"] for r in written["rows"]] == [
+        "runs failing checks", "x_ref.4way", "ok_frac"]
+    assert written["rows"][1]["change"] == 0.9

@@ -499,6 +499,7 @@ def test_sentinel_free_tournament_compares_the_same_pairs_as_4way(arity):
 #: with lines of ``merge_tournament_no_sentinel`` each must run, keyed and
 #: unkeyed (``hN = kN = marker`` read as ``hN = marker``).
 THREE_WAY = "rest = length_hint(u2)"
+RUN3_MOVES = "h2, k2, i2, u2 = h3, k3, i3, u3"
 EXITS = {
     "run0-ends-first": ([[1, 2], [3, 9, 10, 11], [4, 12, 13], [5, 14, 15]],
                         {"h0 = marker"}),
@@ -506,12 +507,14 @@ EXITS = {
                         {"h1 = marker"}),
     "run2-ends-before-run3": (
         [[3, 6, 9, 20], [4, 7, 10, 21], [1, 2], [5, 8, 11, 22]],
-        {"h2 = marker", "h2, k2, i2, u2 = h3, k3, i3, u3", THREE_WAY}),
+        {"h2 = marker", RUN3_MOVES, THREE_WAY}),
     "run3-ends-first": (
         [[3, 6, 9, 20], [4, 7, 10, 21], [5, 8, 11, 22], [1, 2]],
         {"h3 = marker", THREE_WAY}),
     "3way-run0-ends-first": ([[1, 2], [4, 7, 10, 21], [3, 6, 9, 20]],
                              {"h0 = marker", THREE_WAY}),
+    "3way-run1-ends-first": ([[4, 7, 10, 21], [1, 2], [3, 6, 9, 20]],
+                             {"h1 = marker", THREE_WAY}),
     "3way-run2-ends-first": ([[3, 6, 9, 20], [4, 7, 10, 21], [1, 2, 5]],
                              {"h2 = marker", THREE_WAY}),
     "runs-of-one": ([[2], [1], [4], [3]], set()),
@@ -553,6 +556,44 @@ def test_sentinel_free_tournament_exits_keep_a_permutation(case):
     assert exits <= executed_lines(
         kernel, counted_regions(key_regions, LtTally()), None)
     check_every_failure(kernel, key_regions)
+
+
+def keyed_uids(kernel, key_regions):
+    """The uids of the records a keyed merge of the keys called its key on,
+    in order."""
+    uids = []
+
+    def key(rec):
+        uids.append(rec[1])
+        return rec[0]
+
+    run_kernel(kernel, split_records(key_regions), key=key, pad=1)
+    return uids
+
+
+@pytest.mark.parametrize("case", sorted(EXITS))
+def test_sentinel_tournament_phases_end_as_the_sentinel_free_ones(case):
+    # Each way a phase of a 3- or 4-way merge can end, keyed and unkeyed:
+    # the sentinel tournament runs the same phases as the sentinel-free
+    # one, makes the same ``<`` calls in the same order, outputs what
+    # ``sorted`` does and keys the same elements in the same order.  A key,
+    # or an unkeyed ``<``, that raises on call j, for every j, leaves the
+    # region holding its input.
+    key_regions, exits = EXITS[case]
+    phases = exits & {THREE_WAY, RUN3_MOVES}
+    for regions, key in ((split_records(key_regions), KEY),
+                         (counted_regions(key_regions, LtTally()), None)):
+        ran = executed_lines(merge_tournament, regions, key)
+        assert ran & {THREE_WAY, RUN3_MOVES} == phases, key
+    records = sorted(rec for run in split_records(key_regions) for rec in run)
+    for keyed in (False, True):
+        log, uids, count = merge_log(merge_tournament, key_regions, keyed)
+        assert uids == [uid for _, uid in records]
+        assert (log, uids, count) == merge_log(
+            merge_tournament_no_sentinel, key_regions, keyed), keyed
+    assert keyed_uids(merge_tournament, key_regions) == keyed_uids(
+        merge_tournament_no_sentinel, key_regions)
+    check_every_failure(merge_tournament, key_regions)
 
 
 class Poison:

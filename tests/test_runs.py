@@ -9,6 +9,7 @@ from powersort.runs import (
     _SCAN_INLINE,
     _TABLE_ROWS,
     _insertion_rows,
+    _probe_bits,
     extend_run,
     find_first_run,
     insertion_sort,
@@ -344,14 +345,17 @@ class CoinKey:
 def test_insertion_rows_match_a_counting_bisect():
     # For every (i, pos) in the table and past it, a row entry holds the
     # ``<`` calls of a bisect_right over i keys that returns pos, and the
-    # in-place algorithm's moves for that insertion.
+    # in-place algorithm's moves for that insertion, packed above the
+    # probes.
     stop = _TABLE_ROWS + 40
+    bits = _probe_bits(stop)
     for i, row in zip(range(stop), _insertion_rows(0, stop)):
         for pos in range(i + 1):
             spy = LtSpyKey()
             keys = [spy((0,))] * pos + [spy((2,))] * (i - pos)
             assert bisect_right(keys, spy((1,))) == pos
-            assert row[pos] == (spy.lt_calls, i - pos + 1 if pos != i else 0)
+            unpacked = (row[pos] & ((1 << bits) - 1), row[pos] >> bits)
+            assert unpacked == (spy.lt_calls, i - pos + 1 if pos != i else 0)
 
 
 def test_insertion_rows_hold_for_an_inconsistent_order():
@@ -359,11 +363,12 @@ def test_insertion_rows_hold_for_an_inconsistent_order():
     # ``<`` answers, so the row entry still counts the probes.
     rng = random.Random(5)
     stop = _TABLE_ROWS + 40
+    mask = (1 << _probe_bits(stop)) - 1
     for i, row in zip(range(stop), _insertion_rows(0, stop)):
         for _ in range(20):
             x = CoinKey(rng)
             pos = bisect_right([None] * i, x)
-            assert row[pos][0] == x.lt_calls, (i, pos)
+            assert row[pos] & mask == x.lt_calls, (i, pos)
 
 
 def test_raising_key_leaves_insertion_sort_a_permutation():

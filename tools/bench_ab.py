@@ -1,6 +1,6 @@
 """A/B run of the benchmark: a parent revision against the working tree.
 
-    python3 tools/bench_ab.py --base HEAD
+    python3 tools/bench_ab.py --base HEAD [--json BENCH.json]
 
 Extracts ``git archive <base> src`` and a copy of the working tree's
 ``src`` into two temporary trees, each with a copy of the working tree's
@@ -14,7 +14,11 @@ parent's interquartile range, and ``WORSE`` where the change's median is
 worse than the parent's by more than the metric's relative ``bound``.  A
 metric absent from some run gets a ``MISSING`` row instead, and each
 workload a row counting the runs whose checks failed (``correct`` false)
-on each side.  Standard library only.
+on each side.  A run that exits 1 without printing a result (an exception
+in the benchmark or the package) counts as failing its checks, with its
+standard error printed, so its metrics show as ``MISSING``.  ``--json``
+also writes the rows to a file, with the revisions measured, the seeds,
+``run_seconds`` and the Python version.  Standard library only.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import argparse
 import io
 import json
 import os
+import platform
 import shutil
 import statistics
 import subprocess
@@ -135,20 +140,57 @@ def make_trees(base, workdir):
     return trees
 
 
+def read_run(proc, label):
+    """``parse_result`` of a finished run, ``proc`` a CompletedProcess.  A
+    run whose checks failed (exit code 1) still counts, through ``correct``
+    and ``ok_frac``; one that printed no result counts as only failing its
+    checks, ``{"correct": False}``.  Its standard error is printed."""
+    if proc.returncode not in (0, 1):
+        raise RuntimeError("%s exited %d: %s" % (
+            label, proc.returncode, proc.stderr.strip()))
+    if proc.stderr:
+        print(proc.stderr.strip(), file=sys.stderr)
+    try:
+        return parse_result(proc.stdout)
+    except ValueError as exc:
+        print("%s: %s; counted as failing its checks" % (label, exc),
+              file=sys.stderr)
+        return {"correct": False}
+
+
 def run_one(tree, workload, seed, seconds):
-    """``parse_result`` of one ``--trace 0`` run in ``tree``; a run whose
-    checks failed (exit code 1) still counts, through ``correct`` and
-    ``ok_frac``."""
+    """``read_run`` of one ``--trace 0`` run in ``tree``."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, capture_output=True, text=True)
-    if proc.returncode not in (0, 1):
-        raise RuntimeError("%s %s seed %d exited %d: %s" % (
-            tree, workload, seed, proc.returncode, proc.stderr.strip()))
-    if proc.stderr:
-        print(proc.stderr.strip(), file=sys.stderr)
-    return parse_result(proc.stdout)
+    return read_run(proc, "%s %s seed %d" % (tree, workload, seed))
+
+
+def revisions(base):
+    """The commits and ``src`` trees measured: the base revision's, and
+    HEAD's with the working tree's ``src``, whose tree id is taken through
+    a scratch index, so the real index is left alone."""
+    def git(*args, **env):
+        return subprocess.run(
+            ("git",) + args, cwd=ROOT, check=True, capture_output=True,
+            text=True, env=dict(os.environ, **env)).stdout.strip()
+
+    with tempfile.TemporaryDirectory(prefix="bench_ab-index-") as tmp:
+        index = os.path.join(tmp, "index")
+        git("add", "-A", "--", "src", GIT_INDEX_FILE=index)
+        head_src = git("write-tree", "--prefix=src/", GIT_INDEX_FILE=index)
+    return {"base": git("rev-parse", base + "^{commit}"),
+            "base_src": git("rev-parse", base + ":src"),
+            "head": git("rev-parse", "HEAD"), "head_src": head_src}
+
+
+def write_json(path, rows, meta):
+    """Write ``meta`` (the revisions, seeds, ``run_seconds`` and the like)
+    and the rows of ``summarize`` to path as one JSON object."""
+    with open(path, "w") as fh:
+        json.dump(dict(meta, rows=rows), fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
 
 def main(argv=None):
@@ -161,12 +203,17 @@ def main(argv=None):
                         help="the parent revision, as git names it")
     parser.add_argument("--workload", action="append", choices=workloads,
                         help="repeatable; default: every workload")
+    parser.add_argument("--json", metavar="PATH",
+                        help="also write the rows and the run's settings "
+                        "to PATH")
     args = parser.parse_args(argv)
     samples = {w: [] for w in args.workload or workloads}
+    seeds = list(range(1, PAIRS + 1))
+    meta = revisions(args.base) if args.json else None
     with tempfile.TemporaryDirectory(prefix="bench_ab-") as workdir:
         trees = make_trees(args.base, workdir)
         for workload, pairs in samples.items():
-            for seed in range(1, PAIRS + 1):
+            for seed in seeds:
                 order = SIDES if seed % 2 else SIDES[::-1]
                 got = {side: run_one(trees[side], workload, seed,
                                      benchmark["run_seconds"])
@@ -174,7 +221,13 @@ def main(argv=None):
                 pairs.append((got["parent"], got["change"]))
                 print("%s seed %d done (%s first)" % (
                     workload, seed, order[0]), file=sys.stderr)
-    print(render(summarize(benchmark["end_to_end"], samples)))
+    rows = summarize(benchmark["end_to_end"], samples)
+    print(render(rows))
+    if args.json:
+        meta.update(seeds=seeds, run_seconds=benchmark["run_seconds"],
+                    python=platform.python_version(),
+                    machine=platform.machine(), cpus=os.cpu_count())
+        write_json(args.json, rows, meta)
     return 0
 
 
