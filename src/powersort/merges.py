@@ -50,17 +50,18 @@ would be keyed or compared; a decision it meets compares nothing and is
 not counted.  ``merge_tournament``'s marker is its sentinel, which a
 refill draws as its run's next head and tests with one ``is``;
 ``merge_tournament_no_sentinel`` refills with ``try: h = next(it)``, so a
-step tests no cursor and no marker.  Both kernels run in three phases:
+step tests no cursor and no marker.  A merge's width picks its fast loop,
+and any run's end sends the merge on to the checked phase:
 
-1. The 4-way loop, while all four runs are live.
-2. The 3-way loop: runs 0 and 1 on the left, one run on the right, whose
-   head refills y without a comparison.  It serves 3-way merges, and takes
-   over when run 3 ends, or when run 2 ends and run 3 moves into its slot.
-3. The checked phase, once run 0 or 1 ends (``_tournament_rounds``, which
+1. The 4-way loop, which only 4-way merges run.
+2. The 3-way loop, which only 3-way merges run: runs 0 and 1 on the
+   left, run 2 on the right, whose head refills y without a comparison.
+3. The checked phase, once any run ends (``_tournament_rounds``, which
    also draws the first winners).  Each decision tests both its sides for
    the marker, and each refill draws with ``next(it, marker)``: a sentinel
-   run's iterator returns the sentinel, an exhausted islice the default,
-   so one test finds an exhausted run for both kernels.
+   run's iterator returns the sentinel, an exhausted islice or the empty
+   fourth run the default, so one test finds an exhausted run for both
+   kernels.
 
 No kernel has a local that a comprehension or a closure captures: before
 CPython 3.12 each such local is a cell, read with ``LOAD_DEREF`` wherever
@@ -486,38 +487,31 @@ def merge_tournament(lst, bounds, B, key, stats):
     _check_buffer(B, n + len(bounds) - 1)
     sentinel = object()
     # Each run goes to B right after the previous run's sentinel, and its
-    # own sentinel to B[end].
-    ends = []
-    end = -1
-    b = l
-    for e in bounds[1:]:
-        start = end + 1
+    # own sentinel to B[end].  Its slot is (iterator, list iterator, end):
+    # one list iterator placed at the run's start.
+    slots = []
+    start = 0
+    for b, e in zip(bounds, bounds[1:]):
         end = start + e - b
         _copy(B, start, lst, b, e)
         B[end] = sentinel
-        ends.append(end)
-        b = e
-    # Each run's (iterator, list iterator, end): one placed list iterator.
-    slots = []
-    start = 0
-    for end in ends:
         it = iter(B)
         it.__setstate__(start)
         slots.append((it, it, end))
         start = end + 1
     if len(slots) == 3:
-        slots.append((iter((sentinel,)), None, 0))  # the empty fourth run
-    (i0, _, _), (i1, _, _), (i2, u2, _), (i3, u3, _) = slots
+        slots.append((iter(()), None, 0))  # the empty fourth run
+    (i0, _, _), (i1, _, _), (i2, u2, _), (i3, _, _) = slots
     # met: decisions met by a sentinel, without a comparison.
     met, (x, kx, y, ky, h0, k0, h1, k1, h2, k2, h3, k3) = _tournament_rounds(
         lst, l, r, B, key, sentinel, slots)
     o = l
     try:
-        if not (h0 is sentinel or h1 is sentinel or h2 is sentinel
-                or h3 is sentinel):
-            # The 4-way loop, while all four runs are live.  A winner stays
-            # held until its side is refilled: a raising key or comparison
-            # finds x and y pending, and the put-back overwrites lst[o].
+        if len(bounds) == 5 and not (h0 is sentinel or h1 is sentinel
+                                     or h2 is sentinel or h3 is sentinel):
+            # The 4-way loop, until a run ends.  A winner stays held until
+            # its side is refilled: a raising key or comparison finds x and
+            # y pending, and the put-back overwrites lst[o].
             if key is None:
                 for o in range(l, r):
                     if not y < x:
@@ -577,14 +571,9 @@ def merge_tournament(lst, bounds, B, key, stats):
                             break
                         k3 = key(h3)
             o += 1
-        if not (h0 is sentinel or h1 is sentinel) and (
-                h2 is not sentinel or h3 is not sentinel):
+        elif len(bounds) == 4 and not (h0 is sentinel or h1 is sentinel
+                                       or h2 is sentinel):
             # The 3-way loop, as in merge_tournament_no_sentinel.
-            if h2 is sentinel:
-                # Run 2 ended before run 3, which takes its slot.
-                h2, k2, i2, u2 = h3, k3, i3, u3
-                h3 = k3 = sentinel
-                slots[2] = slots[3]
             rest = length_hint(u2)
             if key is None:
                 for o in range(o, r):
@@ -631,8 +620,8 @@ def merge_tournament(lst, bounds, B, key, stats):
                             break
                         k2 = key(h2)
             o += 1
-            # Each output from the right met the other right run's
-            # sentinel and drew one head, the sentinel included.
+            # Each output from the right met the empty run 3 and drew one
+            # head, the sentinel included.
             met += rest - length_hint(u2)
     except BaseException:
         _put_back_tree(lst, r, B, sentinel, (x, y), (h0, h1, h2, h3), slots)
@@ -674,16 +663,17 @@ def merge_tournament_no_sentinel(lst, bounds, B, key, stats):
         slots.append((islice(it, e - b), it, e - l))
     if len(slots) == 3:
         slots.append((iter(()), None, 0))  # the empty fourth run
-    (i0, _, _), (i1, _, _), (i2, u2, _), (i3, u3, _) = slots
+    (i0, _, _), (i1, _, _), (i2, u2, _), (i3, _, _) = slots
     # met: decisions met by an exhausted run, without a comparison.
     met, (x, kx, y, ky, h0, k0, h1, k1, h2, k2, h3, k3) = _tournament_rounds(
         lst, l, r, B, key, marker, slots)
     o = l
     try:
-        if not (h0 is marker or h1 is marker or h2 is marker or h3 is marker):
-            # The 4-way loop, while all four runs are live.  A winner stays
-            # held until its side is refilled: a raising key or comparison
-            # finds x and y pending, and the put-back overwrites lst[o].
+        if len(bounds) == 5 and not (h0 is marker or h1 is marker
+                                     or h2 is marker or h3 is marker):
+            # The 4-way loop, until a run ends.  A winner stays held until
+            # its side is refilled: a raising key or comparison finds x and
+            # y pending, and the put-back overwrites lst[o].
             if key is None:
                 for o in range(l, r):
                     if not y < x:
@@ -759,15 +749,10 @@ def merge_tournament_no_sentinel(lst, bounds, B, key, stats):
                             break
                         k3 = key(h3)
             o += 1
-        if not (h0 is marker or h1 is marker) and (
-                h2 is not marker or h3 is not marker):
-            # The 3-way loop: runs 0 and 1 on the left, one run on the
-            # right, whose head refills y without a comparison.
-            if h2 is marker:
-                # Run 2 ended before run 3, which takes its slot.
-                h2, k2, i2, u2 = h3, k3, i3, u3
-                h3 = k3 = marker
-                slots[2] = slots[3]
+        elif len(bounds) == 4 and not (h0 is marker or h1 is marker
+                                       or h2 is marker):
+            # The 3-way loop, until a run ends: runs 0 and 1 on the left,
+            # run 2 on the right, whose head refills y without a comparison.
             rest = length_hint(u2)
             if key is None:
                 for o in range(o, r):

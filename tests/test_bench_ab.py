@@ -55,6 +55,24 @@ def test_medians_wins_and_parent_iqr():
     assert (ok["wins"], ok["flag"]) == (0, "")
 
 
+def test_paired_differences_leave_out_the_spread_between_seeds():
+    # Parents 1..5, each change 5% lower: the parent's IQR reads 2, the
+    # per-pair moves all -5%.
+    pairs = [((p,), (0.95 * p,)) for p in (1, 2, 3, 4, 5)]
+    row = rows_by_metric(pairs)["x_ref.4way"]
+    assert row["parent_iqr"] == 2
+    assert row["paired_median"] == pytest.approx(-0.05)
+    assert row["paired_iqr"] == pytest.approx(0, abs=1e-12)
+    # A parent of 0 has no relative difference: both paired values are
+    # None, and print as "-".
+    rows = bench_ab.summarize(END_TO_END, {"w": [
+        (bench_ab.parse_result(stdout(p)), bench_ab.parse_result(stdout(c)))
+        for p, c in ((0.0, 1.0), (2.0, 1.0))]})
+    row = rows[1]
+    assert (row["paired_median"], row["paired_iqr"]) == (None, None)
+    assert bench_ab.render(rows).splitlines()[3].endswith(" | - | - |  |")
+
+
 def test_worse_by_more_than_the_bound_is_flagged():
     # x_ref is better lower, bound 25%: 1.26x the parent's median is worse.
     assert rows_by_metric([((1.0,), (1.26,))])["x_ref.4way"]["flag"] == "WORSE"
@@ -98,9 +116,13 @@ def test_render_prints_one_row_per_workload_and_metric():
     # A header, a rule, and per workload the failing-runs row, x_ref.4way,
     # and ok_frac, which the runs lack.
     assert len(lines) == 2 + 2 * 3
-    assert lines[2] == "| a | runs failing checks | 0 | 0 | - | - |  |"
-    assert lines[3] == "| a | x_ref.4way | 1 | 2 | 0/1 | 0 | WORSE |"
-    assert lines[4] == "| a | ok_frac | 0 | 0 | - | - | MISSING |"
+    assert lines[0] == (
+        "| workload | metric | parent median | change median | change wins "
+        "| parent IQR | paired median | paired IQR | flag |")
+    assert lines[2] == "| a | runs failing checks | 0 | 0 | - | - | - | - |  |"
+    assert lines[3] == (
+        "| a | x_ref.4way | 1 | 2 | 0/1 | 0 | +100.00% | 0.00% | WORSE |")
+    assert lines[4] == "| a | ok_frac | 0 | 0 | - | - | - | - | MISSING |"
 
 
 def test_a_run_that_prints_no_result_fails_its_checks(capsys):

@@ -497,9 +497,9 @@ def test_sentinel_free_tournament_compares_the_same_pairs_as_4way(arity):
 
 #: Merges that leave the sentinel-free tournament's hot loops by each exit,
 #: with lines of ``merge_tournament_no_sentinel`` each must run, keyed and
-#: unkeyed (``hN = kN = marker`` read as ``hN = marker``).
+#: unkeyed (``hN = kN = marker`` read as ``hN = marker``).  Only the 3-way
+#: merges run the 3-way loop (``THREE_WAY``).
 THREE_WAY = "rest = length_hint(u2)"
-RUN3_MOVES = "h2, k2, i2, u2 = h3, k3, i3, u3"
 EXITS = {
     "run0-ends-first": ([[1, 2], [3, 9, 10, 11], [4, 12, 13], [5, 14, 15]],
                         {"h0 = marker"}),
@@ -507,10 +507,10 @@ EXITS = {
                         {"h1 = marker"}),
     "run2-ends-before-run3": (
         [[3, 6, 9, 20], [4, 7, 10, 21], [1, 2], [5, 8, 11, 22]],
-        {"h2 = marker", RUN3_MOVES, THREE_WAY}),
+        {"h2 = marker"}),
     "run3-ends-first": (
         [[3, 6, 9, 20], [4, 7, 10, 21], [5, 8, 11, 22], [1, 2]],
-        {"h3 = marker", THREE_WAY}),
+        {"h3 = marker"}),
     "3way-run0-ends-first": ([[1, 2], [4, 7, 10, 21], [3, 6, 9, 20]],
                              {"h0 = marker", THREE_WAY}),
     "3way-run1-ends-first": ([[4, 7, 10, 21], [1, 2], [3, 6, 9, 20]],
@@ -552,9 +552,11 @@ def test_sentinel_free_tournament_exits_keep_a_permutation(case):
     # its input.
     key_regions, exits = EXITS[case]
     kernel = merge_tournament_no_sentinel
-    assert exits <= executed_lines(kernel, split_records(key_regions), KEY)
-    assert exits <= executed_lines(
-        kernel, counted_regions(key_regions, LtTally()), None)
+    for regions, key in ((split_records(key_regions), KEY),
+                         (counted_regions(key_regions, LtTally()), None)):
+        ran = executed_lines(kernel, regions, key)
+        assert exits <= ran, key
+        assert (THREE_WAY in ran) == (THREE_WAY in exits), key
     check_every_failure(kernel, key_regions)
 
 
@@ -580,11 +582,10 @@ def test_sentinel_tournament_phases_end_as_the_sentinel_free_ones(case):
     # or an unkeyed ``<``, that raises on call j, for every j, leaves the
     # region holding its input.
     key_regions, exits = EXITS[case]
-    phases = exits & {THREE_WAY, RUN3_MOVES}
     for regions, key in ((split_records(key_regions), KEY),
                          (counted_regions(key_regions, LtTally()), None)):
         ran = executed_lines(merge_tournament, regions, key)
-        assert ran & {THREE_WAY, RUN3_MOVES} == phases, key
+        assert (THREE_WAY in ran) == (THREE_WAY in exits), key
     records = sorted(rec for run in split_records(key_regions) for rec in run)
     for keyed in (False, True):
         log, uids, count = merge_log(merge_tournament, key_regions, keyed)

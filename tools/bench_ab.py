@@ -10,15 +10,19 @@ workload and seed 1..10 it runs ``perfbench/run.py --trace 0`` for
 runs first, then prints one row per workload and end-to-end metric of
 ``BENCHMARK.json``: the parent's and the change's median, the pairs the
 change won (by the metric's ``better``; ties win for neither), the
-parent's interquartile range, and ``WORSE`` where the change's median is
-worse than the parent's by more than the metric's relative ``bound``.  A
-metric absent from some run gets a ``MISSING`` row instead, and each
-workload a row counting the runs whose checks failed (``correct`` false)
-on each side.  A run that exits 1 without printing a result (an exception
-in the benchmark or the package) counts as failing its checks, with its
-standard error printed, so its metrics show as ``MISSING``.  ``--json``
-also writes the rows to a file, with the revisions measured, the seeds,
-``run_seconds`` and the Python version.  Standard library only.
+parent's interquartile range, the median and interquartile range of the
+per-pair relative differences, (change - parent) / |parent|, and ``WORSE``
+where the change's median is worse than the parent's by more than the
+metric's relative ``bound``.  The parent's IQR spans ten seeds, so it
+holds the spread between inputs; the paired columns hold the change's
+effect on each input.  A metric absent from some run gets a ``MISSING``
+row instead, and each workload a row counting the runs whose checks
+failed (``correct`` false) on each side.  A run that exits 1 without
+printing a result (an exception in the benchmark or the package) counts
+as failing its checks, with its standard error printed, so its metrics
+show as ``MISSING``.  ``--json`` also writes the rows to a file, with the
+revisions measured, the seeds, ``run_seconds`` and the Python version.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -70,7 +74,9 @@ def summarize(end_to_end, samples):
     ``(parent, change)`` results of ``parse_result``, one per pair.  A
     row's ``flag`` is ``"WORSE"``, ``"MISSING"`` (the metric is absent from
     some run; ``parent`` and ``change`` then count the runs that have it)
-    or empty.
+    or empty.  ``paired_median`` and ``paired_iqr`` are the median and the
+    interquartile range of the pairs' (change - parent) / |parent|, None
+    where some pair's parent is 0.
     """
     rows = []
     for workload, pairs in samples.items():
@@ -79,7 +85,8 @@ def summarize(end_to_end, samples):
         rows.append({
             "workload": workload, "metric": "runs failing checks",
             "parent": failed[0], "change": failed[1], "wins": None,
-            "pairs": len(pairs), "parent_iqr": None,
+            "pairs": len(pairs), "parent_iqr": None, "paired_median": None,
+            "paired_iqr": None,
             "flag": "WORSE" if failed[1] > failed[0] else ""})
         for spec in end_to_end:
             name = spec["name"]
@@ -88,31 +95,44 @@ def summarize(end_to_end, samples):
             have = [sum(name in run for run in side) for side in sides]
             if min(have) < len(pairs):
                 row.update(parent=have[0], change=have[1], wins=None,
-                           parent_iqr=None, flag="MISSING")
+                           parent_iqr=None, paired_median=None,
+                           paired_iqr=None, flag="MISSING")
                 continue
             parent, change = ([run[name] for run in side] for side in sides)
             sign = 1 if spec["better"] == "lower" else -1
             base, head = statistics.median(parent), statistics.median(change)
             q1, q3 = quartiles(parent)
             worse = sign * (head - base) > spec["bound"] * abs(base)
+            paired_median = paired_iqr = None
+            if 0 not in parent:
+                moves = [(c - p) / abs(p) for p, c in zip(parent, change)]
+                m1, m3 = quartiles(moves)
+                paired_median, paired_iqr = statistics.median(moves), m3 - m1
             row.update(
                 parent=base, change=head,
                 wins=sum(sign * (c - p) < 0 for p, c in zip(parent, change)),
-                parent_iqr=q3 - q1, flag="WORSE" if worse else "")
+                parent_iqr=q3 - q1, paired_median=paired_median,
+                paired_iqr=paired_iqr, flag="WORSE" if worse else "")
     return rows
 
 
 def render(rows):
-    """The rows as a Markdown table; ``-`` where a row has no value."""
+    """The rows as a Markdown table, the paired columns in percent; ``-``
+    where a row has no value."""
     out = ["| workload | metric | parent median | change median "
-           "| change wins | parent IQR | flag |",
-           "|---|---|---|---|---|---|---|"]
+           "| change wins | parent IQR | paired median | paired IQR | flag |",
+           "|---|---|---|---|---|---|---|---|---|"]
     for r in rows:
         wins = "-" if r["wins"] is None else "%d/%d" % (r["wins"], r["pairs"])
         iqr = "-" if r["parent_iqr"] is None else "%.3g" % r["parent_iqr"]
-        out.append("| %s | %s | %.6g | %.6g | %s | %s | %s |" % (
+        if r["paired_median"] is None:
+            moved = spread = "-"
+        else:
+            moved = "%+.2f%%" % (100 * r["paired_median"])
+            spread = "%.2f%%" % (100 * r["paired_iqr"])
+        out.append("| %s | %s | %.6g | %.6g | %s | %s | %s | %s | %s |" % (
             r["workload"], r["metric"], r["parent"], r["change"], wins, iqr,
-            r["flag"]))
+            moved, spread, r["flag"]))
     return "\n".join(out)
 
 
