@@ -54,8 +54,10 @@ step tests no cursor and no marker.  A merge's width picks its fast loop,
 and any run's end sends the merge on to the checked phase:
 
 1. The 4-way loop, which only 4-way merges run.
-2. The 3-way loop, which only 3-way merges run: runs 0 and 1 on the
-   left, run 2 on the right, whose head refills y without a comparison.
+2. The 3-way loop, which only unkeyed 3-way merges run: runs 0 and 1 on
+   the left, run 2 on the right, whose head refills y without a
+   comparison.  A keyed 3-way merge goes on to the checked phase after
+   its first draws.
 3. The checked phase, once any run ends (``_tournament_rounds``, which
    also draws the first winners).  Each decision tests both its sides for
    the marker, and each refill draws with ``next(it, marker)``: a sentinel
@@ -571,54 +573,30 @@ def merge_tournament(lst, bounds, B, key, stats):
                             break
                         k3 = key(h3)
             o += 1
-        elif len(bounds) == 4 and not (h0 is sentinel or h1 is sentinel
-                                       or h2 is sentinel):
+        elif len(bounds) == 4 and key is None and not (
+                h0 is sentinel or h1 is sentinel or h2 is sentinel):
             # The 3-way loop, as in merge_tournament_no_sentinel.
             rest = length_hint(u2)
-            if key is None:
-                for o in range(o, r):
-                    if not y < x:
-                        lst[o] = x
-                        if not h1 < h0:
-                            x = h0
-                            h0 = next(i0)
-                            if h0 is sentinel:
-                                break
-                        else:
-                            x = h1
-                            h1 = next(i1)
-                            if h1 is sentinel:
-                                break
-                    else:
-                        lst[o] = y
-                        y = h2
-                        h2 = next(i2)
-                        if h2 is sentinel:
+            for o in range(o, r):
+                if not y < x:
+                    lst[o] = x
+                    if not h1 < h0:
+                        x = h0
+                        h0 = next(i0)
+                        if h0 is sentinel:
                             break
-                kx, ky, k0, k1, k2 = x, y, h0, h1, h2
-            else:
-                for o in range(o, r):
-                    if not ky < kx:
-                        lst[o] = x
-                        if not k1 < k0:
-                            x, kx = h0, k0
-                            h0 = next(i0)
-                            if h0 is sentinel:
-                                break
-                            k0 = key(h0)
-                        else:
-                            x, kx = h1, k1
-                            h1 = next(i1)
-                            if h1 is sentinel:
-                                break
-                            k1 = key(h1)
                     else:
-                        lst[o] = y
-                        y, ky = h2, k2
-                        h2 = next(i2)
-                        if h2 is sentinel:
+                        x = h1
+                        h1 = next(i1)
+                        if h1 is sentinel:
                             break
-                        k2 = key(h2)
+                else:
+                    lst[o] = y
+                    y = h2
+                    h2 = next(i2)
+                    if h2 is sentinel:
+                        break
+            kx, ky, k0, k1, k2 = x, y, h0, h1, h2
             o += 1
             # Each output from the right met the empty run 3 and drew one
             # head, the sentinel included.
@@ -749,67 +727,37 @@ def merge_tournament_no_sentinel(lst, bounds, B, key, stats):
                             break
                         k3 = key(h3)
             o += 1
-        elif len(bounds) == 4 and not (h0 is marker or h1 is marker
-                                       or h2 is marker):
+        elif len(bounds) == 4 and key is None and not (
+                h0 is marker or h1 is marker or h2 is marker):
             # The 3-way loop, until a run ends: runs 0 and 1 on the left,
             # run 2 on the right, whose head refills y without a comparison.
             rest = length_hint(u2)
-            if key is None:
-                for o in range(o, r):
-                    if not y < x:
-                        lst[o] = x
-                        if not h1 < h0:
-                            x = h0
-                            try:
-                                h0 = next(i0)
-                            except StopIteration:
-                                h0 = marker
-                                break
-                        else:
-                            x = h1
-                            try:
-                                h1 = next(i1)
-                            except StopIteration:
-                                h1 = marker
-                                break
-                    else:
-                        lst[o] = y
-                        y = h2
+            for o in range(o, r):
+                if not y < x:
+                    lst[o] = x
+                    if not h1 < h0:
+                        x = h0
                         try:
-                            h2 = next(i2)
+                            h0 = next(i0)
                         except StopIteration:
-                            h2 = marker
+                            h0 = marker
                             break
-                kx, ky, k0, k1, k2 = x, y, h0, h1, h2
-            else:
-                for o in range(o, r):
-                    if not ky < kx:
-                        lst[o] = x
-                        if not k1 < k0:
-                            x, kx = h0, k0
-                            try:
-                                h0 = next(i0)
-                            except StopIteration:
-                                h0 = k0 = marker
-                                break
-                            k0 = key(h0)
-                        else:
-                            x, kx = h1, k1
-                            try:
-                                h1 = next(i1)
-                            except StopIteration:
-                                h1 = k1 = marker
-                                break
-                            k1 = key(h1)
                     else:
-                        lst[o] = y
-                        y, ky = h2, k2
+                        x = h1
                         try:
-                            h2 = next(i2)
+                            h1 = next(i1)
                         except StopIteration:
-                            h2 = k2 = marker
+                            h1 = marker
                             break
-                        k2 = key(h2)
+                else:
+                    lst[o] = y
+                    y = h2
+                    try:
+                        h2 = next(i2)
+                    except StopIteration:
+                        h2 = marker
+                        break
+            kx, ky, k0, k1, k2 = x, y, h0, h1, h2
             o += 1
             # Each output from the right took its run's head: one draw
             # each, the last one failed if that run ended.

@@ -483,22 +483,30 @@ def test_sentinel_free_tournament_compares_the_same_pairs_as_4way(arity):
     # Every split of up to 9 keys over {0, 1}, then long random merges over
     # key ranges from heavy ties to nearly distinct keys, keyed and
     # unkeyed: the same ``<`` calls in the same order, the same output and
-    # the same count as the sentinel tournament's.
+    # the same count as the sentinel tournament's.  In each kernel a keyed
+    # merge decides as the unkeyed one does, though only unkeyed 3-way
+    # merges run the 3-way loop.
     rng = random.Random(arity * 7919)
     cases = list(exhaustive_cases(arity, 9))
     for span in (3, 60, 10**6):
         cases += [long_key_regions(rng, arity, span) for _ in range(4)]
+    kernels = (merge_tournament, merge_tournament_no_sentinel)
     for key_regions in cases:
+        logs = {(kernel, keyed): merge_log(kernel, key_regions, keyed)
+                for kernel in kernels for keyed in (False, True)}
         for keyed in (False, True):
-            assert merge_log(
-                merge_tournament_no_sentinel, key_regions, keyed) == merge_log(
-                merge_tournament, key_regions, keyed), (keyed, key_regions)
+            assert logs[merge_tournament_no_sentinel, keyed] == logs[
+                merge_tournament, keyed], (keyed, key_regions)
+        for kernel in kernels:
+            assert logs[kernel, True] == logs[kernel, False], (
+                kernel.__name__, key_regions)
 
 
 #: Merges that leave the sentinel-free tournament's hot loops by each exit,
 #: with lines of ``merge_tournament_no_sentinel`` each must run, keyed and
-#: unkeyed (``hN = kN = marker`` read as ``hN = marker``).  Only the 3-way
-#: merges run the 3-way loop (``THREE_WAY``).
+#: unkeyed (``hN = kN = marker`` read as ``hN = marker``).  Only unkeyed
+#: 3-way merges run the 3-way loop (``THREE_WAY``); a keyed one goes from
+#: its first draws to the checked phase and runs none of its lines.
 THREE_WAY = "rest = length_hint(u2)"
 EXITS = {
     "run0-ends-first": ([[1, 2], [3, 9, 10, 11], [4, 12, 13], [5, 14, 15]],
@@ -545,6 +553,12 @@ def executed_lines(kernel, regions, key):
             for line in lines}
 
 
+def phase_lines(exits, key):
+    """The lines of an ``EXITS`` entry that a merge with this key runs:
+    none for a keyed 3-way merge, which runs no 3-way-loop line."""
+    return exits if key is None or THREE_WAY not in exits else set()
+
+
 @pytest.mark.parametrize("case", sorted(EXITS))
 def test_sentinel_free_tournament_exits_keep_a_permutation(case):
     # A key, or an unkeyed ``<``, that raises on call j, for every j, of a
@@ -555,8 +569,10 @@ def test_sentinel_free_tournament_exits_keep_a_permutation(case):
     for regions, key in ((split_records(key_regions), KEY),
                          (counted_regions(key_regions, LtTally()), None)):
         ran = executed_lines(kernel, regions, key)
-        assert exits <= ran, key
-        assert (THREE_WAY in ran) == (THREE_WAY in exits), key
+        lines = phase_lines(exits, key)
+        assert lines <= ran, key
+        assert not (exits - lines) & ran, key
+        assert (THREE_WAY in ran) == (THREE_WAY in lines), key
     check_every_failure(kernel, key_regions)
 
 
@@ -585,7 +601,8 @@ def test_sentinel_tournament_phases_end_as_the_sentinel_free_ones(case):
     for regions, key in ((split_records(key_regions), KEY),
                          (counted_regions(key_regions, LtTally()), None)):
         ran = executed_lines(merge_tournament, regions, key)
-        assert (THREE_WAY in ran) == (THREE_WAY in exits), key
+        lines = phase_lines(exits, key)
+        assert (THREE_WAY in ran) == (THREE_WAY in lines), key
     records = sorted(rec for run in split_records(key_regions) for rec in run)
     for keyed in (False, True):
         log, uids, count = merge_log(merge_tournament, key_regions, keyed)
