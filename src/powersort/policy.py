@@ -37,21 +37,8 @@ from .merges import (
     merge_tournament_no_sentinel,
 )
 from .power import node_power, run_stack_capacity, validated_profile
-from .runs import extend_run, find_first_run
+from .runs import MIN_RUN_LEN, extend_run, find_first_run
 from .statskit import SortStats
-
-#: Default minimum run length; shorter natural runs are extended to this
-#: length by binary insertion sort.  1 disables extension.  64 is CPython's
-#: largest ``minrun`` and the longest region that the insertion table
-#: (``runs._TABLE_ROWS``) counts.  Longer runs mean fewer runs, each with a
-#: fixed Python cost in detection, the run stack and ``node_power``, and
-#: fewer merge set-ups: against 24, a random permutation of 25 000 records
-#: has 391 runs instead of 1042 and its ``4way`` sort ran 12.9% faster
-#: (CPython 3.11, 2 vCPUs).  The price is on inputs with natural runs of 16
-#: to 128: extension binary-inserts elements that the next natural run
-#: already held in order, so random runs of mean 32 take 8.9% more
-#: comparisons and of mean 64 to 128 sort about 2% slower.
-MIN_RUN_LEN = 64
 
 
 @dataclass(frozen=True)
@@ -89,10 +76,11 @@ class SortConfig:
     """Configuration of one sort call.
 
     ``k`` is the merge arity, 2 or 4, and must match the kernel family
-    named by ``variant``.  ``min_run_len`` is the length to which a
-    shorter natural run is extended by binary insertion sort, clamped to
-    the end of the list; 1 disables extension, and the default is
-    ``MIN_RUN_LEN``, 64.  ``key`` extracts the sort key from an element;
+    named by ``variant``.  ``min_run_len``, an integer in 1..64, is the
+    length to which a shorter natural run is extended by binary insertion
+    sort, clamped to the end of the list; 1 disables extension, and the
+    default is ``MIN_RUN_LEN``, 64, the most that the insertion table
+    counts.  ``key`` extracts the sort key from an element;
     records are compared by key only, with ``<`` alone, as in
     ``list.sort``.  ``strict_merge_down`` collapses the final stack by
     popping up to k-1 runs per merge instead of normalizing to (k - 1)j + 1
@@ -190,7 +178,8 @@ def _detected_runs(lst, n, key, stats, min_run_len):
 def _validated(config):
     """The variant's kernels and ``min_run_len`` as an int, once the
     config is checked: ``k`` and ``min_run_len`` must be integers
-    (``TypeError``), and valid for the variant (``ValueError``)."""
+    (``TypeError``), ``k`` the variant's and ``min_run_len`` in
+    1..``MIN_RUN_LEN`` (``ValueError``)."""
     ints = []
     for field in ("k", "min_run_len"):
         value = getattr(config, field)
@@ -211,8 +200,8 @@ def _validated(config):
             "variant %r implements k=%d, but config asks for k=%d"
             % (config.variant, kernels.k, k)
         )
-    if min_run_len < 1:
-        raise ValueError("min_run_len must be >= 1")
+    if not 1 <= min_run_len <= MIN_RUN_LEN:
+        raise ValueError("min_run_len must be in 1..%d" % MIN_RUN_LEN)
     return kernels, min_run_len
 
 

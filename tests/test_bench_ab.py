@@ -70,7 +70,7 @@ def test_paired_differences_leave_out_the_spread_between_seeds():
         for p, c in ((0.0, 1.0), (2.0, 1.0))]})
     row = rows[1]
     assert (row["paired_median"], row["paired_iqr"]) == (None, None)
-    assert bench_ab.render(rows).splitlines()[3].endswith(" | - | - |  |")
+    assert bench_ab.render(rows).splitlines()[3].endswith(" | - | - | - |  |")
 
 
 def test_worse_by_more_than_the_bound_is_flagged():
@@ -118,11 +118,41 @@ def test_render_prints_one_row_per_workload_and_metric():
     assert len(lines) == 2 + 2 * 3
     assert lines[0] == (
         "| workload | metric | parent median | change median | change wins "
-        "| parent IQR | paired median | paired IQR | flag |")
-    assert lines[2] == "| a | runs failing checks | 0 | 0 | - | - | - | - |  |"
+        "| parent IQR | paired median | paired IQR | null paired IQR | flag |")
+    assert lines[2] == (
+        "| a | runs failing checks | 0 | 0 | - | - | - | - | - |  |")
     assert lines[3] == (
-        "| a | x_ref.4way | 1 | 2 | 0/1 | 0 | +100.00% | 0.00% | WORSE |")
-    assert lines[4] == "| a | ok_frac | 0 | 0 | - | - | - | - | MISSING |"
+        "| a | x_ref.4way | 1 | 2 | 0/1 | 0 | +100.00% | 0.00% | - | WORSE |")
+    assert lines[4] == "| a | ok_frac | 0 | 0 | - | - | - | - | - | MISSING |"
+
+
+def test_render_reads_each_row_against_the_null_control(tmp_path):
+    # The null column holds the paired IQR of the null control's row with
+    # the same workload and metric, and "-" where that row or the whole
+    # file is absent.
+    samples = {w: [({"x_ref.4way": 1.0, "correct": True},
+                    {"x_ref.4way": 1.01, "correct": True})]
+               for w in ("a", "b")}
+    rows = bench_ab.summarize(END_TO_END, samples)
+    null_rows = [dict(r, paired_iqr=0.0125) for r in rows
+                 if r["workload"] == "a" and r["metric"] == "x_ref.4way"]
+    path = tmp_path / "BENCH_null.json"
+    bench_ab.write_json(str(path), null_rows, {"base": "a" * 40})
+    null = bench_ab.null_iqrs(str(path))
+    assert null == {("a", "x_ref.4way"): 0.0125}
+    cells = [line.split(" | ")[-2]
+             for line in bench_ab.render(rows, null).splitlines()[2:]]
+    assert cells == ["-", "1.25%", "-", "-", "-", "-"]
+    assert bench_ab.null_iqrs(str(tmp_path / "absent.json")) == {}
+    # The committed control has a row for every workload and metric of
+    # BENCHMARK.json.
+    with open(os.path.join(os.path.dirname(PATH), "..",
+                           "BENCHMARK.json")) as fh:
+        benchmark = json.load(fh)
+    committed = bench_ab.null_iqrs()
+    for w in benchmark["workloads"]:
+        for spec in benchmark["end_to_end"]:
+            assert (w["name"], spec["name"]) in committed
 
 
 def test_a_run_that_prints_no_result_fails_its_checks(capsys):

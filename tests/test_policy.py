@@ -7,7 +7,7 @@ from itertools import accumulate
 import numpy as np
 import pytest
 
-from powersort import oracle, policy, runs
+from powersort import oracle, policy
 from powersort.harness import GeneratorSpec, generate
 from powersort.merges import _CHUNK
 from powersort.policy import (
@@ -20,7 +20,6 @@ from powersort.policy import (
     stable_sort_with,
 )
 from powersort.power import run_stack_capacity
-from powersort.runs import _TABLE_ROWS
 from powersort.statskit import SortStats
 
 from conftest import (
@@ -239,42 +238,6 @@ def test_random_records_sort_stably(variant, min_run_len):
             lst, config_for(variant, min_run_len=min_run_len, key=KEY)
         )
         assert_stable_sorted(lst, records)
-
-
-@pytest.mark.parametrize("variant", ALL_VARIANTS)
-def test_min_run_len_past_the_insertion_table(variant):
-    # Regions longer than the insertion table's rows walk bisect_right's
-    # path instead; the counts still equal the comparisons that ran.
-    min_run_len = _TABLE_ROWS + 36
-    rng = random.Random(41)
-    records = make_records([rng.randint(0, 50) for _ in range(700)])
-    lst = list(records)
-    spy = LtSpyKey()
-    stats = stable_sort_with(
-        lst, config_for(variant, min_run_len=min_run_len, key=spy))
-    assert_stable_sorted(lst, records)
-    assert max(stats.run_lengths) == min_run_len
-    assert stats.comparisons == spy.lt_calls
-
-
-def test_default_min_run_len_stays_in_the_insertion_table(monkeypatch):
-    # Every insertion of a default sort is counted from the insertion
-    # table; a region past it would walk _PathRow in Python, several times
-    # slower per insertion.
-    class Unreachable:
-        def __init__(self, i):
-            raise AssertionError("_PathRow(%d) reached" % i)
-
-    runs._insertion_table()
-    monkeypatch.setattr(runs, "_PathRow", Unreachable)
-    rng = random.Random(47)
-    values = list(range(1000))
-    rng.shuffle(values)
-    for variant in ALL_VARIANTS:
-        lst = list(values)
-        stats = stable_sort_with(lst, config_for(variant))
-        assert lst == sorted(values)
-        assert max(stats.run_lengths) == MIN_RUN_LEN
 
 
 def test_stable_sort_default_entrypoint():
@@ -703,6 +666,12 @@ def test_rejects_bad_configs():
         stable_sort_with([1], SortConfig(k=4, variant="no-such-kernel"))
     with pytest.raises(ValueError):
         stable_sort_with([1], SortConfig(min_run_len=0))
+    # min_run_len past the insertion table is refused before the list is
+    # touched.
+    lst = list(range(MIN_RUN_LEN + 1, 0, -1))
+    with pytest.raises(ValueError, match="min_run_len"):
+        stable_sort_with(lst, SortConfig(min_run_len=MIN_RUN_LEN + 1))
+    assert lst == list(range(MIN_RUN_LEN + 1, 0, -1))
     # A non-integral k or min_run_len is rejected before the list is
     # touched, not deep inside the sort.
     for config in (SortConfig(k=4.0), SortConfig(min_run_len=64.0),

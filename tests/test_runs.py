@@ -1,15 +1,18 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from bisect import bisect_right
 
 import pytest
 
 from powersort.merges import _CHUNK
 from powersort.runs import (
+    _PROBE_BITS,
     _SCAN_INLINE,
-    _TABLE_ROWS,
-    _insertion_rows,
-    _probe_bits,
+    MIN_RUN_LEN,
+    _insertion_table,
     extend_run,
     find_first_run,
     insertion_sort,
@@ -26,6 +29,9 @@ from conftest import (
     is_weakly_increasing,
     make_records,
 )
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
 
 
 def test_single_element_is_a_run():
@@ -343,18 +349,19 @@ class CoinKey:
 
 
 def test_insertion_rows_match_a_counting_bisect():
-    # For every (i, pos) in the table and past it, a row entry holds the
-    # ``<`` calls of a bisect_right over i keys that returns pos, and the
-    # in-place algorithm's moves for that insertion, packed above the
-    # probes.
-    stop = _TABLE_ROWS + 40
-    bits = _probe_bits(stop)
-    for i, row in zip(range(stop), _insertion_rows(0, stop)):
+    # For every (i, pos) in the table, a row entry holds the ``<`` calls of
+    # a bisect_right over i keys that returns pos, and the in-place
+    # algorithm's moves for that insertion, packed above the probes.
+    table = _insertion_table()
+    assert len(table) == MIN_RUN_LEN
+    for i, row in enumerate(table):
+        assert len(row) == i + 1
         for pos in range(i + 1):
             spy = LtSpyKey()
             keys = [spy((0,))] * pos + [spy((2,))] * (i - pos)
             assert bisect_right(keys, spy((1,))) == pos
-            unpacked = (row[pos] & ((1 << bits) - 1), row[pos] >> bits)
+            unpacked = (row[pos] & ((1 << _PROBE_BITS) - 1),
+                        row[pos] >> _PROBE_BITS)
             assert unpacked == (spy.lt_calls, i - pos + 1 if pos != i else 0)
 
 
@@ -362,13 +369,44 @@ def test_insertion_rows_hold_for_an_inconsistent_order():
     # bisect_right's path is fixed by the position it returns, whatever
     # ``<`` answers, so the row entry still counts the probes.
     rng = random.Random(5)
-    stop = _TABLE_ROWS + 40
-    mask = (1 << _probe_bits(stop)) - 1
-    for i, row in zip(range(stop), _insertion_rows(0, stop)):
+    mask = (1 << _PROBE_BITS) - 1
+    for i, row in enumerate(_insertion_table()):
         for _ in range(20):
             x = CoinKey(rng)
             pos = bisect_right([None] * i, x)
             assert row[pos] & mask == x.lt_calls, (i, pos)
+
+
+def test_region_past_the_insertion_table_is_refused():
+    # The table counts regions of up to MIN_RUN_LEN elements; a longer one
+    # is refused before the list is touched, not cut short by the table.
+    values = list(range(MIN_RUN_LEN + 1, 0, -1)) + [0]
+    for key in (None, KEY):
+        lst = list(values) if key is None else make_records(values)
+        before = list(lst)
+        stats = fresh_instruments()
+        with pytest.raises(ValueError, match="longer than"):
+            insertion_sort(lst, 0, MIN_RUN_LEN + 1, 0, key, stats)
+        with pytest.raises(ValueError, match="longer than"):
+            extend_run(lst, 0, 1, MIN_RUN_LEN + 1, len(lst), key, stats)
+        assert lst == before
+        assert (stats.comparisons, stats.moves) == (0, 0)
+    # A region of MIN_RUN_LEN is the longest taken.
+    lst = list(values)
+    assert extend_run(lst, 1, 2, MIN_RUN_LEN, len(lst), None,
+                      fresh_instruments()) == MIN_RUN_LEN + 1
+    assert lst == values[:1] + sorted(values[1:-1]) + [0]
+
+
+def test_importing_the_package_builds_no_insertion_table():
+    # The table is built on the first insertion sort, so an import that
+    # sorts nothing pays nothing for it.
+    code = ("import powersort\n"
+            "print(powersort.runs._insertion_table.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=SRC)).stdout
+    assert out.strip() == "0"
 
 
 def test_raising_key_leaves_insertion_sort_a_permutation():

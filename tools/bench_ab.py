@@ -15,14 +15,17 @@ per-pair relative differences, (change - parent) / |parent|, and ``WORSE``
 where the change's median is worse than the parent's by more than the
 metric's relative ``bound``.  The parent's IQR spans ten seeds, so it
 holds the spread between inputs; the paired columns hold the change's
-effect on each input.  A metric absent from some run gets a ``MISSING``
-row instead, and each workload a row counting the runs whose checks
-failed (``correct`` false) on each side.  A run that exits 1 without
-printing a result (an exception in the benchmark or the package) counts
-as failing its checks, with its standard error printed, so its metrics
-show as ``MISSING``.  ``--json`` also writes the rows to a file, with the
-revisions measured, the seeds, ``run_seconds`` and the Python version.
-Standard library only.
+effect on each input.  Beside them, "null paired IQR" is the paired IQR
+of the same workload and metric in the committed ``BENCH_null.json``, a
+run of one revision against itself: the spread of a change that changes
+nothing, ``-`` where the file or the row is absent.  A metric absent
+from some run gets a ``MISSING`` row instead, and each workload a row
+counting the runs whose checks failed (``correct`` false) on each side.
+A run that exits 1 without printing a result (an exception in the
+benchmark or the package) counts as failing its checks, with its
+standard error printed, so its metrics show as ``MISSING``.  ``--json``
+also writes the rows to a file, with the revisions measured, the seeds,
+``run_seconds`` and the Python version.  Standard library only.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
 PAIRS = 10
+NULL = os.path.join(ROOT, "BENCH_null.json")
 
 
 def parse_result(stdout):
@@ -116,23 +120,39 @@ def summarize(end_to_end, samples):
     return rows
 
 
-def render(rows):
+def null_iqrs(path=NULL):
+    """``{(workload, metric): paired_iqr}`` of the rows of a null control,
+    a ``--json`` file of a revision measured against itself; empty if there
+    is no file at path."""
+    try:
+        with open(path) as fh:
+            rows = json.load(fh)["rows"]
+    except FileNotFoundError:
+        return {}
+    return {(r["workload"], r["metric"]): r["paired_iqr"] for r in rows}
+
+
+def render(rows, null=None):
     """The rows as a Markdown table, the paired columns in percent; ``-``
-    where a row has no value."""
+    where a row has no value.  ``null`` is a ``null_iqrs`` mapping."""
+    null = null or {}
     out = ["| workload | metric | parent median | change median "
-           "| change wins | parent IQR | paired median | paired IQR | flag |",
-           "|---|---|---|---|---|---|---|---|---|"]
+           "| change wins | parent IQR | paired median | paired IQR "
+           "| null paired IQR | flag |",
+           "|---|---|---|---|---|---|---|---|---|---|"]
+
+    def percent(value, form="%.2f%%"):
+        return "-" if value is None else form % (100 * value)
+
     for r in rows:
         wins = "-" if r["wins"] is None else "%d/%d" % (r["wins"], r["pairs"])
         iqr = "-" if r["parent_iqr"] is None else "%.3g" % r["parent_iqr"]
-        if r["paired_median"] is None:
-            moved = spread = "-"
-        else:
-            moved = "%+.2f%%" % (100 * r["paired_median"])
-            spread = "%.2f%%" % (100 * r["paired_iqr"])
-        out.append("| %s | %s | %.6g | %.6g | %s | %s | %s | %s | %s |" % (
-            r["workload"], r["metric"], r["parent"], r["change"], wins, iqr,
-            moved, spread, r["flag"]))
+        out.append("| %s | %s | %.6g | %.6g | %s | %s | %s | %s | %s | %s |"
+                   % (r["workload"], r["metric"], r["parent"], r["change"],
+                      wins, iqr, percent(r["paired_median"], "%+.2f%%"),
+                      percent(r["paired_iqr"]),
+                      percent(null.get((r["workload"], r["metric"]))),
+                      r["flag"]))
     return "\n".join(out)
 
 
@@ -242,7 +262,7 @@ def main(argv=None):
                 print("%s seed %d done (%s first)" % (
                     workload, seed, order[0]), file=sys.stderr)
     rows = summarize(benchmark["end_to_end"], samples)
-    print(render(rows))
+    print(render(rows, null_iqrs()))
     if args.json:
         meta.update(seeds=seeds, run_seconds=benchmark["run_seconds"],
                     python=platform.python_version(),
