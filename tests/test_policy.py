@@ -7,7 +7,7 @@ from itertools import accumulate
 import numpy as np
 import pytest
 
-from powersort import oracle, policy
+from powersort import oracle, policy, runs
 from powersort.harness import GeneratorSpec, generate
 from powersort.merges import _CHUNK
 from powersort.policy import (
@@ -238,6 +238,41 @@ def test_random_records_sort_stably(variant, min_run_len):
             lst, config_for(variant, min_run_len=min_run_len, key=KEY)
         )
         assert_stable_sorted(lst, records)
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_min_run_len_past_the_insertion_table(variant):
+    # The insertion table ends at MIN_RUN_LEN rows: every variant refuses a
+    # longer extension before the list is touched, and the longest one it
+    # takes still counts exactly the comparisons that ran.
+    rng = random.Random(41)
+    records = make_records([rng.randint(0, 50) for _ in range(700)])
+    lst = list(records)
+    with pytest.raises(ValueError, match="min_run_len"):
+        stable_sort_with(
+            lst, config_for(variant, min_run_len=MIN_RUN_LEN + 36, key=KEY))
+    assert lst == records
+    spy = LtSpyKey()
+    stats = stable_sort_with(
+        lst, config_for(variant, min_run_len=MIN_RUN_LEN, key=spy))
+    assert_stable_sorted(lst, records)
+    assert max(stats.run_lengths) == MIN_RUN_LEN
+    assert stats.comparisons == spy.lt_calls
+
+
+def test_default_min_run_len_stays_in_the_insertion_table():
+    # The default extension length is the insertion table's row count, so a
+    # default sort extends runs to the table's last row and no further.
+    assert SortConfig().min_run_len == MIN_RUN_LEN == len(
+        runs._insertion_table())
+    rng = random.Random(47)
+    values = list(range(1000))
+    rng.shuffle(values)
+    for variant in ALL_VARIANTS:
+        lst = list(values)
+        stats = stable_sort_with(lst, config_for(variant))
+        assert lst == sorted(values)
+        assert max(stats.run_lengths) == MIN_RUN_LEN
 
 
 def test_stable_sort_default_entrypoint():
